@@ -21,6 +21,7 @@ from .equivalence import (
     identity_certificate,
     k0_class,
     orbit_crosscheck,
+    signatures_equivalent,
     stabilize_certificate,
     stable_equivalent,
     verify_certificate,

@@ -13,21 +13,14 @@ import json
 import sys
 
 from .equivalence import (
-    dynamic_equivalent,
-    feedback_equivalent,
+    MODES,
     k0_class,
     orbit_crosscheck,
-    stable_equivalent,
+    signatures_equivalent,
     verify_certificate,
 )
 from .errors import RingsysError
-from .invariants import (
-    brunovsky,
-    canonical_certificate,
-    compute_chain,
-    signature_from_report,
-    z_signature,
-)
+from .invariants import canonical_certificate, compute_chain, signature_from_report, z_signature
 from .linalg import AbelianGroupStructure, RingMatrix
 from .sysfile import PairEntry, SystemFile, parse, write
 from .systems import enlarged_pair
@@ -37,12 +30,6 @@ def _structure_doc(structure):
     if isinstance(structure, AbelianGroupStructure):
         return {"free_rank": structure.free_rank, "torsion": list(structure.torsion)}
     return structure
-
-
-def _structure_text(structure):
-    if isinstance(structure, AbelianGroupStructure):
-        return str(structure)
-    return str(structure)
 
 
 def _matrix_doc(m: RingMatrix):
@@ -81,9 +68,9 @@ def _cmd_invariants(args) -> int:
     lines = [
         f"system {args.system} over {sf.ring}: state rank {report.state_rank}",
         "chain dims: " + " -> ".join(map(str, report.chain_dims)) + f"  (s = {report.s})",
-        "M: " + (", ".join(_structure_text(x) for x in report.M) or "-"),
-        "I: " + (", ".join(_structure_text(x) for x in report.I) or "-"),
-        "Z: " + (", ".join(_structure_text(x) for x in report.Z) or "-"),
+        "M: " + (", ".join(str(x) for x in report.M) or "-"),
+        "I: " + (", ".join(str(x) for x in report.I) or "-"),
+        "Z: " + (", ".join(str(x) for x in report.Z) or "-"),
         f"reachable: {'yes' if report.reachable else 'no'}; "
         f"locally Brunovsky: {'yes' if report.locally_brunovsky else 'no'}",
     ]
@@ -97,11 +84,10 @@ def _cmd_canon(args) -> int:
     sf = parse(args.file)
     a, b = sf.raw_pair(args.system)
     cert = canonical_certificate(a, b)
-    data = brunovsky(sf.system(args.system))
     doc = {
         "command": "canon",
         "system": args.system,
-        "indices": list(data.indices),
+        "indices": list(cert.indices),
         "canonical_endo": _matrix_doc(cert.canonical_endo),
         "canonical_input": _matrix_doc(cert.canonical_input),
         "P": _matrix_doc(cert.P),
@@ -109,7 +95,7 @@ def _cmd_canon(args) -> int:
         "Q": _matrix_doc(cert.Q),
     }
     lines = [
-        f"indices: ({', '.join(map(str, data.indices))})",
+        f"indices: ({', '.join(map(str, cert.indices))})",
         f"canonical endo: {cert.canonical_endo}",
         f"canonical input: {cert.canonical_input}",
         f"P: {cert.P}",
@@ -124,13 +110,8 @@ def _cmd_equiv(args) -> int:
     sf = parse(args.file)
     s1 = sf.system(args.left)
     s2 = sf.system(args.right)
-    if args.mode == "feedback":
-        verdict = feedback_equivalent(s1, s2)
-    elif args.mode == "dynamic":
-        verdict = dynamic_equivalent(s1, s2, p_max=args.p_max)
-    else:
-        verdict = stable_equivalent(s1, s2)
     sig1, sig2 = z_signature(s1), z_signature(s2)
+    verdict = signatures_equivalent(args.mode, sig1, sig2, args.p_max)
     doc = {
         "command": "equiv",
         "mode": args.mode,
@@ -234,6 +215,13 @@ def _cmd_orbit_oracle(args) -> int:
     return 0 if not disagreements else 1
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ringsys",
@@ -259,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--mode", choices=["feedback", "dynamic", "stable"], default="feedback")
-    p.add_argument("--p-max", dest="p_max", type=int, default=4)
+    p.add_argument("--mode", choices=MODES, default="feedback")
+    p.add_argument("--p-max", dest="p_max", type=_nonnegative_int, default=4)
 
     p = add("verify", _cmd_verify, "verify a named certificate")
     p.add_argument("file")

@@ -3,9 +3,10 @@ signature classes in the Grothendieck group, and ring-agnostic
 verification of feedback-isomorphism certificates.
 
 Over the rationals, prime fields, and the integers the three
-equivalences all collapse to equality of Z-layer signatures; the three
-operations are still exposed separately so the collapse is something
-the test suite checks rather than assumes.  Certificate verification
+equivalences all collapse to equality of Z-layer signatures, for the
+reasons given in ``signatures_equivalent``; the test suite checks the
+collapse against enlargements, direct sums and the orbit oracle rather
+than assuming it.  Certificate verification
 needs nothing but ring arithmetic, so it also works over polynomial
 quotient rings where membership is undecidable here.
 """
@@ -17,36 +18,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DescriptorMismatch, OrbitSizeError, ShapeError, UnsupportedRing
-from .invariants import canonical_pair, z_signature
+from .invariants import ZSignature, canonical_pair, z_signature
 from .linalg import RingMatrix, invert, solve_right
 from .rings import Integers, PrimeField, RingDescriptor
-from .systems import LinearSystem, dynamic_enlarge, from_pair, gamma
+from .systems import LinearSystem, from_pair, gamma
 
 
-@dataclass(frozen=True)
-class K0Class:
-    """Finite-support integer sequence: ranks of the Z-layers.
+# The class of a system in the group completion is its signature.
+K0Class = ZSignature
 
-    Equal classes mean stably feedback isomorphic systems; addition
-    mirrors the direct sum of systems.
-    """
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        trimmed = list(self.entries)
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        object.__setattr__(self, "entries", tuple(trimmed))
-
-    def __add__(self, other: "K0Class") -> "K0Class":
-        n = max(len(self.entries), len(other.entries))
-        a = self.entries + (0,) * (n - len(self.entries))
-        b = other.entries + (0,) * (n - len(other.entries))
-        return K0Class(tuple(x + y for x, y in zip(a, b)))
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(map(str, self.entries)) + ")"
+MODES = ("feedback", "dynamic", "stable")
 
 
 @dataclass(frozen=True)
@@ -190,41 +171,49 @@ def stabilize_certificate(cert: IsoCertificate, common: LinearSystem) -> IsoCert
 def k0_class(sigma: LinearSystem) -> K0Class:
     """Class of the system in the group completion: the rank sequence
     of its Z-layers."""
-    return K0Class(z_signature(sigma).entries)
+    return z_signature(sigma)
 
 
-def _check_comparable(s1: LinearSystem, s2: LinearSystem) -> None:
+def signatures_equivalent(mode: str, sig1: ZSignature, sig2: ZSignature, p_max: int = 4) -> bool:
+    """Verdict of ``mode`` equivalence between two locally Brunovsky
+    systems with signatures sig1 and sig2.
+
+    Over Q, GF(p), and Z all three collapse to signature equality.
+    Feedback: the signature is complete, as projective modules are
+    determined by rank.  Dynamic: by additivity,
+    sig(Gamma_p + sigma) = sig(sigma) + (p), so enlarging both systems by
+    any p <= p_max shifts both signatures alike.  Stable: the signature
+    is the class in the group completion, and the rank map is injective.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown equivalence mode {mode!r}")
+    if p_max < 0:
+        raise ValueError("p_max must be nonnegative")
+    return sig1 == sig2
+
+
+def _equivalent(mode: str, s1: LinearSystem, s2: LinearSystem, p_max: int = 4) -> bool:
     if s1.ring != s2.ring:
         raise DescriptorMismatch("cannot compare systems over different rings")
+    return signatures_equivalent(mode, z_signature(s1), z_signature(s2), p_max)
 
 
 def feedback_equivalent(s1: LinearSystem, s2: LinearSystem) -> bool:
     """Signature test: complete for locally Brunovsky systems over Q,
     GF(p), and Z, where projective modules are determined by rank."""
-    _check_comparable(s1, s2)
-    return z_signature(s1) == z_signature(s2)
+    return _equivalent("feedback", s1, s2)
 
 
 def dynamic_equivalent(s1: LinearSystem, s2: LinearSystem, p_max: int = 4) -> bool:
     """Whether some enlargement by p <= p_max ancillary variables makes
-    the systems feedback equivalent.
-
-    Adding the same trivial block shifts both signatures identically,
-    so the verdict does not actually depend on p; the bounded search is
-    kept for cross-checking that fact.
-    """
-    _check_comparable(s1, s2)
-    for p in range(p_max + 1):
-        if feedback_equivalent(dynamic_enlarge(s1, p), dynamic_enlarge(s2, p)):
-            return True
-    return False
+    the systems feedback equivalent; p_max must be nonnegative."""
+    return _equivalent("dynamic", s1, s2, p_max)
 
 
 def stable_equivalent(s1: LinearSystem, s2: LinearSystem) -> bool:
     """Equality in the group completion; over the supported rings the
     rank map is injective, so this collapses to feedback equivalence."""
-    _check_comparable(s1, s2)
-    return k0_class(s1) == k0_class(s2)
+    return _equivalent("stable", s1, s2)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ classical controllability partition.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Union
 
 from .errors import NotLocallyBrunovsky, NotReachable, ShapeError, UnsupportedRing
@@ -25,11 +27,9 @@ from .linalg import (
     column_space_sum,
     invert,
     kernel_basis,
-    membership,
-    rref,
     solve_right,
 )
-from .rings import Integers, PolyQuotient, RingDescriptor
+from .rings import PolyQuotient, RingDescriptor
 from .systems import LinearSystem
 
 ModuleStructure = Union[int, AbelianGroupStructure]
@@ -61,7 +61,12 @@ class InvariantReport:
 
 @dataclass(frozen=True)
 class ZSignature:
-    """Finite-support sequence of Z-layer ranks; trailing zeros dropped."""
+    """Finite-support sequence of Z-layer ranks; trailing zeros dropped.
+
+    It is also the system's class in the group completion: equal
+    classes mean stably feedback isomorphic systems, and addition
+    mirrors the direct sum of systems.
+    """
 
     entries: tuple[int, ...]
 
@@ -70,6 +75,10 @@ class ZSignature:
         while trimmed and trimmed[-1] == 0:
             trimmed.pop()
         object.__setattr__(self, "entries", tuple(trimmed))
+
+    def __add__(self, other: "ZSignature") -> "ZSignature":
+        pairs = zip_longest(self.entries, other.entries, fillvalue=0)
+        return ZSignature(tuple(x + y for x, y in pairs))
 
     def __str__(self) -> str:
         return "(" + ", ".join(map(str, self.entries)) + ")"
@@ -100,71 +109,101 @@ def compute_chain(sigma: LinearSystem) -> InvariantReport:
     """Full invariant report of a system over Q, GF(p), or Z."""
     if isinstance(sigma.ring, PolyQuotient):
         raise UnsupportedRing("invariant chains need decidable submodule arithmetic")
-    ring = sigma.ring
-    n = sigma.state_rank
-    chain = [RingMatrix.zeros(ring, n, 0)]
+    if sigma.ring.is_field:
+        return _report_over_field(sigma)
+    chain = [RingMatrix.zeros(sigma.ring, sigma.state_rank, 0)]
     while True:
         nxt = column_space_sum(sigma.input_gens, sigma.endo @ chain[-1])
         if nxt == chain[-1]:
             break
         chain.append(nxt)
-    if isinstance(ring, Integers):
-        return _report_over_integers(sigma, chain)
-    return _report_over_field(sigma, chain)
+    return _report_over_integers(sigma, chain)
 
 
-def _independent_columns(of: RingMatrix, modulo: RingMatrix) -> list[RingMatrix]:
-    """Columns of ``of`` that are independent modulo the span of ``modulo``."""
-    reps = []
-    span = modulo
-    for j in range(of.cols):
-        col = of.column(j)
-        if not membership(col, span):
-            reps.append(col)
-            span = column_space_sum(span, col)
-    return reps
+class _Staircase:
+    """Krylov staircase N_1 <= N_2 <= ... of a pair (a, b) over a field.
+
+    Level 0 offers the columns of b; level l + 1 offers a times each
+    column selected at level l, because N_{i+1} = N_i + a W_i for any
+    W_i spanning what N_i added.  A fully reduced echelon basis of the
+    span so far decides each offer: the offer's remainder is zero
+    exactly when it is dependent.  Every basis vector carries its
+    coordinates over the selected columns, so a rejected offer gets its
+    unique coordinates without a solve.  O(n^3) field operations.
+
+    ``selected`` lists (column of b, level) in selection order,
+    ``rejections`` maps each column of b to (level, coordinates over
+    ``selected``, number selected before it) of its first dependent
+    iterate, and ``chain[i]`` is the canonical basis of N_i, equal to
+    ``column_canonical`` of any generators of N_i.
+    """
+
+    def __init__(self, a: RingMatrix, b: RingMatrix):
+        self.ring, self.n = a.ring, a.rows
+        self.selected: list[tuple[int, int]] = []
+        self.rejections: dict[int, tuple[int, list, int]] = {}
+        self.chain = [RingMatrix.zeros(a.ring, a.rows, 0)]
+        self._basis: dict[int, list[list]] = {}  # pivot -> [vector, coordinates]
+        offers = [(j, b.column(j)) for j in range(b.cols)]
+        level = 0
+        while offers:
+            offers = [(j, w) for j, w in offers if self._select(j, level, w.entries)]
+            if offers:
+                self.chain.append(self._canonical())
+            offers = [(j, a @ w) for j, w in offers]
+            level += 1
+
+    def _select(self, j: int, level: int, w) -> bool:
+        ring = self.ring
+        add, sub, mul, is_zero = ring.add, ring.sub, ring.mul, ring.is_zero
+        coords = [ring.zero()] * self.n
+        for piv, (vec, crd) in self._basis.items():
+            f = w[piv]
+            if not is_zero(f):
+                w = [sub(x, mul(f, y)) for x, y in zip(w, vec)]
+                coords = [add(x, mul(f, y)) for x, y in zip(coords, crd)]
+        q = next((i for i, x in enumerate(w) if not is_zero(x)), None)
+        if q is None:
+            self.rejections[j] = (level, coords, len(self.selected))
+            return False
+        # w is the offer minus the basis combination coords, and the offer
+        # becomes selected column len(self.selected).
+        inv = ring.try_invert_payload(w[q])
+        coords = [ring.neg(x) for x in coords]
+        coords[len(self.selected)] = ring.one()
+        vec = [mul(inv, x) for x in w]
+        crd = [mul(inv, x) for x in coords]
+        for entry in self._basis.values():
+            g = entry[0][q]
+            if not is_zero(g):
+                entry[0] = [sub(x, mul(g, y)) for x, y in zip(entry[0], vec)]
+                entry[1] = [sub(x, mul(g, y)) for x, y in zip(entry[1], crd)]
+        self._basis[q] = [vec, crd]
+        self.selected.append((j, level))
+        return True
+
+    def _canonical(self) -> RingMatrix:
+        vecs = [self._basis[p][0] for p in sorted(self._basis)]
+        entries = tuple(v[i] for i in range(self.n) for v in vecs)
+        return RingMatrix(self.ring, self.n, len(vecs), entries)
 
 
-def _report_over_field(sigma: LinearSystem, chain: list[RingMatrix]) -> InvariantReport:
-    ring = sigma.ring
+def _report_over_field(sigma: LinearSystem) -> InvariantReport:
+    # f induces a surjection I_i -> I_{i+1}, so Z_i = dim I_i - dim I_{i+1}.
     n = sigma.state_rank
+    chain = _Staircase(sigma.endo, sigma.input_gens).chain
     s = len(chain) - 1
     dims = [m.cols for m in chain]
-    m_dims = tuple(n - dims[i] for i in range(1, s + 1))
     i_dims = tuple(dims[i] - dims[i - 1] for i in range(1, s + 1))
-    reps = [None] + [_independent_columns(chain[i], chain[i - 1]) for i in range(1, s + 1)]
-    z_dims = []
-    for i in range(1, s + 1):
-        reps_next = reps[i + 1] if i < s else []
-        # Express f*v over [next-layer representatives | N_i]; the layer
-        # coefficients give the induced map on I_i -> I_{i+1}.
-        stacked = chain[i]
-        if reps_next:
-            head = reps_next[0]
-            for col in reps_next[1:]:
-                head = head.hstack(col)
-            stacked = head.hstack(chain[i])
-        t_cols = []
-        for v in reps[i]:
-            img = sigma.endo @ v
-            sol = solve_right(stacked, img)
-            if sol is None:
-                raise RuntimeError("chain construction violated f(N_i) <= N_{i+1}")
-            t_cols.append([sol.entry(r, 0) for r in range(len(reps_next))])
-        if reps_next:
-            t_mat = RingMatrix.from_columns(ring, t_cols, rows=len(reps_next))
-            z_dims.append(len(reps[i]) - rref(t_mat).rank)
-        else:
-            z_dims.append(len(reps[i]))
     reachable = dims[s] == n
     return InvariantReport(
-        ring=ring,
+        ring=sigma.ring,
         state_rank=n,
         chain=tuple(chain),
         s=s,
-        M=m_dims,
+        M=tuple(n - d for d in dims[1:]),
         I=i_dims,
-        Z=tuple(z_dims),
+        Z=tuple(x - y for x, y in zip(i_dims, i_dims[1:] + (0,))),
         reachable=reachable,
         locally_brunovsky=reachable,
     )
@@ -277,7 +316,8 @@ class CanonicalCertificate:
     """Invertible (P, Q) and feedback K straightening a reachable pair.
 
     The defining identities are A_c = P (A + B K) P^{-1} and
-    B_c = P B Q, with B_c padded by zero columns to the width of B.
+    B_c = P B Q, with B_c padded by zero columns to the width of B;
+    ``indices`` is the Brunovsky partition of the canonical pair.
     """
 
     P: RingMatrix
@@ -285,46 +325,7 @@ class CanonicalCertificate:
     Q: RingMatrix
     canonical_endo: RingMatrix
     canonical_input: RingMatrix
-
-
-def _selection(a: RingMatrix, b: RingMatrix):
-    """Level-major greedy basis selection from columns of [B, AB, ...].
-
-    Returns the per-chain data needed by the straightening transform:
-    chain lengths, and for every input column the expansion of its
-    first rejected iterate over the basis selected so far.
-    """
-    ring = a.ring
-    n = a.rows
-    m = b.cols
-    basis_mat = RingMatrix.zeros(ring, n, 0)
-    meta: list[tuple[int, int]] = []
-    mu = [0] * m
-    rejections: dict[int, tuple[int, RingMatrix, int]] = {}
-    current = {j: b.column(j) for j in range(m)}
-    alive = list(range(m))
-    level = 0
-    while alive:
-        survivors = []
-        for j in alive:
-            w = current[j]
-            if membership(w, basis_mat):
-                coeffs = (
-                    solve_right(basis_mat, w)
-                    if basis_mat.cols
-                    else RingMatrix.zeros(ring, 0, 1)
-                )
-                rejections[j] = (level, coeffs, len(meta))
-                continue
-            basis_mat = basis_mat.hstack(w)
-            meta.append((j, level))
-            mu[j] += 1
-            survivors.append(j)
-        for j in survivors:
-            current[j] = a @ current[j]
-        alive = survivors
-        level += 1
-    return basis_mat, meta, mu, rejections
+    indices: tuple[int, ...]
 
 
 def canonical_certificate(a: RingMatrix, b: RingMatrix) -> CanonicalCertificate:
@@ -341,9 +342,12 @@ def canonical_certificate(a: RingMatrix, b: RingMatrix) -> CanonicalCertificate:
         raise ShapeError("expected an n x n endomorphism and an n-row input matrix")
     ring = a.ring
     n, m = a.rows, b.cols
-    basis_mat, meta, mu, rejections = _selection(a, b)
-    if basis_mat.cols < n:
+    # Level-major greedy basis selection from the columns of [B, AB, ...];
+    # mu[j] is the length of input column j's chain.
+    staircase = _Staircase(a, b)
+    if len(staircase.selected) < n:
         raise NotReachable("pair is not reachable")
+    mu = Counter(j for j, _ in staircase.selected)
 
     chains = sorted((j for j in range(m) if mu[j] > 0), key=lambda j: (-mu[j], j))
     indices = tuple(mu[j] for j in chains)
@@ -357,12 +361,12 @@ def canonical_certificate(a: RingMatrix, b: RingMatrix) -> CanonicalCertificate:
         powers_b.append(a @ powers_b[-1])
     for j in chains:
         depth = mu[j]
-        _, coeffs, upto = rejections[j]
+        _, coeffs, upto = staircase.rejections[j]
         root = b.column(j)
         for k in range(upto):
-            owner, lvl = meta[k]
+            owner, lvl = staircase.selected[k]
             if lvl == depth:
-                root = root - b.column(owner).scale(coeffs.entry(k, 0))
+                root = root - b.column(owner).scale(coeffs[k])
         # Solve A^depth root = sum_l A^l B u_l over the reach stack.
         target = root
         for _ in range(depth):
@@ -440,4 +444,4 @@ def canonical_certificate(a: RingMatrix, b: RingMatrix) -> CanonicalCertificate:
     closed = p @ (a + b @ k) @ v_mat
     if closed != a_c or (p @ b @ q) != b_c_padded:
         raise RuntimeError("canonical certificate failed internal verification")
-    return CanonicalCertificate(p, k, q, a_c, b_c_padded)
+    return CanonicalCertificate(p, k, q, a_c, b_c_padded, indices)

@@ -31,6 +31,26 @@ def fixture_file(tmp_path):
     return str(path)
 
 
+# canon --json of CANON_PAIR, pinned byte for byte: the certificate
+# construction is deterministic and its output is part of the CLI
+# contract.  The third input column is the first plus twice the second,
+# so one chain root is purified and Q clears a column.
+CANON_PAIR = (
+    [["1", "2", "0", "-1"], ["0", "1", "1/2", "0"], ["3", "0", "0", "1"], ["0", "0", "1", "0"]],
+    [["1", "0", "1"], ["0", "0", "0"], ["0", "2", "4"], ["0", "0", "0"]],
+)
+CANON_DOC = {
+    "command": "canon",
+    "system": "T",
+    "indices": [3, 1],
+    "canonical_endo": [["0", "0", "0", "0"], ["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "0"]],
+    "canonical_input": [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"], ["0", "1", "0"]],
+    "P": [["0", "1", "1/2", "0"], ["0", "1", "0", "0"], ["0", "1", "0", "-1/2"], ["1", "0", "0", "0"]],
+    "K": [["-1", "-2", "0", "1"], ["-3/2", "-1", "-1/2", "-1/2"], ["0", "0", "0", "0"]],
+    "Q": [["0", "1", "-1"], ["1", "0", "-2"], ["0", "0", "1"]],
+}
+
+
 class TestExitCodes:
     def test_equiv_true(self, fixture_file, capsys):
         assert main(["equiv", fixture_file, "S1", "S1"]) == 0
@@ -52,6 +72,13 @@ class TestExitCodes:
     def test_unreachable_canon_is_error(self, fixture_file, capsys):
         assert main(["canon", fixture_file, "NR"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_negative_p_max_is_usage_error(self, fixture_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["equiv", fixture_file, "S1", "S1", "--mode", "dynamic", "--p-max", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "nonnegative" in captured.err
 
 
 class TestReports:
@@ -82,6 +109,13 @@ class TestReports:
         doc = json.loads(capsys.readouterr().out)
         assert doc["indices"] == [2]
         assert doc["canonical_input"] == [["1"], ["0"]]
+
+    def test_canon_json_pinned(self, tmp_path, capsys):
+        a, b = (RingMatrix.from_rows(Q, rows) for rows in CANON_PAIR)
+        path = tmp_path / "canon.json"
+        write(SystemFile(Q, {"T": PairEntry(4, a, b)}), path)
+        assert main(["canon", str(path), "T", "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps(CANON_DOC, indent=2, sort_keys=True) + "\n"
 
     def test_equiv_reports_both_signatures(self, fixture_file, capsys):
         main(["equiv", fixture_file, "S1", "S2", "--json"])

@@ -113,6 +113,12 @@ class TestDynamicAndStable:
             e_equal = feedback_equivalent(dynamic_enlarge(s1, p), dynamic_enlarge(s2, p))
             assert e_equal == feedback_equivalent(s1, s2)
 
+    def test_negative_p_max_rejected(self):
+        s = from_pair(*canonical_pair(Q, (2, 1)))
+        assert dynamic_equivalent(s, s, p_max=0)
+        with pytest.raises(ValueError):
+            dynamic_equivalent(s, s, p_max=-1)
+
     def test_over_integers(self):
         s21 = from_pair(*canonical_pair(Z, (2, 1)))
         s3 = from_pair(*canonical_pair(Z, (3,)))

@@ -41,15 +41,32 @@ from util import (
     rand_matrix,
     rand_partition,
     rand_system,
+    reference_field_chain,
 )
 
 Q = Rationals()
 Z = Integers()
 F2 = PrimeField(2)
+F101 = PrimeField(101)
 
 
 def mat(ring, rows):
     return RingMatrix.from_rows(ring, rows)
+
+
+def _rand_unreachable_pair(ring, rng, n, m):
+    """Block triangular pair whose inputs miss the last r >= 1 state
+    coordinates, conjugated by a random invertible map."""
+    r = rng.randint(1, n)
+    full = rand_matrix(ring, n, n, rng)
+    rows = [
+        [ring.zero() if i >= n - r and j < n - r else full.entry(i, j) for j in range(n)]
+        for i in range(n)
+    ]
+    a = RingMatrix.from_rows(ring, rows, cols=n)
+    b = rand_matrix(ring, n - r, m, rng).vstack(RingMatrix.zeros(ring, r, m))
+    p = rand_invertible(ring, n, rng)
+    return p @ a @ invert(p), p @ b
 
 
 class TestChainExamples:
@@ -161,16 +178,40 @@ class TestChainProperties:
                     lhs = combine_structures(pad_family(r1, kind, i), pad_family(r2, kind, i))
                     assert lhs == pad_family(rs, kind, i)
 
-    def test_signature_additivity_with_gamma(self):
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    @pytest.mark.parametrize("ring", [Q, F101, Z], ids=str)
+    def test_signature_additivity_with_gamma(self, ring, p):
+        # sig(Gamma_p + sigma) = sig(sigma) + (p): the same shift on both
+        # sides, which is why dynamic equivalence does not depend on p.
         rng = random.Random(19)
         for _ in range(20):
             n = rng.randint(1, 4)
-            _, a, b = rand_locally_brunovsky_pair(Q, rng, n)
+            _, a, b = rand_locally_brunovsky_pair(ring, rng, n)
             s = from_pair(a, b)
             sig = z_signature(s)
-            enlarged = z_signature(dynamic_enlarge(s, 1))
-            padded = (sig.entries + (0,))[0] + 1, *(sig.entries + (0,))[1:]
+            enlarged = z_signature(dynamic_enlarge(s, p))
+            padded = (sig.entries + (0,))[0] + p, *(sig.entries + (0,))[1:]
             assert enlarged.entries == ZSignature(padded).entries
+            assert enlarged == sig + ZSignature((p,))
+
+    @pytest.mark.parametrize("ring", [Q, F2, F101], ids=str)
+    def test_field_chain_matches_reference(self, ring):
+        rng = random.Random(26)
+        seen = set()
+        for k in range(80):
+            n = 0 if k % 10 == 1 else rng.randint(1, 6)
+            m = rng.randint(0, 3)
+            if k % 8 == 0:
+                a, b = rand_matrix(ring, n, n, rng), RingMatrix.zeros(ring, n, m)
+            elif k % 4 == 2 and n:
+                a, b = _rand_unreachable_pair(ring, rng, n, m)
+            else:
+                a, b = rand_matrix(ring, n, n, rng), rand_matrix(ring, n, m, rng)
+            sigma = from_pair(a, b)
+            rep = compute_chain(sigma)
+            assert (rep.chain, rep.s, rep.I, rep.Z, rep.reachable) == reference_field_chain(sigma)
+            seen.add(rep.reachable)
+        assert seen == {True, False}
 
     @pytest.mark.parametrize("ring", [Q, F2], ids=str)
     def test_feedback_invariance_of_signature(self, ring):

@@ -7,8 +7,11 @@ from ringsys import (
     Integers,
     RingMatrix,
     canonical_pair,
+    column_space_sum,
     from_pair,
     invert,
+    membership,
+    rref,
     solve_right,
 )
 
@@ -69,6 +72,49 @@ def rand_locally_brunovsky_pair(ring, rng, n, extra_cols=0):
     a = p @ (a_c + b_full @ k) @ p_inv
     b = p @ b_full @ q
     return parts, a, b
+
+
+def reference_field_chain(sigma):
+    """From-scratch chain over a field, the reference for compute_chain.
+
+    Recanonicalises N_i = B + f(N_{i-1}) at every step and takes each
+    Z_i as the kernel dimension of the induced map I_i -> I_{i+1},
+    written in layer representatives through solve_right.  Returns
+    (chain, s, I, Z, reachable).
+    """
+    ring, n = sigma.ring, sigma.state_rank
+    chain = [RingMatrix.zeros(ring, n, 0)]
+    while True:
+        nxt = column_space_sum(sigma.input_gens, sigma.endo @ chain[-1])
+        if nxt == chain[-1]:
+            break
+        chain.append(nxt)
+    s = len(chain) - 1
+    reps = [[]]
+    for i in range(1, s + 1):
+        # columns of N_i independent modulo N_{i-1}
+        layer, span = [], chain[i - 1]
+        for col in chain[i].columns():
+            if not membership(col, span):
+                layer.append(col)
+                span = column_space_sum(span, col)
+        reps.append(layer)
+    reps.append([])
+    z_dims = []
+    for i in range(1, s + 1):
+        nxt = reps[i + 1]
+        stacked = chain[i]
+        for col in reversed(nxt):
+            stacked = col.hstack(stacked)
+        images = []
+        for v in reps[i]:
+            sol = solve_right(stacked, sigma.endo @ v)
+            assert sol is not None, "f(N_i) escaped N_{i+1}"
+            images.append([sol.entry(r, 0) for r in range(len(nxt))])
+        rank = rref(RingMatrix.from_columns(ring, images, rows=len(nxt))).rank if nxt else 0
+        z_dims.append(len(reps[i]) - rank)
+    i_dims = tuple(len(reps[i]) for i in range(1, s + 1))
+    return tuple(chain), s, i_dims, tuple(z_dims), chain[s].cols == n
 
 
 def pad_family(report, kind, i):
