@@ -284,11 +284,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except RingsysError as exc:
+    except (RingsysError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # A built-in exception escaping a command is a failure of this
+        # package that no input should reach; it exits 2 like any other
+        # error, so that exit 1 keeps meaning "false" or "Reject".
+        # Exceptions of other types (an embedding caller's alarm, say)
+        # pass through untouched.
+        if type(exc).__module__ != "builtins":
+            raise
+        detail = " ".join(str(exc).split())
+        print(f"error: internal failure ({type(exc).__name__}: {detail})", file=sys.stderr)
         return 2
 
 

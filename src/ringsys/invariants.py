@@ -16,20 +16,21 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
+from operator import mul
 from typing import Union
 
 from .errors import NotLocallyBrunovsky, NotReachable, ShapeError, UnsupportedRing
 from .linalg import (
     AbelianGroupStructure,
     RingMatrix,
+    _hnf_int,
     cokernel_structure,
     column_canonical,
-    column_space_sum,
     invert,
     kernel_basis,
     solve_right,
 )
-from .rings import PolyQuotient, RingDescriptor
+from .rings import Integers, PolyQuotient, RingDescriptor
 from .systems import LinearSystem
 
 ModuleStructure = Union[int, AbelianGroupStructure]
@@ -111,13 +112,42 @@ def compute_chain(sigma: LinearSystem) -> InvariantReport:
         raise UnsupportedRing("invariant chains need decidable submodule arithmetic")
     if sigma.ring.is_field:
         return _report_over_field(sigma)
-    chain = [RingMatrix.zeros(sigma.ring, sigma.state_rank, 0)]
+    return _report_over_integers(sigma, _hermite_chain(sigma))
+
+
+def _hermite_chain(sigma: LinearSystem) -> list[RingMatrix]:
+    """Canonical bases of N_0 < N_1 < ... < N_s over the integers.
+
+    One Hermite basis is kept, its rows the generators, as in
+    ``column_canonical``.  N_{i+1} = N_i + A^i B, and the offer A^i b
+    may be replaced by anything congruent to it modulo N_i: if
+    w = A^i b - x with x in N_i, then A w differs from A^{i+1} b by A x,
+    which lies in N_{i+1}.  Each step therefore reduces the offers
+    modulo the basis, stops when every remainder vanishes (the
+    remainder of a lattice member is zero), and otherwise inserts the
+    remainders and offers A times them next.
+    """
+    ring, n = sigma.ring, sigma.state_rank
+    a = sigma.endo.to_lists()
+    b = sigma.input_gens
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    chain = [RingMatrix.zeros(ring, n, 0)]
+    offers = [list(b.entries[j :: b.cols]) for j in range(b.cols)]
     while True:
-        nxt = column_space_sum(sigma.input_gens, sigma.endo @ chain[-1])
-        if nxt == chain[-1]:
-            break
-        chain.append(nxt)
-    return _report_over_integers(sigma, chain)
+        for i, w in enumerate(offers):
+            for row, p in zip(basis, pivots):
+                q = w[p] // row[p]
+                if q:
+                    w = [x - q * y for x, y in zip(w, row)]
+            offers[i] = w
+        offers = [w for w in offers if any(w)]
+        if not offers:
+            return chain
+        h, _, pivots = _hnf_int(basis + offers, len(basis) + len(offers), n, transform=False)
+        basis = h[: len(pivots)]
+        chain.append(RingMatrix._of_columns(ring, basis, n))
+        offers = [[sum(map(mul, arow, w)) for arow in a] for w in offers]
 
 
 class _Staircase:
@@ -188,22 +218,27 @@ class _Staircase:
         return RingMatrix(self.ring, self.n, len(vecs), entries)
 
 
+def _layer_ranks(dims: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # Ranks of I_i and Z_i from the ranks of N_0, ..., N_s: f induces a
+    # surjection I_i -> I_{i+1}, so rank Z_i = rank I_i - rank I_{i+1}.
+    i_ranks = tuple(y - x for x, y in zip(dims, dims[1:]))
+    return i_ranks, tuple(x - y for x, y in zip(i_ranks, i_ranks[1:] + (0,)))
+
+
 def _report_over_field(sigma: LinearSystem) -> InvariantReport:
-    # f induces a surjection I_i -> I_{i+1}, so Z_i = dim I_i - dim I_{i+1}.
     n = sigma.state_rank
     chain = _Staircase(sigma.endo, sigma.input_gens).chain
-    s = len(chain) - 1
     dims = [m.cols for m in chain]
-    i_dims = tuple(dims[i] - dims[i - 1] for i in range(1, s + 1))
-    reachable = dims[s] == n
+    i_dims, z_dims = _layer_ranks(dims)
+    reachable = dims[-1] == n
     return InvariantReport(
         ring=sigma.ring,
         state_rank=n,
         chain=tuple(chain),
-        s=s,
+        s=len(chain) - 1,
         M=tuple(n - d for d in dims[1:]),
         I=i_dims,
-        Z=tuple(x - y for x, y in zip(i_dims, i_dims[1:] + (0,))),
+        Z=z_dims,
         reachable=reachable,
         locally_brunovsky=reachable,
     )
@@ -232,11 +267,7 @@ def _report_over_integers(sigma: LinearSystem, chain: list[RingMatrix]) -> Invar
             raise RuntimeError("chain construction violated f(N_i) <= N_{i+1}")
         # Lattice of generators mapping into the relations of I_{i+1}.
         paired = kernel_basis(f_mat.hstack(-rel_next))
-        top = RingMatrix.from_rows(
-            ring,
-            [paired.row_list(r) for r in range(chain[i].cols)],
-            cols=paired.cols,
-        )
+        top = RingMatrix(ring, chain[i].cols, paired.cols, paired.entries[: chain[i].cols * paired.cols])
         preimage = column_canonical(top)
         y = solve_right(preimage, rel[i])
         if y is None:
@@ -258,15 +289,33 @@ def _report_over_integers(sigma: LinearSystem, chain: list[RingMatrix]) -> Invar
     )
 
 
+_NOT_LOCALLY_BRUNOVSKY = "signature classifies locally Brunovsky systems only"
+
+
 def signature_from_report(report: InvariantReport) -> ZSignature:
     if not report.locally_brunovsky:
-        raise NotLocallyBrunovsky("signature classifies locally Brunovsky systems only")
+        raise NotLocallyBrunovsky(_NOT_LOCALLY_BRUNOVSKY)
     return ZSignature(tuple(_structure_rank(z) for z in report.Z))
 
 
 def z_signature(sigma: LinearSystem) -> ZSignature:
-    """Complete feedback invariant of a locally Brunovsky system."""
-    return signature_from_report(compute_chain(sigma))
+    """Complete feedback invariant of a locally Brunovsky system.
+
+    Over Z it comes from the chain ranks alone.  I_i = N_i/N_{i-1} lies
+    in M_{i-1} and Z_i in I_i, and submodules of free modules are free
+    over a PID, so the system is locally Brunovsky exactly when it is
+    reachable and every M_i = Z^n/N_i is torsion-free; the ranks of the
+    Z_i are then differences of chain ranks.  The I_i and Z_i
+    structures are never built.
+    """
+    if not isinstance(sigma.ring, Integers):
+        return signature_from_report(compute_chain(sigma))
+    n = sigma.state_rank
+    chain = _hermite_chain(sigma)
+    reachable = chain[-1] == RingMatrix.identity(sigma.ring, n)
+    if not reachable or not all(cokernel_structure(c, n).is_free for c in chain[1:-1]):
+        raise NotLocallyBrunovsky(_NOT_LOCALLY_BRUNOVSKY)
+    return ZSignature(_layer_ranks([c.cols for c in chain])[1])
 
 
 def conjugate_partition(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -294,8 +343,8 @@ def canonical_pair(ring: RingDescriptor, indices: tuple[int, ...]) -> tuple[Ring
         b[offset][j] = one
         offset += k
     return (
-        RingMatrix.from_rows(ring, a, cols=n),
-        RingMatrix.from_rows(ring, b, cols=len(indices)),
+        RingMatrix._of_rows(ring, a, n),
+        RingMatrix._of_rows(ring, b, len(indices)),
     )
 
 
@@ -377,10 +426,7 @@ def canonical_certificate(a: RingMatrix, b: RingMatrix) -> CanonicalCertificate:
         sol = solve_right(stack, target)
         if sol is None:
             raise RuntimeError("rejected iterate escaped the reachability span")
-        u = [
-            RingMatrix.from_rows(ring, [[sol.entry(l * m + r, 0)] for r in range(m)], cols=1)
-            for l in range(depth)
-        ]
+        u = [RingMatrix(ring, m, 1, sol.entries[l * m : (l + 1) * m]) for l in range(depth)]
         # v_{l+1} = A^{l+1} root - sum_t A^t B u_{depth-(l+1)+t}; the
         # closed loop then shifts v_l to v_{l+1} and kills the chain top.
         vec = root
@@ -424,16 +470,14 @@ def canonical_certificate(a: RingMatrix, b: RingMatrix) -> CanonicalCertificate:
         off += kk
     r = len(indices)
     c_rows = [[coords.entry(o, j) for j in range(m)] for o in offsets]
-    c_mat = RingMatrix.from_rows(ring, c_rows, cols=m) if r else RingMatrix.zeros(ring, 0, m)
+    c_mat = RingMatrix._of_rows(ring, c_rows, m)
     others = [j for j in range(m) if j not in chains]
     perm = list(chains) + others
     pi_rows = [[ring.one() if perm[t] == i else ring.zero() for t in range(m)] for i in range(m)]
-    pi = RingMatrix.from_rows(ring, pi_rows, cols=m)
+    pi = RingMatrix._of_rows(ring, pi_rows, m)
     cp = c_mat @ pi
-    t_mat = RingMatrix.from_rows(ring, [[cp.entry(i, j) for j in range(r)] for i in range(r)], cols=r)
-    c_rest = RingMatrix.from_rows(
-        ring, [[cp.entry(i, j) for j in range(r, m)] for i in range(r)], cols=m - r
-    )
+    t_mat = RingMatrix._of_rows(ring, [[cp.entry(i, j) for j in range(r)] for i in range(r)], r)
+    c_rest = RingMatrix._of_rows(ring, [[cp.entry(i, j) for j in range(r, m)] for i in range(r)], m - r)
     t_inv = invert(t_mat)
     if t_inv is None:
         raise RuntimeError("root coordinate block is singular")

@@ -66,6 +66,16 @@ class RingMatrix:
         return RingMatrix.from_rows(ring, data, cols=len(columns))
 
     @staticmethod
+    def _of_rows(ring: RingDescriptor, rows: Sequence[Sequence], cols: int) -> "RingMatrix":
+        # Rows of payloads that are already canonical, as the package's
+        # own algorithms produce them; nothing is re-canonicalised.
+        return RingMatrix(ring, len(rows), cols, tuple(v for row in rows for v in row))
+
+    @staticmethod
+    def _of_columns(ring: RingDescriptor, columns: Sequence[Sequence], rows: int) -> "RingMatrix":
+        return RingMatrix(ring, rows, len(columns), tuple(c[i] for i in range(rows) for c in columns))
+
+    @staticmethod
     def zeros(ring: RingDescriptor, rows: int, cols: int) -> "RingMatrix":
         z = ring.zero()
         return RingMatrix(ring, rows, cols, (z,) * (rows * cols))
@@ -126,17 +136,10 @@ class RingMatrix:
         self._check_ring(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ring = self.ring
-        add, mul, zero = ring.add, ring.mul, ring.zero()
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = add(acc, mul(self.entries[base + k], other.entries[k * other.cols + j]))
-                out.append(acc)
-        return RingMatrix(ring, self.rows, other.cols, tuple(out))
+        dot, k, w = self.ring.dot, self.cols, other.cols
+        rows = [self.entries[i * k : (i + 1) * k] for i in range(self.rows)]
+        cols = [other.entries[j::w] for j in range(w)]
+        return RingMatrix(self.ring, self.rows, w, tuple(dot(r, c) for r in rows for c in cols))
 
     def scale(self, scalar) -> "RingMatrix":
         s = self.ring.element(scalar).value
@@ -148,7 +151,7 @@ class RingMatrix:
         if self.rows != other.rows:
             raise ShapeError("hstack needs equal row counts")
         data = [self.row_list(i) + other.row_list(i) for i in range(self.rows)]
-        return RingMatrix.from_rows(self.ring, data, cols=self.cols + other.cols)
+        return RingMatrix._of_rows(self.ring, data, self.cols + other.cols)
 
     def vstack(self, other: "RingMatrix") -> "RingMatrix":
         self._check_ring(other)
@@ -217,7 +220,7 @@ class AbelianGroupStructure:
         # diagonal relations matrix.
         k = len(merged)
         diag = [[merged[i] if i == j else 0 for j in range(k)] for i in range(k)]
-        _, d, _ = _snf_int(diag, k, k)
+        _, d, _ = _snf_int(diag, k, k, transform=False)
         factors = tuple(d[i][i] for i in range(k) if d[i][i] > 1)
         return AbelianGroupStructure(self.free_rank + other.free_rank, factors)
 
@@ -269,10 +272,10 @@ def rref(m: RingMatrix) -> RrefResult:
         pivots.append(col)
         piv_row += 1
     return RrefResult(
-        RingMatrix.from_rows(ring, a, cols=m.cols),
+        RingMatrix._of_rows(ring, a, m.cols),
         len(pivots),
         tuple(pivots),
-        RingMatrix.from_rows(ring, t, cols=m.rows),
+        RingMatrix._of_rows(ring, t, m.rows),
     )
 
 
@@ -291,14 +294,18 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _hnf_int(mat: list[list[int]], nrows: int, ncols: int):
+def _hnf_int(mat: list[list[int]], nrows: int, ncols: int, transform: bool = True):
     """Row-style Hermite form: returns (H, U, pivots) with U*mat = H.
 
     Pivots are positive, entries above each pivot are reduced into
-    [0, pivot), and U is unimodular.
+    [0, pivot), and U is unimodular.  U is carried as extra columns of
+    every row, so the same row operations build it; without
+    ``transform`` they are not carried and U is None.
     """
-    h = [row[:] for row in mat]
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    if transform:
+        h = [row[:] + [1 if i == j else 0 for j in range(nrows)] for i, row in enumerate(mat)]
+    else:
+        h = [row[:] for row in mat]
     piv_row = 0
     pivots: list[int] = []
     for col in range(ncols):
@@ -310,33 +317,27 @@ def _hnf_int(mat: list[list[int]], nrows: int, ncols: int):
         if sel is None:
             continue
         h[piv_row], h[sel] = h[sel], h[piv_row]
-        u[piv_row], u[sel] = u[sel], u[piv_row]
         for i in range(piv_row + 1, nrows):
             if h[i][col] == 0:
                 continue
-            a, b = h[piv_row][col], h[i][col]
-            g, s, t = _xgcd(a, b)
-            p_, q_ = a // g, b // g
-            h[piv_row], h[i] = (
-                [s * x + t * y for x, y in zip(h[piv_row], h[i])],
-                [-q_ * x + p_ * y for x, y in zip(h[piv_row], h[i])],
-            )
-            u[piv_row], u[i] = (
-                [s * x + t * y for x, y in zip(u[piv_row], u[i])],
-                [-q_ * x + p_ * y for x, y in zip(u[piv_row], u[i])],
-            )
+            top, row = h[piv_row], h[i]
+            g, s, t = _xgcd(top[col], row[col])
+            p_, q_ = top[col] // g, row[col] // g
+            if (s, t) != (1, 0):
+                h[piv_row] = [s * x + t * y for x, y in zip(top, row)]
+            h[i] = [-q_ * x + p_ * y for x, y in zip(top, row)]
         if h[piv_row][col] < 0:
             h[piv_row] = [-x for x in h[piv_row]]
-            u[piv_row] = [-x for x in u[piv_row]]
         piv = h[piv_row][col]
         for i in range(piv_row):
             q = h[i][col] // piv
             if q:
                 h[i] = [x - q * y for x, y in zip(h[i], h[piv_row])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[piv_row])]
         pivots.append(col)
         piv_row += 1
-    return h, u, pivots
+    if transform:
+        return [row[:ncols] for row in h], [row[ncols:] for row in h], pivots
+    return h, None, pivots
 
 
 def hnf(m: RingMatrix) -> tuple[RingMatrix, RingMatrix]:
@@ -345,27 +346,32 @@ def hnf(m: RingMatrix) -> tuple[RingMatrix, RingMatrix]:
     h, u, _ = _hnf_int(m.to_lists(), m.rows, m.cols)
     ring = m.ring
     return (
-        RingMatrix.from_rows(ring, h, cols=m.cols),
-        RingMatrix.from_rows(ring, u, cols=m.rows),
+        RingMatrix._of_rows(ring, h, m.cols),
+        RingMatrix._of_rows(ring, u, m.rows),
     )
 
 
-def _snf_int(mat: list[list[int]], nrows: int, ncols: int):
+def _snf_int(mat: list[list[int]], nrows: int, ncols: int, transform: bool = True):
     """Smith form (U, D, V) of an integer matrix, U*mat*V = D.
 
     The pivot is always a minimal-absolute-value nonzero entry of the
-    remaining submatrix, which keeps intermediate growth low.
+    remaining submatrix, which keeps intermediate growth low.  U rides
+    along as extra columns of the first nrows rows and V as extra rows
+    below them, so row and column operations build both; without
+    ``transform`` neither is carried and U, V are None.
     """
     a = [row[:] for row in mat]
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    if transform:
+        a = [row + [1 if i == j else 0 for j in range(nrows)] for i, row in enumerate(a)]
+        a += [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     t = 0
     while t < min(nrows, ncols):
         best = None
         where = None
         for i in range(t, nrows):
+            row = a[i]
             for j in range(t, ncols):
-                x = a[i][j]
+                x = row[j]
                 if x != 0 and (best is None or abs(x) < best):
                     best = abs(x)
                     where = (i, j)
@@ -374,11 +380,8 @@ def _snf_int(mat: list[list[int]], nrows: int, ncols: int):
         i0, j0 = where
         if i0 != t:
             a[t], a[i0] = a[i0], a[t]
-            u[t], u[i0] = u[i0], u[t]
         if j0 != t:
             for row in a:
-                row[t], row[j0] = row[j0], row[t]
-            for row in v:
                 row[t], row[j0] = row[j0], row[t]
         piv = a[t][t]
         dirty = False
@@ -388,7 +391,6 @@ def _snf_int(mat: list[list[int]], nrows: int, ncols: int):
             q = a[i][t] // piv
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
             if a[i][t] != 0:
                 dirty = True
         for j in range(t + 1, ncols):
@@ -398,27 +400,25 @@ def _snf_int(mat: list[list[int]], nrows: int, ncols: int):
             if q:
                 for row in a:
                     row[j] -= q * row[t]
-                for vrow in v:
-                    vrow[j] -= q * vrow[t]
             if a[t][j] != 0:
                 dirty = True
         if dirty:
             continue
         offender = None
         for i in range(t + 1, nrows):
-            if any(x % piv for x in a[i][t + 1 :]):
+            if any(x % piv for x in a[i][t + 1 : ncols]):
                 offender = i
                 break
         if offender is not None:
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            u[t] = [x + y for x, y in zip(u[t], u[offender])]
             continue
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
     d = [[a[i][j] if i == j else 0 for j in range(ncols)] for i in range(nrows)]
-    return u, d, v
+    if transform:
+        return [row[ncols:] for row in a[:nrows]], d, [row[:] for row in a[nrows:]]
+    return None, d, None
 
 
 def snf(m: RingMatrix) -> SmithDecomposition:
@@ -427,9 +427,9 @@ def snf(m: RingMatrix) -> SmithDecomposition:
     u, d, v = _snf_int(m.to_lists(), m.rows, m.cols)
     ring = m.ring
     return SmithDecomposition(
-        RingMatrix.from_rows(ring, u, cols=m.rows),
-        RingMatrix.from_rows(ring, d, cols=m.cols),
-        RingMatrix.from_rows(ring, v, cols=m.cols),
+        RingMatrix._of_rows(ring, u, m.rows),
+        RingMatrix._of_rows(ring, d, m.cols),
+        RingMatrix._of_rows(ring, v, m.cols),
     )
 
 
@@ -442,13 +442,12 @@ def column_canonical(m: RingMatrix) -> RingMatrix:
     canonical forms are equal.
     """
     if isinstance(m.ring, Integers):
-        h, _, _ = _hnf_int(m.transpose().to_lists(), m.cols, m.rows)
-        basis = [row for row in h if any(row)]
-        return RingMatrix.from_rows(m.ring, basis, cols=m.rows).transpose()
+        h, _, _ = _hnf_int(m.transpose().to_lists(), m.cols, m.rows, transform=False)
+        return RingMatrix._of_columns(m.ring, [row for row in h if any(row)], m.rows)
     _require_field(m, "column_canonical")
     res = rref(m.transpose())
     basis = [res.matrix.row_list(i) for i in range(res.rank)]
-    return RingMatrix.from_rows(m.ring, basis, cols=m.rows).transpose()
+    return RingMatrix._of_columns(m.ring, basis, m.rows)
 
 
 def column_space_sum(a: RingMatrix, b: RingMatrix) -> RingMatrix:
@@ -496,7 +495,7 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> Optional[RingMatrix]:
     x = [[ring.zero() for _ in range(b.cols)] for _ in range(a.cols)]
     for r, pivot_col in enumerate(res.pivots):
         x[pivot_col] = [c.entry(r, j) for j in range(b.cols)]
-    return RingMatrix.from_rows(ring, x, cols=b.cols)
+    return RingMatrix._of_rows(ring, x, b.cols)
 
 
 def _solve_right_int(a: RingMatrix, b: RingMatrix) -> Optional[RingMatrix]:
@@ -521,7 +520,7 @@ def _solve_right_int(a: RingMatrix, b: RingMatrix) -> Optional[RingMatrix]:
         # x = W @ y = urow^T @ y
         col = [sum(urow[r][i] * y[r] for r in range(a.cols)) for i in range(a.cols)]
         cols_x.append(col)
-    return RingMatrix.from_columns(a.ring, cols_x, rows=a.cols)
+    return RingMatrix._of_columns(a.ring, cols_x, a.cols)
 
 
 def kernel_basis(m: RingMatrix) -> RingMatrix:
@@ -530,8 +529,7 @@ def kernel_basis(m: RingMatrix) -> RingMatrix:
     if isinstance(m.ring, Integers):
         hrow, urow, pivots = _hnf_int(m.transpose().to_lists(), m.cols, m.rows)
         rank = len(pivots)
-        basis = [urow[i] for i in range(rank, m.cols)]
-        return RingMatrix.from_rows(m.ring, basis, cols=m.cols).transpose()
+        return RingMatrix._of_columns(m.ring, urow[rank:], m.cols)
     _require_field(m, "kernel_basis")
     res = rref(m)
     ring = m.ring
@@ -543,7 +541,7 @@ def kernel_basis(m: RingMatrix) -> RingMatrix:
         for r, p in enumerate(res.pivots):
             vec[p] = ring.neg(res.matrix.entry(r, f))
         cols.append(vec)
-    return RingMatrix.from_columns(ring, cols, rows=m.cols)
+    return RingMatrix._of_columns(ring, cols, m.cols)
 
 
 def cokernel_structure(g: RingMatrix, ambient_rank: int) -> AbelianGroupStructure:
@@ -551,7 +549,7 @@ def cokernel_structure(g: RingMatrix, ambient_rank: int) -> AbelianGroupStructur
     _require_integers(g, "cokernel_structure")
     if g.rows != ambient_rank:
         raise ShapeError("generators do not live in the stated ambient module")
-    _, d, _ = _snf_int(g.to_lists(), g.rows, g.cols)
+    _, d, _ = _snf_int(g.to_lists(), g.rows, g.cols, transform=False)
     diag = [d[i][i] for i in range(min(g.rows, g.cols))]
     nonzero = [x for x in diag if x != 0]
     return AbelianGroupStructure(

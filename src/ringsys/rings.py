@@ -11,6 +11,7 @@ the relation's leading monomial.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,19 +126,41 @@ def _monomial_divides(d: Monomial, m: Monomial) -> bool:
     return all(a <= b for a, b in zip(d, m))
 
 
+# Miller-Rabin with the first 13 prime bases is exact for every n below
+# this bound (Sorenson and Webster, 2015); larger moduli are refused.
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality test, exact for n < PRIME_BOUND."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _int_literal(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # past the interpreter's int-string limit
+        raise ElementSyntaxError(f"integer literal of {len(digits)} digits is too long") from exc
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
@@ -176,6 +199,14 @@ class RingDescriptor:
 
     def neg(self, a):
         raise NotImplementedError
+
+    def dot(self, xs, ys):
+        """Sum of the products of paired payloads."""
+        add, mul = self.add, self.mul
+        acc = self.zero()
+        for x, y in zip(xs, ys):
+            acc = add(acc, mul(x, y))
+        return acc
 
     def is_zero(self, a) -> bool:
         return a == self.zero()
@@ -242,6 +273,9 @@ class Rationals(RingDescriptor):
     def mul(self, a, b):
         return a * b
 
+    def dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys), Fraction(0))
+
     def neg(self, a):
         return -a
 
@@ -260,8 +294,8 @@ class Rationals(RingDescriptor):
         m = _RAT_LIT.match(text.strip())
         if not m:
             raise ElementSyntaxError(f"bad rational literal {text!r}")
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) else 1
+        num = _int_literal(m.group(1))
+        den = _int_literal(m.group(2)) if m.group(2) else 1
         if den == 0:
             raise ElementSyntaxError(f"zero denominator in {text!r}")
         return Fraction(num, den)
@@ -286,6 +320,9 @@ class Integers(RingDescriptor):
     def mul(self, a, b):
         return a * b
 
+    def dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys))
+
     def neg(self, a):
         return -a
 
@@ -300,7 +337,7 @@ class Integers(RingDescriptor):
     def parse_payload(self, text: str):
         if not _INT_LIT.match(text.strip()):
             raise ElementSyntaxError(f"bad integer literal {text!r}")
-        return int(text)
+        return _int_literal(text)
 
     def format_payload(self, a) -> str:
         return str(a)
@@ -312,6 +349,8 @@ class PrimeField(RingDescriptor):
     kind: str = "GF"
 
     def __post_init__(self):
+        if self.p >= PRIME_BOUND:
+            raise ValueError(f"GF(p) needs p below {PRIME_BOUND}")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -331,6 +370,9 @@ class PrimeField(RingDescriptor):
     def mul(self, a, b):
         return (a * b) % self.p
 
+    def dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys)) % self.p
+
     def neg(self, a):
         return (-a) % self.p
 
@@ -348,7 +390,7 @@ class PrimeField(RingDescriptor):
     def parse_payload(self, text: str):
         if not _INT_LIT.match(text.strip()):
             raise ElementSyntaxError(f"bad residue literal {text!r}")
-        return int(text) % self.p
+        return _int_literal(text) % self.p
 
     def format_payload(self, a) -> str:
         return str(a % self.p)
@@ -549,10 +591,10 @@ def parse_polynomial(text: str, variables: tuple[str, ...]) -> Poly:
     i = 0
 
     def take_rational(j: int) -> tuple[Fraction, int]:
-        num = int(tokens[j][1])
+        num = _int_literal(tokens[j][1])
         j += 1
         if j + 1 < len(tokens) and tokens[j] == ("op", "/") and tokens[j + 1][0] == "num":
-            den = int(tokens[j + 1][1])
+            den = _int_literal(tokens[j + 1][1])
             if den == 0:
                 raise ElementSyntaxError("zero denominator")
             return Fraction(num, den), j + 2
@@ -583,7 +625,7 @@ def parse_polynomial(text: str, variables: tuple[str, ...]) -> Poly:
                     i += 1
                     if i >= len(tokens) or tokens[i][0] != "num":
                         raise ElementSyntaxError("malformed exponent")
-                    power = int(tokens[i][1])
+                    power = _int_literal(tokens[i][1])
                     i += 1
                 expo[index[tok]] += power
             else:
@@ -655,9 +697,14 @@ def descriptor_from_dict(data: dict) -> RingDescriptor:
     if kind == "Z":
         return Integers()
     if kind == "GF":
-        return PrimeField(int(data["p"]))
+        p = data.get("p")
+        if type(p) is not int:
+            raise ElementSyntaxError("GF needs an integer p")
+        return PrimeField(p)
     if kind == "poly_quotient":
-        variables = tuple(data["vars"])
-        relation = parse_polynomial(data["relation"], variables)
-        return PolyQuotient(variables, relation)
+        variables, relation = data.get("vars"), data.get("relation")
+        if not isinstance(variables, list) or not isinstance(relation, str):
+            raise ElementSyntaxError("poly_quotient needs a list 'vars' and a string 'relation'")
+        variables = tuple(variables)
+        return PolyQuotient(variables, parse_polynomial(relation, variables))
     raise ElementSyntaxError(f"unknown ring kind {kind!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .equivalence import IsoCertificate
-from .errors import ElementSyntaxError, ShapeError, SystemFileError
+from .errors import ElementSyntaxError, SystemFileError
 from .linalg import RingMatrix
 from .rings import RingDescriptor, descriptor_from_dict, descriptor_to_dict
 from .systems import LinearSystem, from_pair
@@ -125,12 +125,15 @@ def _parse_matrix(ring: RingDescriptor, data, where: str, rows=None, cols=None) 
         raise SystemFileError(f"{where}: expected {rows} rows, found {len(parsed)}")
     if cols is not None and (width if width is not None else cols) != cols:
         raise SystemFileError(f"{where}: expected {cols} columns, found {width}")
-    if not parsed and cols is not None:
-        width = cols
-    try:
-        return RingMatrix.from_rows(ring, parsed, cols=width if parsed else (cols or 0))
-    except ShapeError as exc:
-        raise SystemFileError(f"{where}: {exc}") from exc
+    # parse_payload returns canonical payloads, so nothing is reduced twice
+    return RingMatrix._of_rows(ring, parsed, width if parsed else (cols or 0))
+
+
+def _named_map(data: dict, key: str) -> dict:
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise SystemFileError(f"{key}: expected an object mapping names to entries")
+    return value
 
 
 def parse_text(text: str) -> SystemFile:
@@ -139,31 +142,32 @@ def parse_text(text: str) -> SystemFile:
         data = json.loads(text, object_pairs_hook=_reject_duplicates)
     except json.JSONDecodeError as exc:
         raise SystemFileError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(data, dict) or "ring" not in data:
+    except (ValueError, RecursionError) as exc:  # over-long number, over-deep nesting
+        raise SystemFileError(f"unreadable JSON: {exc}") from exc
+    if not isinstance(data, dict) or not isinstance(data.get("ring"), dict):
         raise SystemFileError("top level must be an object with a 'ring' block")
     try:
         ring = descriptor_from_dict(data["ring"])
     except (KeyError, ValueError, TypeError, ElementSyntaxError) as exc:
         raise SystemFileError(f"ring: {exc}") from exc
     systems: dict[str, PairEntry] = {}
-    for name, spec in data.get("systems", {}).items():
+    for name, spec in _named_map(data, "systems").items():
         where = f"systems.{name}"
         if not isinstance(spec, dict):
             raise SystemFileError(f"{where}: expected an object")
-        try:
-            n = int(spec["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SystemFileError(f"{where}.n: missing or not an integer") from exc
+        n = spec.get("n")
+        if type(n) is not int or n < 0:
+            raise SystemFileError(f"{where}.n: missing or not a nonnegative integer")
         endo = _parse_matrix(ring, spec.get("endo"), f"{where}.endo", rows=n, cols=n)
         gens = _parse_matrix(ring, spec.get("input_gens"), f"{where}.input_gens", rows=n)
         systems[name] = PairEntry(n, endo, gens)
     certificates: dict[str, CertEntry] = {}
-    for name, spec in data.get("certificates", {}).items():
+    for name, spec in _named_map(data, "certificates").items():
         where = f"certificates.{name}"
         if not isinstance(spec, dict):
             raise SystemFileError(f"{where}: expected an object")
         for key in ("source", "target"):
-            if spec.get(key) not in systems:
+            if not isinstance(spec.get(key), str) or spec[key] not in systems:
                 raise SystemFileError(f"{where}.{key}: must name a system in this file")
         mats = {}
         for key in _CERT_FIELDS:
@@ -180,7 +184,11 @@ def parse_text(text: str) -> SystemFile:
 
 def parse(path) -> SystemFile:
     """Parse a system file from disk (UTF-8)."""
-    return parse_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SystemFileError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return parse_text(text)
 
 
 def _matrix_doc(m: RingMatrix) -> list[list[str]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -51,6 +52,59 @@ CANON_DOC = {
 }
 
 
+# invariants --json over Z, pinned byte for byte.  R is reachable but
+# its chain stalls at rank 3 while the index drops (torsion Z/9 in M, I
+# and Z); U is unreachable with torsion in its last quotient.
+INT_SYSTEMS = {
+    "R": (3, [["-2", "2", "-1"], ["-2", "-1", "1"], ["0", "-1", "1"]], [["0", "0"], ["0", "3"], ["3", "2"]]),
+    "U": (4, [["0", "0", "1", "0"], ["1", "0", "0", "0"], ["0", "3", "0", "0"], ["0", "0", "0", "2"]], [["1"], ["0"], ["0"], ["0"]]),
+}
+
+
+def _group(free_rank, *torsion):
+    return {"free_rank": free_rank, "torsion": list(torsion)}
+
+
+INVARIANTS_DOCS = {
+    "R": {
+        "I": [_group(2), _group(1), _group(0, 9)],
+        "M": [_group(1, 9), _group(0, 9), _group(0)],
+        "Z": [_group(1), _group(1), _group(0, 9)],
+        "chain_dims": [0, 2, 3, 3],
+        "command": "invariants",
+        "locally_brunovsky": False,
+        "reachable": True,
+        "ring": "Z",
+        "s": 3,
+        "state_rank": 3,
+        "system": "R",
+        "z_signature": None,
+    },
+    "U": {
+        "I": [_group(1), _group(1), _group(1)],
+        "M": [_group(3), _group(2), _group(1, 3)],
+        "Z": [_group(0), _group(0), _group(1)],
+        "chain_dims": [0, 1, 2, 3],
+        "command": "invariants",
+        "locally_brunovsky": False,
+        "reachable": False,
+        "ring": "Z",
+        "s": 3,
+        "state_rank": 4,
+        "system": "U",
+        "z_signature": None,
+    },
+}
+
+# Malformed files: each must exit 2 with one error line, quickly.
+HOSTILE = {
+    "systems-list": {"ring": {"kind": "Z"}, "systems": []},
+    "certificates-list": {"ring": {"kind": "Z"}, "systems": {}, "certificates": [1]},
+    "long-literal": {"ring": {"kind": "Z"}, "systems": {"S": {"n": 1, "endo": [["7" * 5000]], "input_gens": [["1"]]}}},
+    "huge-modulus": {"ring": {"kind": "GF", "p": 10**30 + 57}, "systems": {}},
+}
+
+
 class TestExitCodes:
     def test_equiv_true(self, fixture_file, capsys):
         assert main(["equiv", fixture_file, "S1", "S1"]) == 0
@@ -79,6 +133,37 @@ class TestExitCodes:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "nonnegative" in captured.err
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_malformed_file_is_error(self, name, tmp_path, capsys):
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(HOSTILE[name]), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["k0", str(path), "S"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_internal_failure_is_error(self, fixture_file, capsys, monkeypatch):
+        def broken(args):
+            raise ValueError("first line\nsecond line")
+
+        monkeypatch.setattr("ringsys.cli._cmd_k0", broken)
+        assert main(["k0", fixture_file, "G1"]) == 2
+        assert capsys.readouterr().err == "error: internal failure (ValueError: first line second line)\n"
+
+    def test_foreign_exception_passes_through(self, fixture_file, monkeypatch):
+        class Alarm(Exception):
+            pass
+
+        def interrupted(args):
+            raise Alarm
+
+        monkeypatch.setattr("ringsys.cli._cmd_k0", interrupted)
+        with pytest.raises(Alarm):
+            main(["k0", fixture_file, "G1"])
 
 
 class TestReports:
@@ -116,6 +201,15 @@ class TestReports:
         write(SystemFile(Q, {"T": PairEntry(4, a, b)}), path)
         assert main(["canon", str(path), "T", "--json"]) == 0
         assert capsys.readouterr().out == json.dumps(CANON_DOC, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("name", sorted(INT_SYSTEMS))
+    def test_integer_invariants_json_pinned(self, name, tmp_path, capsys):
+        n, a, b = INT_SYSTEMS[name]
+        doc = {"ring": {"kind": "Z"}, "systems": {name: {"n": n, "endo": a, "input_gens": b}}}
+        path = tmp_path / "int.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["invariants", str(path), name, "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps(INVARIANTS_DOCS[name], indent=2, sort_keys=True) + "\n"
 
     def test_equiv_reports_both_signatures(self, fixture_file, capsys):
         main(["equiv", fixture_file, "S1", "S2", "--json"])

@@ -31,6 +31,8 @@ from ringsys import (
     gamma,
     invert,
     parse_polynomial,
+    signature_from_report,
+    solve_right,
     z_signature,
 )
 from util import (
@@ -42,6 +44,7 @@ from util import (
     rand_partition,
     rand_system,
     reference_field_chain,
+    reference_integer_chain,
 )
 
 Q = Rationals()
@@ -52,6 +55,33 @@ F101 = PrimeField(101)
 
 def mat(ring, rows):
     return RingMatrix.from_rows(ring, rows)
+
+
+def _signature_or_error(fn, sigma):
+    try:
+        return fn(sigma)
+    except NotLocallyBrunovsky as exc:
+        return f"NotLocallyBrunovsky: {exc}"
+
+
+def _rand_integer_pair(rng, k):
+    """Pairs over Z for the fast-path cross-checks, cycling through
+    locally Brunovsky, torsion (one input generator scaled),
+    unreachable, unstructured, B = 0 and n = 0 cases."""
+    kind = k % 6
+    n = 0 if kind == 5 else rng.randint(1, 5)
+    if kind in (0, 1):
+        _, a, b = rand_locally_brunovsky_pair(Z, rng, n, extra_cols=rng.randint(0, 1))
+        if kind == 1:
+            j, k = rng.randrange(b.cols), rng.randint(2, 3)
+            cols = [[k * x for x in c.entries] if i == j else c.entries for i, c in enumerate(b.columns())]
+            b = RingMatrix.from_columns(Z, cols, rows=n)
+        return a, b
+    if kind == 2:
+        return _rand_unreachable_pair(Z, rng, n, rng.randint(0, 2))
+    if kind == 3:
+        return rand_matrix(Z, n, n, rng), rand_matrix(Z, n, rng.randint(1, 3), rng)
+    return rand_matrix(Z, n, n, rng), RingMatrix.zeros(Z, n, rng.randint(0, 2))
 
 
 def _rand_unreachable_pair(ring, rng, n, m):
@@ -66,7 +96,8 @@ def _rand_unreachable_pair(ring, rng, n, m):
     a = RingMatrix.from_rows(ring, rows, cols=n)
     b = rand_matrix(ring, n - r, m, rng).vstack(RingMatrix.zeros(ring, r, m))
     p = rand_invertible(ring, n, rng)
-    return p @ a @ invert(p), p @ b
+    p_inv = solve_right(p, RingMatrix.identity(ring, n)) if ring == Z else invert(p)
+    return p @ a @ p_inv, p @ b
 
 
 class TestChainExamples:
@@ -212,6 +243,23 @@ class TestChainProperties:
             assert (rep.chain, rep.s, rep.I, rep.Z, rep.reachable) == reference_field_chain(sigma)
             seen.add(rep.reachable)
         assert seen == {True, False}
+
+    def test_integer_chain_and_signature_match_reference(self):
+        # The incremental Hermite staircase against the from-scratch
+        # chain, and the rank-only signature against the one read off
+        # the full I/Z structures (or the same refusal).
+        rng = random.Random(27)
+        stall = (mat(Z, [[0, 1], [0, 0]]), mat(Z, [[2, 0], [0, 1]]))
+        pairs = [stall] + [_rand_integer_pair(rng, k) for k in range(240)]
+        seen = set()
+        for a, b in pairs:
+            sigma = from_pair(a, b)
+            rep = compute_chain(sigma)
+            assert rep.chain == reference_integer_chain(sigma)
+            expected = _signature_or_error(lambda s: signature_from_report(compute_chain(s)), sigma)
+            assert _signature_or_error(z_signature, sigma) == expected
+            seen.add((sigma.state_rank == 0, rep.reachable, rep.locally_brunovsky))
+        assert seen == {(True, True, True), (False, True, True), (False, True, False), (False, False, False)}
 
     @pytest.mark.parametrize("ring", [Q, F2], ids=str)
     def test_feedback_invariance_of_signature(self, ring):

@@ -216,6 +216,29 @@ class TestSnf:
             assert got == expected
 
 
+class TestTransformFree:
+    def test_same_forms_as_transformed(self):
+        # H and D do not depend on whether U and V ride along.
+        from ringsys.linalg import _hnf_int, _snf_int
+
+        rng = random.Random(31)
+        for k in range(200):
+            r, c = rng.randint(0, 6), rng.randint(0, 6)
+            if k % 3 == 0:  # rank at most 2: a product through `inner` dimensions
+                inner = rng.randint(0, 2)
+                left = [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(r)]
+                right = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(inner)]
+                rows = [[sum(x * y for x, y in zip(lr, col)) for col in zip(*right)] if inner else [0] * c for lr in left]
+            else:
+                rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+            h, u, pivots = _hnf_int(rows, r, c)
+            assert _hnf_int(rows, r, c, transform=False) == (h, None, pivots)
+            assert u is not None and len(u) == r
+            uu, d, v = _snf_int(rows, r, c)
+            assert _snf_int(rows, r, c, transform=False) == (None, d, None)
+            assert uu is not None and v is not None
+
+
 class TestColumnSpaces:
     def test_unit_vectors(self):
         e1 = mat(Q, [[1], [0], [0]])

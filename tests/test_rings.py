@@ -98,6 +98,34 @@ def test_prime_field_rejects_composites():
         PrimeField(6)
 
 
+def test_primality_matches_trial_division():
+    from ringsys.rings import _is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-3, 20000) if _is_prime(n)] == [n for n in range(-3, 20000) if trial(n)]
+
+
+def test_prime_field_large_moduli():
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    # Carmichael numbers and strong pseudoprimes to the smallest bases
+    for composite in (561, 2047, 3215031751, 3825123056546413051, (2**61 - 1) * 10007):
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(composite)
+    with pytest.raises(ValueError, match="below"):
+        PrimeField(10**30 + 57)
+
+
+def test_over_long_literal_is_a_syntax_error():
+    digits = "7" * 5000
+    for ring, text in ((Integers(), digits), (Rationals(), f"1/{digits}"), (PrimeField(5), digits)):
+        with pytest.raises(ElementSyntaxError, match="5000 digits"):
+            ring.parse_payload(text)
+    with pytest.raises(ElementSyntaxError, match="5000 digits"):
+        sphere_ring().parse_payload(f"{digits}*x")
+
+
 class TestReduce:
     def test_sphere_relation_collapses(self):
         ring = sphere_ring()

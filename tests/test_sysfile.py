@@ -159,3 +159,67 @@ class TestValidation:
         )
         with pytest.raises(SystemFileError):
             parse_text(text)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"ring": {"kind": "Z"}, "systems": []}, "systems: expected an object"),
+            ({"ring": {"kind": "Z"}, "systems": {}, "certificates": [1]}, "certificates: expected an object"),
+            ({"ring": "Z"}, "'ring' block"),
+            (
+                {"ring": {"kind": "Z"}, "systems": {"S": {"n": 1, "endo": [["7" * 5000]], "input_gens": [["1"]]}}},
+                "systems.S.endo[0][0]: integer literal of 5000 digits is too long",
+            ),
+            ({"ring": {"kind": "Z"}, "systems": {"S": {"n": 1.5, "endo": [["0"]], "input_gens": []}}}, "systems.S.n"),
+            ({"ring": {"kind": "Z"}, "systems": {"S": {"n": True, "endo": [["0"]], "input_gens": []}}}, "systems.S.n"),
+            ({"ring": {"kind": "Z"}, "systems": {"S": {"n": -1, "endo": [], "input_gens": []}}}, "systems.S.n"),
+            ({"ring": {"kind": "GF", "p": 10**30 + 57}}, "ring: GF(p) needs p below"),
+            ({"ring": {"kind": "GF", "p": 561}}, "ring: 561 is not prime"),
+            ({"ring": {"kind": "GF", "p": 7.5}}, "ring: GF needs an integer p"),
+            ({"ring": {"kind": "poly_quotient", "vars": "xyz", "relation": "x^2+y^2+z^2-1"}}, "list 'vars'"),
+            (
+                {
+                    "ring": {"kind": "Z"},
+                    "systems": {"S": {"n": 0, "endo": [], "input_gens": []}},
+                    "certificates": {"c": {"source": ["S"], "target": "S"}},
+                },
+                "certificates.c.source",
+            ),
+        ],
+        ids=[
+            "systems-list",
+            "certificates-list",
+            "ring-string",
+            "long-literal",
+            "float-rank",
+            "bool-rank",
+            "negative-rank",
+            "huge-modulus",
+            "carmichael",
+            "float-modulus",
+            "string-vars",
+            "source-list",
+        ],
+    )
+    def test_malformed_documents(self, doc, message):
+        with pytest.raises(SystemFileError) as err:
+            parse_text(json.dumps(doc))
+        assert message in str(err.value)
+
+    def test_over_deep_json(self):
+        with pytest.raises(SystemFileError, match="unreadable JSON"):
+            parse_text("[" * 100_000 + "]" * 100_000)
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"ring": {"kind": "Q"}, "systems": {"\xe9": {}}}')
+        with pytest.raises(SystemFileError, match="not UTF-8"):
+            parse(path)
+
+    def test_over_long_json_number(self):
+        with pytest.raises(SystemFileError, match="unreadable JSON"):
+            parse_text('{"ring": {"kind": "Z"}, "systems": {"S": {"n": ' + "9" * 5000 + "}}}")
+
+    def test_large_prime_modulus_accepted(self):
+        sf = parse_text(json.dumps({"ring": {"kind": "GF", "p": 2**61 - 1}}))
+        assert sf.ring == PrimeField(2**61 - 1)

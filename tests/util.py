@@ -74,6 +74,20 @@ def rand_locally_brunovsky_pair(ring, rng, n, extra_cols=0):
     return parts, a, b
 
 
+def reference_integer_chain(sigma):
+    """From-scratch chain, the reference for compute_chain over Z.
+
+    Recanonicalises N_i = B + f(N_{i-1}) through column_space_sum at
+    every step until it repeats; works over fields as well.
+    """
+    chain = [RingMatrix.zeros(sigma.ring, sigma.state_rank, 0)]
+    while True:
+        nxt = column_space_sum(sigma.input_gens, sigma.endo @ chain[-1])
+        if nxt == chain[-1]:
+            return tuple(chain)
+        chain.append(nxt)
+
+
 def reference_field_chain(sigma):
     """From-scratch chain over a field, the reference for compute_chain.
 
@@ -83,12 +97,7 @@ def reference_field_chain(sigma):
     (chain, s, I, Z, reachable).
     """
     ring, n = sigma.ring, sigma.state_rank
-    chain = [RingMatrix.zeros(ring, n, 0)]
-    while True:
-        nxt = column_space_sum(sigma.input_gens, sigma.endo @ chain[-1])
-        if nxt == chain[-1]:
-            break
-        chain.append(nxt)
+    chain = list(reference_integer_chain(sigma))
     s = len(chain) - 1
     reps = [[]]
     for i in range(1, s + 1):
