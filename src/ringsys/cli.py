@@ -9,6 +9,7 @@ go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -222,55 +223,62 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing keeps no state in the parser, so calls cannot leak into each
+    other.  main finds the handler of a subcommand by its name when it
+    runs, so a handler rebound in this module (by a test or a tracer)
+    takes effect whenever it is rebound.
+    """
     parser = argparse.ArgumentParser(
         prog="ringsys",
         description="Classify linear systems over exact rings and verify feedback certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help):
+    def add(name, help):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
-    p = add("invariants", _cmd_invariants, "invariant chain and flags of a system")
+    p = add("invariants", "invariant chain and flags of a system")
     p.add_argument("file")
     p.add_argument("system")
 
-    p = add("canon", _cmd_canon, "Brunovsky indices, canonical pair, and a (P,K,Q) certificate")
+    p = add("canon", "Brunovsky indices, canonical pair, and a (P,K,Q) certificate")
     p.add_argument("file")
     p.add_argument("system")
 
-    p = add("equiv", _cmd_equiv, "decide feedback/dynamic/stable equivalence")
+    p = add("equiv", "decide feedback/dynamic/stable equivalence")
     p.add_argument("file")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--mode", choices=MODES, default="feedback")
     p.add_argument("--p-max", dest="p_max", type=_nonnegative_int, default=4)
 
-    p = add("verify", _cmd_verify, "verify a named certificate")
+    p = add("verify", "verify a named certificate")
     p.add_argument("file")
     p.add_argument("certificate")
 
-    p = add("sum", _cmd_sum, "write the direct sum of two systems to a new file")
+    p = add("sum", "write the direct sum of two systems to a new file")
     p.add_argument("file")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--out", required=True)
 
-    p = add("enlarge", _cmd_enlarge, "write a dynamic enlargement to a new file")
+    p = add("enlarge", "write a dynamic enlargement to a new file")
     p.add_argument("file")
     p.add_argument("system")
     p.add_argument("-p", type=int, default=1)
     p.add_argument("--out", required=True)
 
-    p = add("k0", _cmd_k0, "class of a system in the group completion")
+    p = add("k0", "class of a system in the group completion")
     p.add_argument("file")
     p.add_argument("system")
 
-    p = add("orbit-oracle", _cmd_orbit_oracle, "exhaustive cross-check over a small prime field")
+    p = add("orbit-oracle", "exhaustive cross-check over a small prime field")
     p.add_argument("--field", type=int, default=2, choices=[2, 3])
     p.add_argument("--max-n", dest="max_n", type=int, default=3)
     p.add_argument("--max-m", dest="max_m", type=int, default=2)
@@ -283,7 +291,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (RingsysError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,8 @@ the relation's leading monomial.
 
 from __future__ import annotations
 
+import heapq
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -33,6 +35,12 @@ def grlex_key(monomial: Monomial) -> tuple:
     return (sum(monomial), monomial[::-1])
 
 
+def _descending_key(monomial: Monomial) -> tuple:
+    # grlex_key with every component negated: the smallest key belongs
+    # to the largest monomial, as a min-heap needs.
+    return (-sum(monomial), tuple(map(operator.neg, monomial[::-1])))
+
+
 @dataclass(frozen=True)
 class Poly:
     """Multivariate polynomial with rational coefficients.
@@ -47,12 +55,12 @@ class Poly:
 
     @staticmethod
     def from_dict(nvars: int, coeffs: dict[Monomial, Fraction]) -> "Poly":
-        terms = tuple(
-            (m, Fraction(c))
-            for m, c in sorted(coeffs.items(), key=lambda t: grlex_key(t[0]), reverse=True)
-            if c != 0
-        )
-        return Poly(nvars, terms)
+        terms = []
+        for m in sorted(coeffs, key=grlex_key, reverse=True):
+            c = coeffs[m]
+            if c:
+                terms.append((m, c if type(c) is Fraction else Fraction(c)))
+        return Poly(nvars, tuple(terms))
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
@@ -90,11 +98,8 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         coeffs = dict(self.terms)
         for m, c in other.terms:
-            s = coeffs.get(m, Fraction(0)) + c
-            if s:
-                coeffs[m] = s
-            else:
-                coeffs.pop(m, None)
+            old = coeffs.get(m)
+            coeffs[m] = c if old is None else old + c
         return Poly.from_dict(self.nvars, coeffs)
 
     def __neg__(self) -> "Poly":
@@ -104,16 +109,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        coeffs: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = coeffs.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    coeffs[m] = s
-                else:
-                    coeffs.pop(m, None)
-        return Poly.from_dict(self.nvars, coeffs)
+        return Poly.from_dict(self.nvars, _product_terms([(self, other)]))
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
@@ -122,8 +118,18 @@ class Poly:
         return Poly(self.nvars, tuple((m, coef * c) for m, coef in self.terms))
 
 
-def _monomial_divides(d: Monomial, m: Monomial) -> bool:
-    return all(a <= b for a, b in zip(d, m))
+def _product_terms(pairs) -> dict[Monomial, Fraction]:
+    """Coefficients of the sum of the products of the paired polynomials,
+    unsorted and unreduced; cancelled monomials keep a zero."""
+    coeffs: dict[Monomial, Fraction] = {}
+    get, add = coeffs.get, operator.add
+    for x, y in pairs:
+        for m1, c1 in x.terms:
+            for m2, c2 in y.terms:
+                m = tuple(map(add, m1, m2))
+                old = get(m)
+                coeffs[m] = c1 * c2 if old is None else old + c1 * c2
+    return coeffs
 
 
 # Miller-Rabin with the first 13 prime bases is exact for every n below
@@ -274,7 +280,12 @@ class Rationals(RingDescriptor):
         return a * b
 
     def dot(self, xs, ys):
-        return sum(map(operator.mul, xs, ys), Fraction(0))
+        # one Fraction at the end: the products are summed over the lcm
+        # of their denominators, so the gcd work is done once per entry
+        dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
+        den = math.lcm(*dens)
+        num = sum(x.numerator * y.numerator * (den // d) for x, y, d in zip(xs, ys, dens))
+        return Fraction(num, den)
 
     def neg(self, a):
         return -a
@@ -399,9 +410,24 @@ class PrimeField(RingDescriptor):
         return f"GF({self.p})"
 
 
-_POLY_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^]))"
+# One scan covers the whole literal: whitespace matches no named group,
+# and any other character outside the grammar is a "bad" token.
+_POLY_SCAN = re.compile(
+    r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^])|\s+|(?P<bad>.)", re.DOTALL
 )
+
+# Largest total degree of a monomial in a polynomial literal.  Without a
+# bound a literal such as "z^100000000" never returns.
+MAX_DEGREE = 64
+
+# Largest cost of reducing one literal modulo the relation.  A rewrite
+# that multiplies a rule of t terms by a coefficient of b bits (rule
+# coefficient included) costs t * (1 + (b >> 12)^2): one per term, plus
+# the quadratic arithmetic of coefficients past 4096 bits.  The degree
+# bound alone leaves the work to grow with the number of variables and
+# the size of the relation's coefficients (z^64 over nine variables, or
+# over the sphere relation with 1000-digit coefficients, takes minutes).
+MAX_REDUCE_COST = 30_000
 
 
 @dataclass(frozen=True)
@@ -431,7 +457,12 @@ class PolyQuotient(RingDescriptor):
             raise ValueError("relation arity does not match the variable list")
         if self.relation.is_zero or self.relation.is_constant:
             raise ValueError("relation must be nonzero and non-constant")
-        # Leading coefficient is a nonzero rational, hence invertible.
+        # The leading coefficient is a nonzero rational, hence invertible:
+        # lead -> sum of rule terms is the rewrite that reduce applies.
+        (lead_m, lead_c), *tail = self.relation.terms
+        rule = tuple((m, -c / lead_c) for m, c in tail)
+        rule_bits = max((c.numerator.bit_length() + c.denominator.bit_length() for _, c in rule), default=0)
+        object.__setattr__(self, "_rewrite", (lead_m, rule, rule_bits))
 
     def zero(self):
         return Poly.zero(len(self.variables))
@@ -446,7 +477,12 @@ class PolyQuotient(RingDescriptor):
         return a - b
 
     def mul(self, a, b):
-        return self.reduce(a * b)
+        return self.dot((a,), (b,))
+
+    def dot(self, xs, ys):
+        # every term product goes into one coefficient map, reduced once:
+        # reduction is a ring homomorphism, so the normal form is the same
+        return self.reduce(_product_terms(zip(xs, ys)))
 
     def neg(self, a):
         return -a
@@ -454,37 +490,50 @@ class PolyQuotient(RingDescriptor):
     def is_zero(self, a) -> bool:
         return a.is_zero
 
-    def reduce(self, p: Poly) -> Poly:
-        """Normal form of p modulo the relation.
+    def reduce(self, p: Poly | dict[Monomial, Fraction], max_cost: int | None = None) -> Poly:
+        """Normal form modulo the relation of p, a polynomial or a map
+        from monomials to coefficients (in any order, zeros allowed).
+        With max_cost, a reduction that would cost more (counted as for
+        MAX_REDUCE_COST) raises ElementSyntaxError instead.
 
         Division by a single polynomial is confluent, so the result
         does not depend on the reduction strategy; reduce is idempotent
-        and a ring homomorphism.
+        and a ring homomorphism.  The pending multiples of the leading
+        monomial are rewritten largest first, so each is rewritten once:
+        a rewrite only produces smaller monomials.
         """
-        if p.nvars != len(self.variables):
-            raise ValueError("polynomial arity does not match the ring")
-        lead_m, lead_c = self.relation.leading()
-        tail = Poly(p.nvars, self.relation.terms[1:])
-        coeffs = dict(p.terms)
-        while True:
-            target = None
-            for m in sorted(coeffs, key=grlex_key, reverse=True):
-                if _monomial_divides(lead_m, m):
-                    target = m
-                    break
-            if target is None:
-                break
-            c = coeffs.pop(target)
-            shift = tuple(a - b for a, b in zip(target, lead_m))
-            # target  ->  -(tail / lead_c) shifted by the quotient monomial
-            for m, tc in tail.terms:
-                mm = tuple(a + b for a, b in zip(m, shift))
-                s = coeffs.get(mm, Fraction(0)) - c * tc / lead_c
-                if s:
-                    coeffs[mm] = s
+        if isinstance(p, Poly):
+            if p.nvars != len(self.variables):
+                raise ValueError("polynomial arity does not match the ring")
+            coeffs = dict(p.terms)
+        else:
+            coeffs = dict(p)
+        lead_m, rule, rule_bits = self._rewrite
+        ge, add, sub = operator.ge, operator.add, operator.sub
+        heap = [(_descending_key(m), m) for m in coeffs if all(map(ge, m, lead_m))]
+        heapq.heapify(heap)
+        cost = 0
+        while heap:
+            m = heapq.heappop(heap)[1]
+            c = coeffs.pop(m)
+            if not c:
+                continue
+            if max_cost is not None:
+                b = (c.numerator.bit_length() + c.denominator.bit_length() + rule_bits) >> 12
+                cost += len(rule) * (1 + b * b)
+                if cost > max_cost:
+                    raise ElementSyntaxError(f"literal costs over MAX_REDUCE_COST = {max_cost} to reduce")
+            shift = tuple(map(sub, m, lead_m))
+            for rm, rc in rule:
+                mm = tuple(map(add, rm, shift))
+                old = coeffs.get(mm)
+                if old is not None:
+                    coeffs[mm] = old + c * rc
                 else:
-                    coeffs.pop(mm, None)
-        return Poly.from_dict(p.nvars, coeffs)
+                    coeffs[mm] = c * rc
+                    if all(map(ge, mm, lead_m)):
+                        heapq.heappush(heap, (_descending_key(mm), mm))
+        return Poly.from_dict(len(self.variables), coeffs)
 
     def try_invert_payload(self, a):
         if a.is_zero:
@@ -505,7 +554,7 @@ class PolyQuotient(RingDescriptor):
         return Poly.variable(self.variables.index(name), len(self.variables))
 
     def parse_payload(self, text: str):
-        return self.reduce(parse_polynomial(text, self.variables))
+        return self.reduce(_parse_terms(text, self.variables), MAX_REDUCE_COST)
 
     def format_payload(self, a) -> str:
         return format_polynomial(a, self.variables)
@@ -566,85 +615,80 @@ def try_invert(a: RingElement) -> Optional[RingElement]:
 def parse_polynomial(text: str, variables: tuple[str, ...]) -> Poly:
     """Parse an expanded polynomial like ``x^2*y - 3/2*z + 1``.
 
-    Unknown variables, malformed exponents, and stray tokens are
-    rejected.  No parentheses: input must already be a sum of terms.
+    Unknown variables, malformed exponents, stray tokens and monomials
+    of total degree above MAX_DEGREE are rejected.  No parentheses:
+    input must already be a sum of terms.
     """
+    return Poly.from_dict(len(variables), _parse_terms(text, variables))
+
+
+_SIGNS = (("op", "+"), ("op", "-"))
+_END = ("end", "")
+
+
+def _parse_terms(text: str, variables: tuple[str, ...]) -> dict[Monomial, Fraction]:
+    """Coefficient map of a polynomial literal, unsorted, zeros allowed."""
     nvars = len(variables)
     index = {name: i for i, name in enumerate(variables)}
     tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        m = _POLY_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ElementSyntaxError(f"unexpected character at {text[pos:].strip()[:10]!r}")
-            break
-        pos = m.end()
-        for group in ("num", "name", "op"):
-            if m.group(group) is not None:
-                tokens.append((group, m.group(group)))
-                break
+    for m in _POLY_SCAN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ElementSyntaxError(f"unexpected character at {text[m.start():].strip()[:10]!r}")
+        if kind is not None:
+            tokens.append((kind, m.group()))
     if not tokens:
         raise ElementSyntaxError("empty polynomial literal")
+    tokens.append(_END)
 
     coeffs: dict[Monomial, Fraction] = {}
     i = 0
-
-    def take_rational(j: int) -> tuple[Fraction, int]:
-        num = _int_literal(tokens[j][1])
-        j += 1
-        if j + 1 < len(tokens) and tokens[j] == ("op", "/") and tokens[j + 1][0] == "num":
-            den = _int_literal(tokens[j + 1][1])
-            if den == 0:
-                raise ElementSyntaxError("zero denominator")
-            return Fraction(num, den), j + 2
-        return Fraction(num), j
-
-    while i < len(tokens):
-        sign = 1
-        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
+    while tokens[i] != _END:
+        num, den = 1, 1
+        while tokens[i] in _SIGNS:
             if tokens[i][1] == "-":
-                sign = -sign
+                num = -num
             i += 1
-        if i >= len(tokens):
+        if tokens[i] == _END:
             raise ElementSyntaxError("dangling sign")
-        coeff = Fraction(sign)
         expo = [0] * nvars
-        expect_factor = True
-        while expect_factor:
+        while True:
             kind, tok = tokens[i]
+            i += 1
             if kind == "num":
-                value, i = take_rational(i)
-                coeff *= value
+                num *= _int_literal(tok)
+                if tokens[i] == ("op", "/") and tokens[i + 1][0] == "num":
+                    d = _int_literal(tokens[i + 1][1])
+                    if d == 0:
+                        raise ElementSyntaxError("zero denominator")
+                    den *= d
+                    i += 2
             elif kind == "name":
                 if tok not in index:
                     raise ElementSyntaxError(f"unknown variable {tok!r}")
-                power = 1
-                i += 1
-                if i < len(tokens) and tokens[i] == ("op", "^"):
-                    i += 1
-                    if i >= len(tokens) or tokens[i][0] != "num":
+                if tokens[i] == ("op", "^"):
+                    if tokens[i + 1][0] != "num":
                         raise ElementSyntaxError("malformed exponent")
-                    power = _int_literal(tokens[i][1])
-                    i += 1
-                expo[index[tok]] += power
+                    expo[index[tok]] += _int_literal(tokens[i + 1][1])
+                    i += 2
+                else:
+                    expo[index[tok]] += 1
             else:
                 raise ElementSyntaxError(f"unexpected operator {tok!r}")
-            expect_factor = False
-            if i < len(tokens) and tokens[i] == ("op", "*"):
-                i += 1
-                if i >= len(tokens):
-                    raise ElementSyntaxError("dangling '*'")
-                expect_factor = True
-        if i < len(tokens) and tokens[i] not in (("op", "+"), ("op", "-")):
+            if tokens[i] != ("op", "*"):
+                break
+            i += 1
+            if tokens[i] == _END:
+                raise ElementSyntaxError("dangling '*'")
+        if tokens[i] != _END and tokens[i] not in _SIGNS:
             raise ElementSyntaxError(f"expected '+', '-' or end, found {tokens[i][1]!r}")
+        if sum(expo) > MAX_DEGREE:
+            raise ElementSyntaxError(f"monomial of total degree over MAX_DEGREE = {MAX_DEGREE}")
         mono = tuple(expo)
-        s = coeffs.get(mono, Fraction(0)) + coeff
-        if s:
-            coeffs[mono] = s
-        else:
-            coeffs.pop(mono, None)
-    return Poly.from_dict(nvars, coeffs)
+        coeff = Fraction(num) if den == 1 else Fraction(num, den)
+        old = coeffs.get(mono)
+        coeffs[mono] = coeff if old is None else old + coeff
+    return coeffs
 
 
 def format_polynomial(p: Poly, variables: tuple[str, ...]) -> str:

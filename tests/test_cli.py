@@ -8,7 +8,7 @@ import time
 import pytest
 
 from ringsys import Rationals, RingMatrix
-from ringsys.cli import main
+from ringsys.cli import build_parser, main
 from ringsys.fixtures import sphere_fixture_path
 from ringsys.sysfile import PairEntry, SystemFile, parse, write
 
@@ -102,6 +102,18 @@ HOSTILE = {
     "certificates-list": {"ring": {"kind": "Z"}, "systems": {}, "certificates": [1]},
     "long-literal": {"ring": {"kind": "Z"}, "systems": {"S": {"n": 1, "endo": [["7" * 5000]], "input_gens": [["1"]]}}},
     "huge-modulus": {"ring": {"kind": "GF", "p": 10**30 + 57}, "systems": {}},
+    "huge-exponent": {
+        "ring": {"kind": "poly_quotient", "vars": ["x", "y", "z"], "relation": "x^2 + y^2 + z^2 - 1"},
+        "systems": {"S": {"n": 1, "endo": [["z^100000000"]], "input_gens": [["1"]]}},
+    },
+    "costly-reduction": {
+        "ring": {"kind": "poly_quotient", "vars": list("abcdefghz"), "relation": "z^2 - a^2 - b^2 - c^2 - d^2 - e^2 - f^2 - g^2 - h^2"},
+        "systems": {"S": {"n": 1, "endo": [["z^64"]], "input_gens": [["1"]]}},
+    },
+    "costly-coefficients": {
+        "ring": {"kind": "poly_quotient", "vars": ["x", "y", "z"], "relation": "7" * 1000 + "*z^2 + 3*y^2 + 5*x^2 - 1"},
+        "systems": {"S": {"n": 1, "endo": [["z^64"]], "input_gens": [["1"]]}},
+    },
 }
 
 
@@ -145,6 +157,38 @@ class TestExitCodes:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_usage_error_leaves_no_state(self, fixture_file, capsys):
+        # the parser is built once per process and shared between calls
+        with pytest.raises(SystemExit) as exc:
+            main(["equiv", fixture_file, "S1", "--mode", "sideways"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["equiv", fixture_file, "S1", "S2", "--mode", "stable", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["mode"] == "stable" and doc["equivalent"] is False
+        # options given to an earlier call do not become defaults
+        assert main(["equiv", fixture_file, "S1", "S1", "--json"]) == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["mode"] == "feedback" and doc["equivalent"] is True
+        assert captured.err == ""
+
+    def test_handler_rebound_before_first_build(self, fixture_file, capsys, monkeypatch):
+        # the shared parser is built after the handler is rebound, and
+        # the rebinding still takes effect (and is undone afterwards)
+        build_parser.cache_clear()
+
+        def patched(args):
+            print("patched", args.system)
+            return 0
+
+        monkeypatch.setattr("ringsys.cli._cmd_k0", patched)
+        assert main(["k0", fixture_file, "G1"]) == 0
+        assert capsys.readouterr().out == "patched G1\n"
+        monkeypatch.undo()
+        assert main(["k0", fixture_file, "G1"]) == 0
+        assert capsys.readouterr().out != "patched G1\n"
 
     def test_internal_failure_is_error(self, fixture_file, capsys, monkeypatch):
         def broken(args):

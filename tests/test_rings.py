@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringsys import (
@@ -17,11 +18,14 @@ from ringsys import (
     PolyQuotient,
     PrimeField,
     Rationals,
+    RingDescriptor,
     RingMatrix,
     parse_polynomial,
     solve_right,
     try_invert,
 )
+from ringsys.rings import MAX_DEGREE, MAX_REDUCE_COST
+from util import reference_reduce
 
 VARS = ("x", "y", "z")
 SPHERE_REL = parse_polynomial("x^2+y^2+z^2-1", VARS)
@@ -224,6 +228,75 @@ class TestGrammar:
         with pytest.raises(ElementSyntaxError):
             sphere_ring().parse_payload(text)
 
+    # Messages pinned byte for byte; they are part of the one-line error
+    # a malformed system file produces.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x $ y", "unexpected character at '$ y'"),
+            ("", "empty polynomial literal"),
+            ("   ", "empty polynomial literal"),
+            ("x^", "malformed exponent"),
+            ("x^-2", "malformed exponent"),
+            ("2*", "dangling '*'"),
+            ("- ", "dangling sign"),
+            ("x+", "dangling sign"),
+            ("w", "unknown variable 'w'"),
+            ("1/0", "zero denominator"),
+            ("x**2", "unexpected operator '*'"),
+            ("x 2", "expected '+', '-' or end, found '2'"),
+            ("1/", "expected '+', '-' or end, found '/'"),
+            ("x^2^3", "expected '+', '-' or end, found '^'"),
+            ("3..2", "unexpected character at '..2'"),
+            ("x\n$", "unexpected character at '$'"),
+            ("x + 12345678901234 $", "unexpected character at '$'"),
+            ("x $ y + z + 1 + 2", "unexpected character at '$ y + z + '"),
+        ],
+    )
+    def test_error_messages_pinned(self, text, message):
+        with pytest.raises(ElementSyntaxError) as err:
+            sphere_ring().parse_payload(text)
+        assert str(err.value) == message
+
+    def test_degree_bound(self):
+        ring = sphere_ring()
+        assert ring.parse_payload(f"x^{MAX_DEGREE - 1}*y") == ring.reduce(
+            Poly.from_dict(3, {(MAX_DEGREE - 1, 1, 0): Fraction(1)})
+        )
+        for text in (f"x^{MAX_DEGREE + 1}", f"x^{MAX_DEGREE}*y", "1 + z^100000000", "x*" * MAX_DEGREE + "x"):
+            with pytest.raises(ElementSyntaxError, match=f"over MAX_DEGREE = {MAX_DEGREE}"):
+                ring.parse_payload(text)
+            with pytest.raises(ElementSyntaxError, match="MAX_DEGREE"):
+                parse_polynomial(text, VARS)
+
+    def test_reduce_cost_bound(self):
+        ring = sphere_ring()
+        z4 = Poly.from_dict(3, {(0, 0, 4): Fraction(1)})
+        # z^4 takes four rewrites by the three-term rule x^2+y^2+z^2-1
+        assert ring.reduce(z4, max_cost=12) == ring.reduce(z4)
+        with pytest.raises(ElementSyntaxError, match="over MAX_REDUCE_COST = 11"):
+            ring.reduce(z4, max_cost=11)
+        # a rule coefficient past 4096 bits doubles the cost of a rewrite
+        wide = PolyQuotient(VARS, parse_polynomial(f"z^2 - {2**5000}*x", VARS))
+        z2 = Poly.from_dict(3, {(0, 0, 2): Fraction(1)})
+        assert wide.reduce(z2, max_cost=2) == wide.reduce(z2)
+        with pytest.raises(ElementSyntaxError):
+            wide.reduce(z2, max_cost=1)
+        # the literal parser applies MAX_REDUCE_COST: z^64 is cheap over
+        # the sphere, but not over nine variables or with wide coefficients
+        assert ring.parse_payload("z^64") == ring.reduce(Poly.from_dict(3, {(0, 0, 64): Fraction(1)}))
+        nine = tuple("abcdefghz")
+        hostile = [
+            PolyQuotient(nine, parse_polynomial("z^2 - a^2 - b^2 - c^2 - d^2 - e^2 - f^2 - g^2 - h^2", nine)),
+            PolyQuotient(VARS, parse_polynomial("7" * 1000 + "*z^2 + 3*y^2 + 5*x^2 - 1", VARS)),
+        ]
+        for quotient in hostile:
+            start = time.perf_counter()
+            with pytest.raises(ElementSyntaxError, match=f"over MAX_REDUCE_COST = {MAX_REDUCE_COST}"):
+                quotient.parse_payload("z^64")
+            assert time.perf_counter() - start < 1.0
+        assert hostile[0].parse_payload("z^8") == hostile[0].reduce(Poly.from_dict(9, {(0,) * 8 + (8,): Fraction(1)}))
+
     def test_integers_reject_fractions(self):
         with pytest.raises(ElementSyntaxError):
             Integers().parse_payload("1/2")
@@ -250,3 +323,54 @@ def test_reduce_is_idempotent_hypothesis(terms):
     p = Poly.from_dict(3, coeffs)
     once = ring.reduce(p)
     assert ring.reduce(once) == once
+
+
+# Quotient rings for the reduction and dot-product references: the monic
+# sphere relation and a non-monic one, each under two variable orders.
+REFERENCE_RINGS = [
+    PolyQuotient(order, parse_polynomial(rel, order))
+    for rel in ("x^2+y^2+z^2-1", "2*x^2*y - z + 1/3")
+    for order in (VARS, ("z", "y", "x"))
+]
+
+fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)), fractions, max_size=6
+).map(lambda coeffs: Poly.from_dict(3, coeffs))
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=str)
+@settings(max_examples=150, deadline=None)
+@given(p=polys)
+def test_reduce_matches_reference(ring, p):
+    expected = reference_reduce(ring, p)
+    assert ring.reduce(p) == expected
+    # a coefficient map in any order, with zeros, has the same normal form
+    coeffs = dict(reversed(p.terms))
+    coeffs.setdefault((0, 0, 5), Fraction(0))
+    assert ring.reduce(coeffs) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(fractions, fractions), max_size=8))
+@example([])
+@example([(Fraction(0), Fraction(1, 3)), (Fraction(-5, 6), Fraction(2, 5))])
+def test_rational_dot_matches_fold(pairs):
+    ring = Rationals()
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    got = ring.dot(xs, ys)
+    assert got == RingDescriptor.dot(ring, xs, ys)
+    assert type(got) is Fraction
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(polys, polys), max_size=4))
+@example(pairs=[])
+@example(pairs=[(Poly.zero(3), Poly.const(3, Fraction(1, 2))), (Poly.variable(2, 3), Poly.const(3, Fraction(-2, 3)))])
+def test_quotient_dot_matches_fold(ring, pairs):
+    xs = [ring.reduce(x) for x, _ in pairs]
+    ys = [ring.reduce(y) for _, y in pairs]
+    assert ring.dot(xs, ys) == RingDescriptor.dot(ring, xs, ys)
+    if xs:
+        assert ring.mul(xs[0], ys[0]) == reference_reduce(ring, xs[0] * ys[0])

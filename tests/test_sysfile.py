@@ -18,6 +18,7 @@ from ringsys.sysfile import PairEntry, SystemFile, emit, parse, parse_text, writ
 from util import rand_matrix
 
 Q = Rationals()
+SPHERE = {"kind": "poly_quotient", "vars": ["x", "y", "z"], "relation": "x^2 + y^2 + z^2 - 1"}
 
 
 def small_file():
@@ -185,6 +186,25 @@ class TestValidation:
                 },
                 "certificates.c.source",
             ),
+            (
+                {"ring": SPHERE, "systems": {"S": {"n": 1, "endo": [["z^100000000"]], "input_gens": [["1"]]}}},
+                "systems.S.endo[0][0]: monomial of total degree over MAX_DEGREE = 64",
+            ),
+            (
+                {"ring": SPHERE, "systems": {"S": {"n": 1, "endo": [["1"]], "input_gens": [["x - x^33*y^31*z"]]}}},
+                "systems.S.input_gens[0][0]: monomial of total degree over MAX_DEGREE = 64",
+            ),
+            (
+                {
+                    "ring": {
+                        "kind": "poly_quotient",
+                        "vars": list("abcdefghz"),
+                        "relation": "z^2 - a^2 - b^2 - c^2 - d^2 - e^2 - f^2 - g^2 - h^2",
+                    },
+                    "systems": {"S": {"n": 1, "endo": [["z^64"]], "input_gens": [["1"]]}},
+                },
+                "systems.S.endo[0][0]: literal costs over MAX_REDUCE_COST = 30000 to reduce",
+            ),
         ],
         ids=[
             "systems-list",
@@ -199,6 +219,9 @@ class TestValidation:
             "float-modulus",
             "string-vars",
             "source-list",
+            "huge-exponent",
+            "degree-over-bound",
+            "costly-reduction",
         ],
     )
     def test_malformed_documents(self, doc, message):

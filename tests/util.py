@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from ringsys import (
     AbelianGroupStructure,
     Integers,
+    Poly,
     RingMatrix,
     canonical_pair,
     column_space_sum,
@@ -14,6 +17,7 @@ from ringsys import (
     rref,
     solve_right,
 )
+from ringsys.rings import grlex_key
 
 
 def rand_matrix(ring, rows, cols, rng, span=3):
@@ -185,3 +189,32 @@ def _det(mat):
         minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
         total += (-1) ** j * mat[0][j] * _det(minor)
     return total
+
+
+def reference_reduce(ring, p):
+    """Normal form of p modulo ring.relation by plain long division, the
+    reference for PolyQuotient.reduce: after every rewrite it re-sorts
+    all monomials and rewrites the largest multiple of the leading
+    monomial, until none is left."""
+    lead_m, lead_c = ring.relation.leading()
+    tail = ring.relation.terms[1:]
+    coeffs = dict(p.terms)
+    while True:
+        target = None
+        for m in sorted(coeffs, key=grlex_key, reverse=True):
+            if all(a <= b for a, b in zip(lead_m, m)):
+                target = m
+                break
+        if target is None:
+            break
+        c = coeffs.pop(target)
+        shift = tuple(a - b for a, b in zip(target, lead_m))
+        # target  ->  -(tail / lead_c) shifted by the quotient monomial
+        for m, tc in tail:
+            mm = tuple(a + b for a, b in zip(m, shift))
+            s = coeffs.get(mm, Fraction(0)) - c * tc / lead_c
+            if s:
+                coeffs[mm] = s
+            else:
+                coeffs.pop(mm, None)
+    return Poly.from_dict(p.nvars, coeffs)
