@@ -23,11 +23,10 @@ from .errors import NotLocallyBrunovsky, NotReachable, ShapeError, UnsupportedRi
 from .linalg import (
     AbelianGroupStructure,
     RingMatrix,
+    _back_substitute,
     _hnf_int,
     cokernel_structure,
-    column_canonical,
     invert,
-    kernel_basis,
     solve_right,
 )
 from .rings import Integers, PolyQuotient, RingDescriptor
@@ -244,35 +243,67 @@ def _report_over_field(sigma: LinearSystem) -> InvariantReport:
     )
 
 
+def _hermite_rows(m: RingMatrix) -> tuple[list[list[int]], list[int]]:
+    # The columns of a column Hermite basis as rows, with their pivots.
+    rows = [list(m.entries[k :: m.cols]) for k in range(m.cols)]
+    return rows, [next(p for p, x in enumerate(r) if x) for r in rows]
+
+
+def _coordinates(basis: tuple[list[list[int]], list[int]], vectors, message: str) -> list[list[int]]:
+    # Coordinates of each vector over a Hermite basis, by back-substitution.
+    coords = []
+    for v in vectors:
+        y = _back_substitute(*basis, v)
+        if y is None:
+            raise RuntimeError(message)
+        coords.append(y)
+    return coords
+
+
 def _report_over_integers(sigma: LinearSystem, chain: list[RingMatrix]) -> InvariantReport:
+    """M, I and Z structures over Z, read off the Hermite chain.
+
+    Every chain basis is in Hermite form, so coordinates over it come
+    from back-substitution.  rel[i] writes N_{i-1} in the basis of N_i
+    and presents I_i.  For i < s, f_mat writes f(N_i) in the basis of
+    N_{i+1}, and Z_i is L / col(rel[i]) for the lattice L of those x
+    with f_mat x in col(rel[i+1]).  L is read from one Hermite form of
+    the rows (f_mat x | x) and (rel[i+1] z | 0): with the image
+    coordinates first, the rows whose pivot lies past them have a zero
+    image part, and their tails are the Hermite basis of L.  The chain
+    stops when f(N_s) <= N_s, so I_{s+1} = 0 and Z_s = I_s.
+    """
     ring = sigma.ring
     n = sigma.state_rank
     s = len(chain) - 1
+    dims = [c.cols for c in chain]
+    bases = [_hermite_rows(c) for c in chain]
     m_structs = tuple(cokernel_structure(chain[i], n) for i in range(1, s + 1))
-    # Relations of I_i = N_i / N_{i-1}: the previous basis written in the
-    # current one.
-    rel = [None]
-    for i in range(1, s + 1):
-        x = solve_right(chain[i], chain[i - 1])
-        if x is None:
-            raise RuntimeError("chain is not increasing")
-        rel.append(x)
-    i_structs = tuple(cokernel_structure(rel[i], chain[i].cols) for i in range(1, s + 1))
+    # rel[i][k]: column k of chain[i - 1] in the basis of chain[i].
+    rel = [None] + [
+        _coordinates(bases[i], bases[i - 1][0], "chain is not increasing") for i in range(1, s + 1)
+    ]
+    i_structs = tuple(
+        cokernel_structure(RingMatrix._of_columns(ring, rel[i], dims[i]), dims[i]) for i in range(1, s + 1)
+    )
     z_structs = []
-    for i in range(1, s + 1):
-        nxt = chain[i + 1] if i < s else chain[s]
-        rel_next = rel[i + 1] if i < s else RingMatrix.identity(ring, chain[s].cols)
-        f_mat = solve_right(nxt, sigma.endo @ chain[i])
-        if f_mat is None:
-            raise RuntimeError("chain construction violated f(N_i) <= N_{i+1}")
-        # Lattice of generators mapping into the relations of I_{i+1}.
-        paired = kernel_basis(f_mat.hstack(-rel_next))
-        top = RingMatrix(ring, chain[i].cols, paired.cols, paired.entries[: chain[i].cols * paired.cols])
-        preimage = column_canonical(top)
-        y = solve_right(preimage, rel[i])
-        if y is None:
-            raise RuntimeError("relations escaped their preimage lattice")
-        z_structs.append(cokernel_structure(y, preimage.cols))
+    for i in range(1, s):
+        d, r = dims[i], dims[i + 1]
+        image = sigma.endo @ chain[i]
+        f_cols = _coordinates(
+            bases[i + 1],
+            (image.entries[j :: d] for j in range(d)),
+            "chain construction violated f(N_i) <= N_{i+1}",
+        )
+        rows = [f + [1 if k == j else 0 for k in range(d)] for j, f in enumerate(f_cols)]
+        rows += [g + [0] * d for g in rel[i + 1]]
+        h, _, pivots = _hnf_int(rows, len(rows), r + d, transform=False)
+        keep = [k for k, p in enumerate(pivots) if p >= r]
+        preimage = ([h[k][r:] for k in keep], [pivots[k] - r for k in keep])
+        y = _coordinates(preimage, rel[i], "relations escaped their preimage lattice")
+        z_structs.append(cokernel_structure(RingMatrix._of_columns(ring, y, len(keep)), len(keep)))
+    if s:
+        z_structs.append(i_structs[-1])
     reachable = chain[s] == RingMatrix.identity(ring, n)
     structures = list(m_structs) + list(i_structs) + list(z_structs)
     locally = reachable and all(st.is_free for st in structures)

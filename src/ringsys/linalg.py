@@ -498,28 +498,37 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> Optional[RingMatrix]:
     return RingMatrix._of_rows(ring, x, b.cols)
 
 
+def _back_substitute(basis: list[list[int]], pivots: list[int], target: Sequence[int]) -> Optional[list[int]]:
+    """Coordinates y with sum_r y[r] * basis[r] = target, or None.
+
+    ``basis`` is a row-style Hermite basis (row r is zero before its
+    pivot ``pivots[r]``, and the pivots increase), so the coordinates
+    are forced one pivot at a time: each division must be exact, and
+    nothing may be left of the target once every pivot is walked.
+    """
+    y = []
+    for row, p in zip(basis, pivots):
+        q, rem = divmod(target[p], row[p])
+        if rem:
+            return None
+        y.append(q)
+        if q:
+            target = [x - q * h for x, h in zip(target, row)]
+    if any(target):
+        return None
+    return y
+
+
 def _solve_right_int(a: RingMatrix, b: RingMatrix) -> Optional[RingMatrix]:
     hrow, urow, pivots = _hnf_int(a.transpose().to_lists(), a.cols, a.rows)
     # a @ W = Hcol with W = urow^T, Hcol = hrow^T (column staircase).
-    rank = len(pivots)
     cols_x = []
     for j in range(b.cols):
-        target = [b.entry(i, j) for i in range(a.rows)]
-        y = [0] * a.cols
-        for r in range(rank):
-            p = pivots[r]
-            piv = hrow[r][p]
-            if target[p] % piv:
-                return None
-            q = target[p] // piv
-            y[r] = q
-            if q:
-                target = [x - q * hc for x, hc in zip(target, hrow[r])]
-        if any(target):
+        y = _back_substitute(hrow, pivots, b.entries[j :: b.cols])
+        if y is None:
             return None
         # x = W @ y = urow^T @ y
-        col = [sum(urow[r][i] * y[r] for r in range(a.cols)) for i in range(a.cols)]
-        cols_x.append(col)
+        cols_x.append([sum(u[i] * c for u, c in zip(urow, y)) for i in range(a.cols)])
     return RingMatrix._of_columns(a.ring, cols_x, a.cols)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,7 @@ from util import (
     rand_system,
     reference_field_chain,
     reference_integer_chain,
+    reference_integer_report,
 )
 
 Q = Rationals()
@@ -256,10 +258,33 @@ class TestChainProperties:
             sigma = from_pair(a, b)
             rep = compute_chain(sigma)
             assert rep.chain == reference_integer_chain(sigma)
-            expected = _signature_or_error(lambda s: signature_from_report(compute_chain(s)), sigma)
+            expected = _signature_or_error(lambda s: signature_from_report(reference_integer_report(s)), sigma)
             assert _signature_or_error(z_signature, sigma) == expected
             seen.add((sigma.state_rank == 0, rep.reachable, rep.locally_brunovsky))
         assert seen == {(True, True, True), (False, True, True), (False, True, False), (False, False, False)}
+
+    def test_integer_structures_match_reference(self):
+        # The back-substituted M/I/Z structures against the solve_right /
+        # kernel_basis path, on the same systems as above plus
+        # torsion-heavy ones: one input column of a locally Brunovsky
+        # pair scaled by 2-6.
+        rng = random.Random(27)
+        stall = (mat(Z, [[0, 1], [0, 0]]), mat(Z, [[2, 0], [0, 1]]))
+        pairs = [stall] + [_rand_integer_pair(rng, k) for k in range(240)]
+        rng = random.Random(28)
+        for _ in range(60):
+            _, a, b = rand_locally_brunovsky_pair(Z, rng, rng.randint(1, 5), extra_cols=rng.randint(0, 1))
+            j, c = rng.randrange(b.cols), rng.randint(2, 6)
+            cols = [[c * x for x in col.entries] if t == j else col.entries for t, col in enumerate(b.columns())]
+            pairs.append((a, RingMatrix.from_columns(Z, cols, rows=b.rows)))
+        torsion = Counter()
+        for a, b in pairs:
+            sigma = from_pair(a, b)
+            rep = compute_chain(sigma)
+            assert rep == reference_integer_report(sigma)
+            for family in "MIZ":
+                torsion[family] += sum(not x.is_free for x in getattr(rep, family))
+        assert min(torsion.values()) > 0
 
     @pytest.mark.parametrize("ring", [Q, F2], ids=str)
     def test_feedback_invariance_of_signature(self, ring):

@@ -239,6 +239,51 @@ class TestTransformFree:
             assert uu is not None and v is not None
 
 
+class TestBackSubstitution:
+    def test_agrees_with_solve_right(self):
+        # Coordinates over a Hermite basis by back-substitution, against
+        # solve_right: exact for lattice members, None for targets off by
+        # a multiple the pivot does not divide or outside the span.
+        from ringsys.linalg import _back_substitute
+
+        rng = random.Random(41)
+        seen = set()
+        for k in range(300):
+            n = rng.randint(1, 6)
+            basis = column_canonical(rand_matrix(Z, n, rng.randint(0, 5), rng, span=4))
+            rows = [list(basis.entries[j :: basis.cols]) for j in range(basis.cols)]
+            pivots = [next(p for p, x in enumerate(r) if x) for r in rows]
+            coeffs = [rng.randint(-5, 5) for _ in rows]
+            inside = [sum(c * r[i] for c, r in zip(coeffs, rows)) for i in range(n)]
+            targets = [(inside, coeffs)]
+            for r, p in zip(rows, pivots):
+                if r[p] > 1:
+                    off = inside[:]
+                    off[p] += rng.choice([t for t in range(1, 2 * r[p]) if t % r[p]])
+                    targets.append((off, None))
+            for j in set(range(n)) - set(pivots):
+                targets.append(([x + (i == j) for i, x in enumerate(inside)], None))
+            for target, expected in targets:
+                y = _back_substitute(rows, pivots, target)
+                assert y == expected
+                x = solve_right(basis, RingMatrix.from_columns(Z, [target], rows=n))
+                assert (x is None) == (y is None)
+                if x is not None:
+                    assert list(x.entries) == y
+                seen.add((len(rows), expected is None))
+        assert {(0, False), (0, True), (5, False), (5, True)} <= seen
+
+    def test_zero_column_basis(self):
+        from ringsys.linalg import _back_substitute
+
+        assert _back_substitute([], [], [0, 0, 0]) == []
+        assert _back_substitute([], [], [0, 1, 0]) is None
+        assert _back_substitute([], [], []) == []
+        empty = RingMatrix.zeros(Z, 3, 0)
+        assert solve_right(empty, mat(Z, [[0], [0], [0]])) == RingMatrix.zeros(Z, 0, 1)
+        assert solve_right(empty, mat(Z, [[0], [1], [0]])) is None
+
+
 class TestColumnSpaces:
     def test_unit_vectors(self):
         e1 = mat(Q, [[1], [0], [0]])

@@ -7,12 +7,16 @@ from fractions import Fraction
 from ringsys import (
     AbelianGroupStructure,
     Integers,
+    InvariantReport,
     Poly,
     RingMatrix,
     canonical_pair,
+    cokernel_structure,
+    column_canonical,
     column_space_sum,
     from_pair,
     invert,
+    kernel_basis,
     membership,
     rref,
     solve_right,
@@ -90,6 +94,54 @@ def reference_integer_chain(sigma):
         if nxt == chain[-1]:
             return tuple(chain)
         chain.append(nxt)
+
+
+def reference_integer_report(sigma):
+    """From-scratch invariant report over Z, the reference for compute_chain.
+
+    Takes the chain from reference_integer_chain and builds every
+    structure through the general solvers: relations and induced maps
+    by solve_right, the lattice of generators mapping into the next
+    layer's relations as the top of a kernel_basis, canonicalised by
+    column_canonical.  The last layer maps to I_{s+1} = 0, written as
+    N_s modulo itself.
+    """
+    ring, n = sigma.ring, sigma.state_rank
+    chain = list(reference_integer_chain(sigma))
+    s = len(chain) - 1
+    m_structs = tuple(cokernel_structure(chain[i], n) for i in range(1, s + 1))
+    rel = [None]
+    for i in range(1, s + 1):
+        x = solve_right(chain[i], chain[i - 1])
+        assert x is not None, "chain is not increasing"
+        rel.append(x)
+    i_structs = tuple(cokernel_structure(rel[i], chain[i].cols) for i in range(1, s + 1))
+    z_structs = []
+    for i in range(1, s + 1):
+        nxt = chain[i + 1] if i < s else chain[s]
+        rel_next = rel[i + 1] if i < s else RingMatrix.identity(ring, chain[s].cols)
+        f_mat = solve_right(nxt, sigma.endo @ chain[i])
+        assert f_mat is not None, "f(N_i) escaped N_{i+1}"
+        paired = kernel_basis(f_mat.hstack(-rel_next))
+        d = chain[i].cols
+        top = RingMatrix(ring, d, paired.cols, paired.entries[: d * paired.cols])
+        preimage = column_canonical(top)
+        y = solve_right(preimage, rel[i])
+        assert y is not None, "relations escaped their preimage lattice"
+        z_structs.append(cokernel_structure(y, preimage.cols))
+    reachable = chain[s] == RingMatrix.identity(ring, n)
+    structures = m_structs + i_structs + tuple(z_structs)
+    return InvariantReport(
+        ring=ring,
+        state_rank=n,
+        chain=tuple(chain),
+        s=s,
+        M=m_structs,
+        I=i_structs,
+        Z=tuple(z_structs),
+        reachable=reachable,
+        locally_brunovsky=reachable and all(st.is_free for st in structures),
+    )
 
 
 def reference_field_chain(sigma):
