@@ -136,10 +136,10 @@ class RingMatrix:
         self._check_ring(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        dot, k, w = self.ring.dot, self.cols, other.cols
+        k, w = self.cols, other.cols
         rows = [self.entries[i * k : (i + 1) * k] for i in range(self.rows)]
         cols = [other.entries[j::w] for j in range(w)]
-        return RingMatrix(self.ring, self.rows, w, tuple(dot(r, c) for r in rows for c in cols))
+        return RingMatrix(self.ring, self.rows, w, tuple(self.ring.products(rows, cols)))
 
     def scale(self, scalar) -> "RingMatrix":
         s = self.ring.element(scalar).value

@@ -68,7 +68,8 @@ class Poly:
 
     @staticmethod
     def const(nvars: int, c) -> "Poly":
-        return Poly.from_dict(nvars, {(0,) * nvars: Fraction(c)})
+        c = c if type(c) is Fraction else Fraction(c)
+        return Poly(nvars, (((0,) * nvars, c),) if c else ())
 
     @staticmethod
     def variable(index: int, nvars: int) -> "Poly":
@@ -109,7 +110,9 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        return Poly.from_dict(self.nvars, _product_terms([(self, other)]))
+        (x,), xd = _cleared((self,))
+        (y,), yd = _cleared((other,))
+        return _divided(Poly.from_dict(self.nvars, _product_terms([(x, y)])), xd * yd)
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
@@ -118,18 +121,37 @@ class Poly:
         return Poly(self.nvars, tuple((m, coef * c) for m, coef in self.terms))
 
 
-def _product_terms(pairs) -> dict[Monomial, Fraction]:
-    """Coefficients of the sum of the products of the paired polynomials,
-    unsorted and unreduced; cancelled monomials keep a zero."""
-    coeffs: dict[Monomial, Fraction] = {}
+def _cleared(polys) -> tuple[list[list[tuple[Monomial, int]]], int]:
+    """The polynomials as integer term lists over one denominator, the
+    lcm of all their coefficients' denominators."""
+    den = math.lcm(*[c.denominator for p in polys for _, c in p.terms])
+    return [[(m, c.numerator * (den // c.denominator)) for m, c in p.terms] for p in polys], den
+
+
+def _product_terms(pairs) -> dict[Monomial, int]:
+    """Coefficients of the sum of the products of paired integer term
+    lists, unsorted and unreduced; cancelled monomials keep a zero."""
+    coeffs: dict[Monomial, int] = {}
     get, add = coeffs.get, operator.add
     for x, y in pairs:
-        for m1, c1 in x.terms:
-            for m2, c2 in y.terms:
+        for m1, c1 in x:
+            for m2, c2 in y:
                 m = tuple(map(add, m1, m2))
-                old = get(m)
-                coeffs[m] = c1 * c2 if old is None else old + c1 * c2
+                coeffs[m] = get(m, 0) + c1 * c2
     return coeffs
+
+
+def _divided(p: Poly, den: int) -> Poly:
+    """p with every coefficient divided by the positive integer den."""
+    if den == 1:
+        return p
+    return Poly(p.nvars, tuple((m, Fraction(c.numerator, c.denominator * den)) for m, c in p.terms))
+
+
+def _cleared_fractions(xs) -> tuple[list[int], int]:
+    """The rationals as integer numerators over the lcm of their denominators."""
+    den = math.lcm(*[x.denominator for x in xs])
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 # Miller-Rabin with the first 13 prime bases is exact for every n below
@@ -214,6 +236,12 @@ class RingDescriptor:
             acc = add(acc, mul(x, y))
         return acc
 
+    def products(self, rows, cols) -> list:
+        """Row-major entries of a matrix product: the dot product of each
+        row with each column, both given as sequences of payloads."""
+        dot = self.dot
+        return [dot(r, c) for r in rows for c in cols]
+
     def is_zero(self, a) -> bool:
         return a == self.zero()
 
@@ -280,12 +308,15 @@ class Rationals(RingDescriptor):
         return a * b
 
     def dot(self, xs, ys):
-        # one Fraction at the end: the products are summed over the lcm
-        # of their denominators, so the gcd work is done once per entry
-        dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
-        den = math.lcm(*dens)
-        num = sum(x.numerator * y.numerator * (den // d) for x, y, d in zip(xs, ys, dens))
-        return Fraction(num, den)
+        return self.products((xs,), (ys,))[0]
+
+    def products(self, rows, cols):
+        # denominators are cleared once per row and per column, so each
+        # entry is an integer dot product and one Fraction
+        rows = [_cleared_fractions(r) for r in rows]
+        cols = [_cleared_fractions(c) for c in cols]
+        mul = operator.mul
+        return [Fraction(sum(map(mul, rn, cn)), rd * cd) for rn, rd in rows for cn, cd in cols]
 
     def neg(self, a):
         return -a
@@ -459,8 +490,11 @@ class PolyQuotient(RingDescriptor):
             raise ValueError("relation must be nonzero and non-constant")
         # The leading coefficient is a nonzero rational, hence invertible:
         # lead -> sum of rule terms is the rewrite that reduce applies.
+        # An integral rule is kept as ints, so reducing an integer
+        # coefficient map stays in integer arithmetic.
         (lead_m, lead_c), *tail = self.relation.terms
         rule = tuple((m, -c / lead_c) for m, c in tail)
+        rule = tuple((m, c.numerator if c.denominator == 1 else c) for m, c in rule)
         rule_bits = max((c.numerator.bit_length() + c.denominator.bit_length() for _, c in rule), default=0)
         object.__setattr__(self, "_rewrite", (lead_m, rule, rule_bits))
 
@@ -477,12 +511,20 @@ class PolyQuotient(RingDescriptor):
         return a - b
 
     def mul(self, a, b):
-        return self.dot((a,), (b,))
+        return self.products(((a,),), ((b,),))[0]
 
     def dot(self, xs, ys):
-        # every term product goes into one coefficient map, reduced once:
-        # reduction is a ring homomorphism, so the normal form is the same
-        return self.reduce(_product_terms(zip(xs, ys)))
+        return self.products((xs,), (ys,))[0]
+
+    def products(self, rows, cols):
+        # Denominators are cleared once per row and per column.  Every
+        # term product of an entry goes into one integer coefficient map,
+        # reduced once (reduction is Q-linear and a ring homomorphism, so
+        # the normal form is the same) and divided once.
+        rows = [_cleared(r) for r in rows]
+        cols = [_cleared(c) for c in cols]
+        reduce = self.reduce
+        return [_divided(reduce(_product_terms(zip(rn, cn))), rd * cd) for rn, rd in rows for cn, cd in cols]
 
     def neg(self, a):
         return -a
@@ -490,9 +532,10 @@ class PolyQuotient(RingDescriptor):
     def is_zero(self, a) -> bool:
         return a.is_zero
 
-    def reduce(self, p: Poly | dict[Monomial, Fraction], max_cost: int | None = None) -> Poly:
+    def reduce(self, p: Poly | dict[Monomial, Fraction | int], max_cost: int | None = None) -> Poly:
         """Normal form modulo the relation of p, a polynomial or a map
-        from monomials to coefficients (in any order, zeros allowed).
+        from monomials to rational or integer coefficients (in any
+        order, zeros allowed).
         With max_cost, a reduction that would cost more (counted as for
         MAX_REDUCE_COST) raises ElementSyntaxError instead.
 
@@ -554,6 +597,15 @@ class PolyQuotient(RingDescriptor):
         return Poly.variable(self.variables.index(name), len(self.variables))
 
     def parse_payload(self, text: str):
+        # A rational constant is already in normal form.  Any other
+        # literal, and a constant that fails, goes through the tokenizer,
+        # which owns the error messages.
+        m = _RAT_LIT.match(text.strip())
+        if m:
+            try:
+                return Poly.const(len(self.variables), Fraction(int(m.group(1)), int(m.group(2) or 1)))
+            except (ValueError, ZeroDivisionError):
+                pass
         return self.reduce(_parse_terms(text, self.variables), MAX_REDUCE_COST)
 
     def format_payload(self, a) -> str:

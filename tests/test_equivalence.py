@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,8 @@ from ringsys import (
     K0Class,
     NotLocallyBrunovsky,
     OrbitSizeError,
+    Poly,
+    PolyQuotient,
     PrimeField,
     Rationals,
     RingMatrix,
@@ -31,18 +34,20 @@ from ringsys import (
     is_morphism,
     k0_class,
     orbit_crosscheck,
+    parse_polynomial,
     stabilize_certificate,
     stable_equivalent,
     verify_certificate,
     z_signature,
     zero_system,
 )
-from util import rand_invertible, rand_locally_brunovsky_pair, rand_matrix, rand_system
+from util import rand_invertible, rand_locally_brunovsky_pair, rand_matrix, rand_system, reference_verify
 
 Q = Rationals()
 Z = Integers()
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+SPHERE = PolyQuotient(("x", "y", "z"), parse_polynomial("x^2+y^2+z^2-1", ("x", "y", "z")))
 
 
 def mat(ring, rows):
@@ -201,6 +206,77 @@ class TestVerifyCertificate:
             bad_kw = RingMatrix(Q, m, s.state_rank, tuple(ent))
             r = verify_certificate(s, s, IsoCertificate(good.phi, good.psi, good.U, good.V, bad_kw))
             assert not r.accepted and r.reason == "Kw-identity"
+
+    def test_one_product_matches_reference(self):
+        """verify_certificate decides the inverse identity from phi psi
+        alone; verdicts and reasons match the two-product reference."""
+        rng = random.Random(41)
+        checked = {}
+        for ring in (Q, PrimeField(101), Z, SPHERE):
+            for _ in range(12):
+                for i, (s1, s2, cert) in enumerate(self._certificates(ring, rng)):
+                    got = verify_certificate(s1, s2, cert)
+                    assert got == reference_verify(s1, s2, cert)
+                    assert got.accepted or i > 0
+                    checked[got.reason] = checked.get(got.reason, 0) + 1
+        assert set(checked) == {None, "inverse", "U-identity", "V-identity", "Kw-identity"}
+
+    @staticmethod
+    def _certificates(ring, rng):
+        """A valid certificate, the same with one entry of a witness
+        perturbed, and certificates between systems of different state
+        ranks, one of them with phi psi = I."""
+        n, m = rng.randint(1, 3), rng.randint(1, 2)
+
+        def rand(rows, cols):
+            if ring != SPHERE:
+                return rand_matrix(ring, rows, cols, rng)
+            entries = []
+            for _ in range(rows * cols):
+                coeffs = {(rng.randint(0, 2), rng.randint(0, 1), rng.randint(0, 2)): rng.randint(-3, 3)}
+                entries.append(Poly.from_dict(3, coeffs).scale(Fraction(1, rng.randint(1, 3))))
+            return RingMatrix.from_rows(ring, [entries[i * cols : (i + 1) * cols] for i in range(rows)], cols=cols)
+
+        a, b, k = rand(n, n), rand(n, m), rand(m, n)
+        if ring == SPHERE:
+            # unit lower-triangular P and Q have inverses sum (-N)^i over any ring
+            def unit_lower(size):
+                nil = RingMatrix.from_rows(
+                    ring, [[x if i > j else ring.zero() for j, x in enumerate(r)] for i, r in enumerate(rand(size, size).to_lists())]
+                )
+                inv, power = RingMatrix.identity(ring, size), RingMatrix.identity(ring, size)
+                for _ in range(size):
+                    power = power @ -nil
+                    inv = inv + power
+                return RingMatrix.identity(ring, size) + nil, inv
+
+            (p, p_inv), (q, q_inv) = unit_lower(n), unit_lower(m)
+            s1 = from_pair(a, b)
+            s2 = from_pair(p @ (a + b @ k) @ p_inv, p @ b @ q)
+            cert = IsoCertificate(p, p_inv, q_inv, q, q_inv @ k)
+        else:
+            s1, s2, cert = certificate_from_action(a, b, rand_invertible(ring, n, rng), k, rand_invertible(ring, m, rng))
+        yield s1, s2, cert
+        for name in ("phi", "psi", "U", "V", "Kw"):
+            w = getattr(cert, name)
+            if not w.entries:
+                continue
+            entries = list(w.entries)
+            i = rng.randrange(len(entries))
+            entries[i] = ring.add(entries[i], ring.one())
+            fields = {f: getattr(cert, f) for f in ("phi", "psi", "U", "V", "Kw")}
+            fields[name] = RingMatrix(ring, w.rows, w.cols, tuple(entries))
+            yield s1, s2, IsoCertificate(**fields)
+        # a smaller target: phi = [I 0] and psi = [I; 0] give phi psi = I
+        # but psi phi != I; then the same with random maps
+        n2 = rng.randint(0, n - 1)
+        t = from_pair(rand(n2, n2), rand(n2, m))
+        phi = RingMatrix.identity(ring, n2).hstack(RingMatrix.zeros(ring, n2, n - n2))
+        assert phi @ phi.transpose() == RingMatrix.identity(ring, n2)
+        m1, mt = s1.input_gens.cols, t.input_gens.cols
+        yield s1, t, IsoCertificate(phi, phi.transpose(), rand(mt, m1), rand(m1, mt), rand(mt, n))
+        yield t, s1, IsoCertificate(phi.transpose(), phi, rand(m1, mt), rand(mt, m1), rand(m1, n2))
+        yield s1, t, IsoCertificate(rand(n2, n), rand(n, n2), rand(mt, m1), rand(m1, mt), rand(mt, n))
 
     def test_direct_sum_descends_to_classes(self):
         rng = random.Random(40)

@@ -24,8 +24,8 @@ from ringsys import (
     solve_right,
     try_invert,
 )
-from ringsys.rings import MAX_DEGREE, MAX_REDUCE_COST
-from util import reference_reduce
+from ringsys.rings import MAX_DEGREE, MAX_REDUCE_COST, _parse_terms
+from util import reference_product, reference_reduce
 
 VARS = ("x", "y", "z")
 SPHERE_REL = parse_polynomial("x^2+y^2+z^2-1", VARS)
@@ -374,3 +374,111 @@ def test_quotient_dot_matches_fold(ring, pairs):
     assert ring.dot(xs, ys) == RingDescriptor.dot(ring, xs, ys)
     if xs:
         assert ring.mul(xs[0], ys[0]) == reference_reduce(ring, xs[0] * ys[0])
+
+
+# Rings for the matrix-product kernels: the default fold (Z, GF(p)), the
+# cleared-denominator kernels over Q and over quotient rings, whose
+# rewrite rule is integral (sphere) or not (the non-monic relation).
+PRODUCT_RINGS = [Rationals(), Integers(), PrimeField(101), sphere_ring(), REFERENCE_RINGS[2]]
+
+
+def product_elements(ring):
+    if isinstance(ring, Rationals):
+        elems = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    elif isinstance(ring, Integers):
+        elems = st.integers(-50, 50)
+    elif isinstance(ring, PrimeField):
+        elems = st.integers(0, ring.p - 1)
+    else:
+        elems = polys.map(ring.reduce)
+    return st.one_of(st.just(ring.zero()), elems)
+
+
+def assert_products_match_fold(a, b):
+    ring = a.ring
+    got = a @ b
+    cols = [b.column(j).entries for j in range(b.cols)]
+    expected = [RingDescriptor.dot(ring, a.row_list(i), c) for i in range(a.rows) for c in cols]
+    assert got == RingMatrix(ring, a.rows, b.cols, tuple(expected))
+    for i in range(a.rows):
+        for j, c in enumerate(cols):
+            v = got.entry(i, j)
+            if isinstance(ring, PolyQuotient):
+                # independent of the integer kernels: Fraction products, long division
+                total = Poly.zero(ring.relation.nvars)
+                for x, y in zip(a.row_list(i), c):
+                    total = total + reference_product(x, y)
+                assert v == reference_reduce(ring, total)
+                assert all(type(coeff) is Fraction for _, coeff in v.terms)
+            elif isinstance(ring, Rationals):
+                assert type(v) is Fraction
+            else:
+                assert type(v) is int
+
+
+@pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_products_match_fold(ring, data):
+    rows, inner, cols = (data.draw(st.integers(0, 3)) for _ in range(3))
+    elems = product_elements(ring)
+    a = data.draw(st.lists(elems, min_size=rows * inner, max_size=rows * inner))
+    b = data.draw(st.lists(elems, min_size=inner * cols, max_size=inner * cols))
+    assert_products_match_fold(RingMatrix(ring, rows, inner, tuple(a)), RingMatrix(ring, inner, cols, tuple(b)))
+
+
+@pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=str)
+def test_products_edge_cases(ring):
+    rng = random.Random(61)
+
+    def element():
+        if isinstance(ring, Rationals):
+            return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12)))
+        if isinstance(ring, PolyQuotient):
+            coeffs = {tuple(rng.randint(0, 2) for _ in VARS): Fraction(rng.randint(-4, 4), rng.randint(1, 6))}
+            return ring.reduce(Poly.from_dict(3, coeffs))
+        return ring.from_int(rng.randint(-9, 9))
+
+    def matrix(rows, cols, zero_rows=()):
+        entries = [ring.zero() if i in zero_rows else element() for i in range(rows) for _ in range(cols)]
+        return RingMatrix(ring, rows, cols, tuple(entries))
+
+    # 0-row, 0-column and inner-dimension-0 shapes: the zero matrix
+    for r, k, w in ((0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 0, 0), (0, 3, 0)):
+        assert matrix(r, k) @ matrix(k, w) == RingMatrix.zeros(ring, r, w)
+        assert_products_match_fold(matrix(r, k), matrix(k, w))
+    # all-zero rows and columns among rows with several distinct denominators
+    a, b = matrix(3, 3, zero_rows=(1,)), matrix(3, 4, zero_rows=(0, 2))
+    assert_products_match_fold(a, b)
+    assert_products_match_fold(b.transpose(), a.transpose())
+    assert_products_match_fold(RingMatrix.zeros(ring, 2, 3), matrix(3, 2))
+    if isinstance(ring, Rationals):
+        row = RingMatrix(ring, 1, 3, (Fraction(1, 2), Fraction(1, 3), Fraction(5, 7)))
+        col = RingMatrix(ring, 3, 1, (Fraction(2, 5), Fraction(-3, 4), Fraction(1, 6)))
+        assert (row @ col).entries == (Fraction(1, 5) - Fraction(1, 4) + Fraction(5, 42),)
+
+
+# Rational constants skip the tokenizer; the result, or the error, must
+# be the tokenizer's.
+CONSTANT_LITERALS = ["0", "-3", "5/10", "+7", " 1 ", "1/0", "-0", "0/4", "\t12/8\n"]
+CONSTANT_LITERALS += ["7" * 5000, "-" + "7" * 5000, "1/" + "7" * 5000, "7" * 5000 + "/0"]
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS[::2], ids=str)
+@pytest.mark.parametrize("text", CONSTANT_LITERALS, ids=lambda t: t if len(t) < 10 else f"{len(t)} chars")
+def test_constant_literals_match_tokenizer(ring, text):
+    def outcome(parse):
+        try:
+            return parse(), None
+        except ElementSyntaxError as exc:
+            return None, str(exc)
+
+    expected = outcome(lambda: ring.reduce(_parse_terms(text, ring.variables), MAX_REDUCE_COST))
+    assert outcome(lambda: ring.parse_payload(text)) == expected
+    value, error = expected
+    if text == "1/0":
+        assert error == "zero denominator"
+    elif len(text) >= 5000:
+        assert "5000 digits is too long" in error
+    else:
+        assert error is None and value.is_constant and all(type(c) is Fraction for _, c in value.terms)

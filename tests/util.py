@@ -6,10 +6,14 @@ from fractions import Fraction
 
 from ringsys import (
     AbelianGroupStructure,
+    DescriptorMismatch,
     Integers,
     InvariantReport,
+    IsoCertificate,
     Poly,
     RingMatrix,
+    ShapeError,
+    VerifyResult,
     canonical_pair,
     cokernel_structure,
     column_canonical,
@@ -270,3 +274,51 @@ def reference_reduce(ring, p):
             else:
                 coeffs.pop(mm, None)
     return Poly.from_dict(p.nvars, coeffs)
+
+
+def reference_product(p, q):
+    """Product of two polynomials term by term in Fraction arithmetic,
+    the reference for the integer kernels of Poly and PolyQuotient."""
+    coeffs = {}
+    for m1, c1 in p.terms:
+        for m2, c2 in q.terms:
+            m = tuple(a + b for a, b in zip(m1, m2))
+            coeffs[m] = coeffs.get(m, Fraction(0)) + c1 * c2
+    return Poly.from_dict(p.nvars, coeffs)
+
+
+def reference_verify(s1, s2, cert):
+    """Certificate check with both inverse products phi psi = I and
+    psi phi = I, the reference for verify_certificate, which decides the
+    inverse identity from phi psi alone."""
+    if s1.ring != s2.ring:
+        raise DescriptorMismatch("certificate endpoints live in different rings")
+    n1, n2 = s1.state_rank, s2.state_rank
+    g1, g2 = s1.input_gens, s2.input_gens
+
+    def conform(m, rows, cols, name):
+        if m.rows == rows and m.cols == cols:
+            return m
+        if not m.entries and rows * cols == 0:
+            return RingMatrix.zeros(m.ring, rows, cols)
+        raise ShapeError(f"{name} must be {rows}x{cols}, got {m.rows}x{m.cols}")
+
+    cert = IsoCertificate(
+        conform(cert.phi, n2, n1, "phi"),
+        conform(cert.psi, n1, n2, "psi"),
+        conform(cert.U, g2.cols, g1.cols, "U"),
+        conform(cert.V, g1.cols, g2.cols, "V"),
+        conform(cert.Kw, g2.cols, n1, "Kw"),
+    )
+    ring = s1.ring
+    if cert.phi @ cert.psi != RingMatrix.identity(ring, n2) or cert.psi @ cert.phi != RingMatrix.identity(ring, n1):
+        return VerifyResult(False, "inverse")
+    mapped = cert.phi @ g1
+    if mapped != g2 @ cert.U:
+        return VerifyResult(False, "U-identity")
+    if g2 != mapped @ cert.V:
+        return VerifyResult(False, "V-identity")
+    defect = s2.endo @ cert.phi - cert.phi @ s1.endo
+    if defect != g2 @ cert.Kw:
+        return VerifyResult(False, "Kw-identity")
+    return VerifyResult(True)
