@@ -4,9 +4,10 @@ For a system (R^n, f, B) the chain N_0 = 0, N_i = B + f(N_{i-1})
 stabilises and carries three derived families: quotients M_i = X/N_i,
 layers I_i = N_i/N_{i-1}, and the kernels Z_i of the f-induced maps
 I_i -> I_{i+1}.  Over a field these are dimensions; over the integers
-they are finitely generated abelian groups computed from Smith forms
-of presentation matrices.  The finite-support sequence of the Z-layers
-is a complete feedback invariant on the class of systems whose
+they are finitely generated abelian groups, read from split exact
+sequences where a module in them is free and from Smith forms of
+presentation matrices otherwise.  The finite-support sequence of the
+Z-layers is a complete feedback invariant on the class of systems whose
 invariants are all projective, and over fields it is equivalent to the
 classical controllability partition.
 """
@@ -260,25 +261,48 @@ def _coordinates(basis: tuple[list[list[int]], list[int]], vectors, message: str
     return coords
 
 
+def _quotient_structure(basis: RingMatrix, n: int) -> AbelianGroupStructure:
+    """Z^n / col(basis) for a column Hermite basis.
+
+    When every pivot is 1, the rows at the pivots form a unit
+    lower-triangular minor, so the basis extends to a basis of Z^n and
+    the quotient is free of rank n - d.  Otherwise the Smith form
+    decides.
+    """
+    cols = basis.cols
+    if all(next(filter(None, basis.entries[k::cols])) == 1 for k in range(cols)):
+        return AbelianGroupStructure(n - cols, ())
+    return cokernel_structure(basis, n)
+
+
 def _report_over_integers(sigma: LinearSystem, chain: list[RingMatrix]) -> InvariantReport:
     """M, I and Z structures over Z, read off the Hermite chain.
 
     Every chain basis is in Hermite form, so coordinates over it come
     from back-substitution.  rel[i] writes N_{i-1} in the basis of N_i
-    and presents I_i.  For i < s, f_mat writes f(N_i) in the basis of
-    N_{i+1}, and Z_i is L / col(rel[i]) for the lattice L of those x
-    with f_mat x in col(rel[i+1]).  L is read from one Hermite form of
-    the rows (f_mat x | x) and (rel[i+1] z | 0): with the image
-    coordinates first, the rows whose pivot lies past them have a zero
-    image part, and their tails are the Hermite basis of L.  The chain
-    stops when f(N_s) <= N_s, so I_{s+1} = 0 and Z_s = I_s.
+    and presents I_i.  Three exact rules give most of the rest:
+
+    - f induces a surjection I_i -> I_{i+1} with kernel Z_i.  When
+      I_{i+1} is free it splits, so Z_i has rank I_i - rank I_{i+1}
+      and the torsion of I_i.  The chain stops when f(N_s) <= N_s, so
+      I_{s+1} = 0 and the rule always gives Z_s = I_s.
+    - 0 -> I_i -> M_{i-1} -> M_i -> 0 splits when M_i is free, so
+      M_{i-1} then has rank n - d_{i-1} and the torsion of I_i; the M
+      are read top down from M_s.
+    - Any other M_i is a chain-level quotient (``_quotient_structure``).
+
+    When I_{i+1} has torsion, Z_i is L / col(rel[i]) for the lattice L
+    of those x with f_mat x in col(rel[i+1]), where f_mat writes f(N_i)
+    in the basis of N_{i+1}.  L is read from one Hermite form of the
+    rows (f_mat x | x) and (rel[i+1] z | 0): with the image coordinates
+    first, the rows whose pivot lies past them have a zero image part,
+    and their tails are the Hermite basis of L.
     """
     ring = sigma.ring
     n = sigma.state_rank
     s = len(chain) - 1
     dims = [c.cols for c in chain]
     bases = [_hermite_rows(c) for c in chain]
-    m_structs = tuple(cokernel_structure(chain[i], n) for i in range(1, s + 1))
     # rel[i][k]: column k of chain[i - 1] in the basis of chain[i].
     rel = [None] + [
         _coordinates(bases[i], bases[i - 1][0], "chain is not increasing") for i in range(1, s + 1)
@@ -286,8 +310,21 @@ def _report_over_integers(sigma: LinearSystem, chain: list[RingMatrix]) -> Invar
     i_structs = tuple(
         cokernel_structure(RingMatrix._of_columns(ring, rel[i], dims[i]), dims[i]) for i in range(1, s + 1)
     )
+    # layers[i] is I_i for 1 <= i <= s + 1, with I_{s+1} = 0.
+    layers = (None,) + i_structs + (AbelianGroupStructure(0, ()),)
+    m_down: list[AbelianGroupStructure] = []  # M_s, M_{s-1}, ..., M_1
+    for i in range(s, 0, -1):
+        if m_down and m_down[-1].is_free:
+            m_down.append(AbelianGroupStructure(n - dims[i], layers[i + 1].torsion))
+        else:
+            m_down.append(_quotient_structure(chain[i], n))
+    m_structs = tuple(reversed(m_down))
     z_structs = []
-    for i in range(1, s):
+    for i in range(1, s + 1):
+        if layers[i + 1].is_free:
+            rank = layers[i].free_rank - layers[i + 1].free_rank
+            z_structs.append(AbelianGroupStructure(rank, layers[i].torsion))
+            continue
         d, r = dims[i], dims[i + 1]
         image = sigma.endo @ chain[i]
         f_cols = _coordinates(
@@ -302,8 +339,6 @@ def _report_over_integers(sigma: LinearSystem, chain: list[RingMatrix]) -> Invar
         preimage = ([h[k][r:] for k in keep], [pivots[k] - r for k in keep])
         y = _coordinates(preimage, rel[i], "relations escaped their preimage lattice")
         z_structs.append(cokernel_structure(RingMatrix._of_columns(ring, y, len(keep)), len(keep)))
-    if s:
-        z_structs.append(i_structs[-1])
     reachable = chain[s] == RingMatrix.identity(ring, n)
     structures = list(m_structs) + list(i_structs) + list(z_structs)
     locally = reachable and all(st.is_free for st in structures)
@@ -336,7 +371,9 @@ def z_signature(sigma: LinearSystem) -> ZSignature:
     in M_{i-1} and Z_i in I_i, and submodules of free modules are free
     over a PID, so the system is locally Brunovsky exactly when it is
     reachable and every M_i = Z^n/N_i is torsion-free; the ranks of the
-    Z_i are then differences of chain ranks.  The I_i and Z_i
+    Z_i are then differences of chain ranks.  A level whose Hermite
+    pivots are all 1 has a free quotient outright, and only the others
+    take a Smith form (``_quotient_structure``).  The I_i and Z_i
     structures are never built.
     """
     if not isinstance(sigma.ring, Integers):
@@ -344,7 +381,7 @@ def z_signature(sigma: LinearSystem) -> ZSignature:
     n = sigma.state_rank
     chain = _hermite_chain(sigma)
     reachable = chain[-1] == RingMatrix.identity(sigma.ring, n)
-    if not reachable or not all(cokernel_structure(c, n).is_free for c in chain[1:-1]):
+    if not reachable or not all(_quotient_structure(c, n).is_free for c in chain[1:-1]):
         raise NotLocallyBrunovsky(_NOT_LOCALLY_BRUNOVSKY)
     return ZSignature(_layer_ranks([c.cols for c in chain])[1])
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -52,6 +54,11 @@ SPHERE = PolyQuotient(("x", "y", "z"), parse_polynomial("x^2+y^2+z^2-1", ("x", "
 
 def mat(ring, rows):
     return RingMatrix.from_rows(ring, rows)
+
+
+def reduce_mod(m, field):
+    rows = [[field.from_int(x) for x in m.row_list(i)] for i in range(m.rows)]
+    return RingMatrix.from_rows(field, rows, cols=m.cols)
 
 
 def lb_system(ring, rng, n):
@@ -356,3 +363,32 @@ class TestBruteForce:
     def test_crosscheck_gf3_small(self):
         records = orbit_crosscheck(p=3, max_n=2, max_m=2)
         assert records and all(r.agree for r in records)
+
+
+class TestIntegerReductions:
+    def test_signature_and_verdicts_agree_with_reductions(self):
+        # A locally Brunovsky pair over Z has free chain quotients, so its
+        # chain reduces mod p to the chain of its reduction: the signature
+        # is the same over GF(2) and GF(3), and the orbit oracle on the
+        # reductions decides feedback equivalence over Z.
+        rng = random.Random(34)
+        by_shape = {}
+        for _ in range(60):
+            _, a, b = rand_locally_brunovsky_pair(Z, rng, rng.randint(1, 3), extra_cols=rng.randint(0, 1))
+            if b.cols > 2:
+                continue
+            sig = z_signature(from_pair(a, b))
+            for field in (F2, F3):
+                assert z_signature(from_pair(reduce_mod(a, field), reduce_mod(b, field))) == sig
+            by_shape.setdefault((a.rows, b.cols), []).append((a, b))
+        verdicts = Counter()
+        for (n, _), pairs in sorted(by_shape.items()):
+            for field in (F2, F3) if n <= 2 else (F2,):
+                for (a1, b1), (a2, b2) in combinations(pairs[:6], 2):
+                    verdict = feedback_equivalent(from_pair(a1, b1), from_pair(a2, b2))
+                    oracle = feedback_equivalent_pairs_bruteforce(
+                        *(reduce_mod(x, field) for x in (a1, b1, a2, b2))
+                    )
+                    assert verdict == oracle
+                    verdicts[field.p, verdict] += 1
+        assert set(verdicts) == {(2, True), (2, False), (3, True), (3, False)}, verdicts

@@ -24,6 +24,8 @@ from ringsys import (
     canonical_certificate,
     canonical_pair,
     certificate_from_action,
+    cokernel_structure,
+    column_canonical,
     compute_chain,
     conjugate_partition,
     direct_sum,
@@ -36,6 +38,7 @@ from ringsys import (
     solve_right,
     z_signature,
 )
+from ringsys.invariants import _quotient_structure
 from util import (
     combine_structures,
     pad_family,
@@ -84,6 +87,24 @@ def _rand_integer_pair(rng, k):
     if kind == 3:
         return rand_matrix(Z, n, n, rng), rand_matrix(Z, n, rng.randint(1, 3), rng)
     return rand_matrix(Z, n, n, rng), RingMatrix.zeros(Z, n, rng.randint(0, 2))
+
+
+def _unit_pivots(basis):
+    return all(next(x for x in basis.entries[k :: basis.cols] if x) == 1 for k in range(basis.cols))
+
+
+def _structure_branches(rep):
+    """The rule or general path each structure of an integer report
+    takes: Z_i splits off I_i when I_{i+1} is free, M_{i-1} is read
+    from I_i when M_i is free, and a chain level's quotient is free
+    outright when its Hermite pivots are all 1."""
+    layers = rep.I + (AbelianGroupStructure(0, ()),)
+    for i in range(1, rep.s + 1):
+        yield "Z split" if layers[i].is_free else "Z general"
+    for i in range(2, rep.s + 1):
+        yield "M split" if rep.M[i - 1].is_free else "M general"
+    for level in rep.chain[1:]:
+        yield "unit pivots" if _unit_pivots(level) else "other pivots"
 
 
 def _rand_unreachable_pair(ring, rng, n, m):
@@ -278,13 +299,18 @@ class TestChainProperties:
             cols = [[c * x for x in col.entries] if t == j else col.entries for t, col in enumerate(b.columns())]
             pairs.append((a, RingMatrix.from_columns(Z, cols, rows=b.rows)))
         torsion = Counter()
+        branches = Counter()
         for a, b in pairs:
             sigma = from_pair(a, b)
             rep = compute_chain(sigma)
             assert rep == reference_integer_report(sigma)
             for family in "MIZ":
                 torsion[family] += sum(not x.is_free for x in getattr(rep, family))
+            branches.update(_structure_branches(rep))
         assert min(torsion.values()) > 0
+        # Every split rule and every general path is exercised.
+        kinds = {"Z split", "Z general", "M split", "M general", "unit pivots", "other pivots"}
+        assert set(branches) == kinds, branches
 
     @pytest.mark.parametrize("ring", [Q, F2], ids=str)
     def test_feedback_invariance_of_signature(self, ring):
@@ -300,6 +326,34 @@ class TestChainProperties:
             r1, r2 = compute_chain(s1), compute_chain(s2)
             assert r1.I == r2.I and r1.Z == r2.Z and r1.M == r2.M
             assert r1.reachable == r2.reachable
+
+
+class TestQuotientStructure:
+    @pytest.mark.parametrize(
+        "columns, n, unit, expected",
+        [
+            ([[2, 1]], 2, False, AbelianGroupStructure(1, ())),
+            ([[2, 0]], 2, False, AbelianGroupStructure(1, (2,))),
+            ([], 3, True, AbelianGroupStructure(3, ())),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3, True, AbelianGroupStructure(0, ())),
+        ],
+        ids=["non-unit-pivot-free", "torsion", "no-columns", "identity"],
+    )
+    def test_hand_built_bases(self, columns, n, unit, expected):
+        basis = column_canonical(RingMatrix.from_columns(Z, columns, rows=n))
+        assert basis.cols == len(columns) and _unit_pivots(basis) == unit
+        assert _quotient_structure(basis, n) == expected == cokernel_structure(basis, n)
+
+    def test_random_hermite_bases_match_smith_form(self):
+        rng = random.Random(31)
+        kinds = Counter()
+        for _ in range(400):
+            n, k = rng.randint(0, 5), rng.randint(0, 4)
+            basis = column_canonical(rand_matrix(Z, n, k, rng, span=rng.randint(1, 4)))
+            expected = cokernel_structure(basis, n)
+            assert _quotient_structure(basis, n) == expected
+            kinds["unit" if _unit_pivots(basis) else "free" if expected.is_free else "torsion"] += 1
+        assert set(kinds) == {"unit", "free", "torsion"}, kinds
 
 
 class TestBrunovsky:
