@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("enlarge", "write a dynamic enlargement to a new file")
     p.add_argument("file")
     p.add_argument("system")
-    p.add_argument("-p", type=int, default=1)
+    p.add_argument("-p", type=_nonnegative_int, default=1)
     p.add_argument("--out", required=True)
 
     p = add("k0", "class of a system in the group completion")

@@ -28,7 +28,6 @@ from .linalg import (
     _hnf_int,
     cokernel_structure,
     invert,
-    solve_right,
 )
 from .rings import Integers, PolyQuotient, RingDescriptor
 from .systems import LinearSystem
@@ -469,89 +468,41 @@ def canonical_certificate(a: RingMatrix, b: RingMatrix) -> CanonicalCertificate:
     chains = sorted((j for j in range(m) if mu[j] > 0), key=lambda j: (-mu[j], j))
     indices = tuple(mu[j] for j in chains)
 
-    # Purified chain roots: strip components along still-growing chains
-    # (basis members selected at the same level the chain died).
-    v_columns: list[RingMatrix] = []
-    k_values: list[RingMatrix] = []
-    powers_b = [b]
-    for _ in range(max(indices, default=0)):
-        powers_b.append(a @ powers_b[-1])
-    for j in chains:
-        depth = mu[j]
-        _, coeffs, upto = staircase.rejections[j]
-        root = b.column(j)
+    # Input column j first repeats at level mu[j], as the combination
+    # coeffs of the columns selected before it.  Moving the level-mu[j]
+    # terms into Q's column c_j leaves A^mu[j] B c_j = sum_l A^l B u_l
+    # over lower levels: B c_j is a purified chain root (zero when
+    # mu[j] = 0), and v_{l+1} = A v_l + B k_l with k_l = -u_{mu[j]-1-l}
+    # walks the chain up to a top that the closed loop kills.
+    zero = ring.zero()
+    v_columns, k_columns, q_columns = [], [], []
+    for j in chains + [j for j in range(m) if not mu[j]]:
+        depth, coeffs, upto = staircase.rejections[j]
+        c = [zero] * m
+        c[j] = ring.one()
+        minus_u = [[zero] * m for _ in range(depth)]
         for k in range(upto):
             owner, lvl = staircase.selected[k]
             if lvl == depth:
-                root = root - b.column(owner).scale(coeffs[k])
-        # Solve A^depth root = sum_l A^l B u_l over the reach stack.
-        target = root
-        for _ in range(depth):
-            target = a @ target
-        stack = powers_b[0]
-        for l in range(1, depth):
-            stack = stack.hstack(powers_b[l])
-        sol = solve_right(stack, target)
-        if sol is None:
-            raise RuntimeError("rejected iterate escaped the reachability span")
-        u = [RingMatrix(ring, m, 1, sol.entries[l * m : (l + 1) * m]) for l in range(depth)]
-        # v_{l+1} = A^{l+1} root - sum_t A^t B u_{depth-(l+1)+t}; the
-        # closed loop then shifts v_l to v_{l+1} and kills the chain top.
-        vec = root
+                c[owner] = ring.neg(coeffs[k])
+            else:
+                minus_u[lvl][owner] = ring.neg(coeffs[k])
+        q_columns.append(c)
         for l in range(depth):
-            v_columns.append(vec)
-            k_values.append(-u[depth - 1 - l])
-            if l + 1 < depth:
-                acc = root
-                for _ in range(l + 1):
-                    acc = a @ acc
-                correction = RingMatrix.zeros(ring, n, 1)
-                for t in range(l + 1):
-                    correction = correction + (powers_b[t] @ u[depth - (l + 1) + t])
-                vec = acc - correction
+            vec = b @ RingMatrix(ring, m, 1, tuple(c)) if l == 0 else a @ vec + b @ k_l
+            k_l = RingMatrix(ring, m, 1, tuple(minus_u[depth - 1 - l]))
+            v_columns.append(vec.entries)
+            k_columns.append(k_l.entries)
 
-    v_mat = RingMatrix.zeros(ring, n, 0)
-    for col in v_columns:
-        v_mat = v_mat.hstack(col)
-    if v_mat.cols != n:
-        raise RuntimeError("straightened chain vectors do not fill the state module")
-    if n == 0:
-        v_mat = RingMatrix.identity(ring, 0)
+    v_mat = RingMatrix._of_columns(ring, v_columns, n)
     p = invert(v_mat)
     if p is None:
         raise RuntimeError("straightened chain vectors failed to form a basis")
-    u_mat = RingMatrix.zeros(ring, m, 0)
-    for col in k_values:
-        u_mat = u_mat.hstack(col)
-    k = u_mat @ p
+    k = RingMatrix._of_columns(ring, k_columns, m) @ p
+    q = RingMatrix._of_columns(ring, q_columns, m)
 
     a_c, b_c = canonical_pair(ring, indices)
     b_c_padded = b_c.hstack(RingMatrix.zeros(ring, n, m - b_c.cols))
-
-    # Column transform: root columns become the block units, all other
-    # input columns are combinations of roots and get cleared.
-    coords = p @ b
-    offsets = []
-    off = 0
-    for kk in indices:
-        offsets.append(off)
-        off += kk
-    r = len(indices)
-    c_rows = [[coords.entry(o, j) for j in range(m)] for o in offsets]
-    c_mat = RingMatrix._of_rows(ring, c_rows, m)
-    others = [j for j in range(m) if j not in chains]
-    perm = list(chains) + others
-    pi_rows = [[ring.one() if perm[t] == i else ring.zero() for t in range(m)] for i in range(m)]
-    pi = RingMatrix._of_rows(ring, pi_rows, m)
-    cp = c_mat @ pi
-    t_mat = RingMatrix._of_rows(ring, [[cp.entry(i, j) for j in range(r)] for i in range(r)], r)
-    c_rest = RingMatrix._of_rows(ring, [[cp.entry(i, j) for j in range(r, m)] for i in range(r)], m - r)
-    t_inv = invert(t_mat)
-    if t_inv is None:
-        raise RuntimeError("root coordinate block is singular")
-    q_top = t_inv.hstack(-(t_inv @ c_rest))
-    q_bottom = RingMatrix.zeros(ring, m - r, r).hstack(RingMatrix.identity(ring, m - r))
-    q = pi @ q_top.vstack(q_bottom)
 
     closed = p @ (a + b @ k) @ v_mat
     if closed != a_c or (p @ b @ q) != b_c_padded:

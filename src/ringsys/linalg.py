@@ -613,37 +613,27 @@ def _det_field(m: RingMatrix):
     return det
 
 
-def _det_expansion(m: RingMatrix):
-    # Laplace expansion organised as a subset DP; reduction happens
-    # inside every ring multiplication, so it is exact in any
-    # commutative ring, zero divisors included.
+def _det_berkowitz(m: RingMatrix):
+    # Division-free Berkowitz: the characteristic polynomial of each
+    # leading principal block follows from the previous one by a
+    # Toeplitz product, O(n^4) ring operations, exact in any commutative
+    # ring, zero divisors included.
     ring = m.ring
-    n = m.rows
-    dp = {0: ring.one()}
-    for i in range(n):
-        ndp: dict[int, object] = {}
-        for mask, val in dp.items():
-            if ring.is_zero(val):
-                continue
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                entry = m.entry(i, j)
-                if ring.is_zero(entry):
-                    continue
-                below = bin(mask & (bit - 1)).count("1")
-                term = ring.mul(val, entry)
-                if (i + below) % 2:
-                    term = ring.neg(term)
-                nmask = mask | bit
-                if nmask in ndp:
-                    ndp[nmask] = ring.add(ndp[nmask], term)
-                else:
-                    ndp[nmask] = term
-        dp = ndp
-    full = (1 << n) - 1
-    return dp.get(full, ring.zero())
+    rows = m.to_lists()
+    neg, dot = ring.neg, ring.dot
+    poly = [ring.one()]  # det(x I - A_r), leading coefficient first
+    for r in range(m.rows):
+        head = [row[:r] for row in rows[:r]]
+        col = [row[r] for row in rows[:r]]
+        # First column of the Toeplitz factor: 1, -a_rr, -R C, -R A_r C, ...
+        t = [ring.one(), neg(rows[r][r])]
+        for k in range(r):
+            if k:
+                col = ring.products(head, (col,))
+            t.append(neg(dot(rows[r][:r], col)))
+        poly.append(ring.zero())
+        poly = [dot(poly[: i + 1], t[i::-1]) for i in range(r + 2)]
+    return poly[-1] if m.rows % 2 == 0 else neg(poly[-1])
 
 
 def det(m: RingMatrix) -> RingElement:
@@ -656,9 +646,7 @@ def det(m: RingMatrix) -> RingElement:
     if ring.is_field:
         return RingElement(ring, _det_field(m))
     if isinstance(ring, PolyQuotient):
-        if m.rows > 12:
-            raise ShapeError("expansion determinant limited to 12x12")
-        return RingElement(ring, _det_expansion(m))
+        return RingElement(ring, _det_berkowitz(m))
     raise UnsupportedRing(f"det not implemented over {ring}")
 
 

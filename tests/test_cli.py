@@ -284,6 +284,15 @@ class TestFileProducingCommands:
         assert main(["k0", str(out), "G2+S1"]) == 0
         assert capsys.readouterr().out.strip() == "(2, 1)"
 
+    def test_enlarge_negative_p_is_usage_error(self, fixture_file, tmp_path, capsys):
+        out = tmp_path / "enl.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["enlarge", fixture_file, "S1", "-p", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "-p" in captured.err and "nonnegative" in captured.err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_sphere_certificates(self, capsys):

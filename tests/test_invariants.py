@@ -47,6 +47,7 @@ from util import (
     rand_matrix,
     rand_partition,
     rand_system,
+    reference_canonical_certificate,
     reference_field_chain,
     reference_integer_chain,
     reference_integer_report,
@@ -55,6 +56,7 @@ from util import (
 Q = Rationals()
 Z = Integers()
 F2 = PrimeField(2)
+F3 = PrimeField(3)
 F101 = PrimeField(101)
 
 
@@ -454,3 +456,39 @@ class TestCanonicalCertificate:
     def test_needs_field(self):
         with pytest.raises(UnsupportedRing):
             canonical_certificate(mat(Z, [[0]]), mat(Z, [[1]]))
+
+    @pytest.mark.parametrize("ring", [Q, F2, F3, F101], ids=str)
+    def test_matches_reference_construction(self, ring):
+        """The triple read from the staircase equals the one the
+        per-chain solves build, field for field, on reachable pairs with
+        dependent or zero extra inputs, on n = 0 and m = 0, and on
+        unreachable pairs, which both reject."""
+        rng = random.Random(61)
+        pairs = [
+            (RingMatrix.zeros(ring, 0, 0), RingMatrix.zeros(ring, 0, 0)),
+            (RingMatrix.zeros(ring, 0, 0), RingMatrix.zeros(ring, 0, 2)),
+        ]
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            _, a, b = rand_locally_brunovsky_pair(ring, rng, n, extra_cols=rng.randint(0, 3))
+            if rng.random() < 0.5:
+                # Dependent or zero extra columns: combinations of the
+                # existing inputs, appended and shuffled in.
+                mix = rand_matrix(ring, b.cols, rng.randint(1, 3), rng, span=rng.choice([0, 2]))
+                cols = [c.entries for c in b.columns() + (b @ mix).columns()]
+                rng.shuffle(cols)
+                b = RingMatrix.from_columns(ring, cols, rows=n)
+            pairs.append((a, b))
+        for a, b in pairs:
+            got, want = canonical_certificate(a, b), reference_canonical_certificate(a, b)
+            assert got.indices == want.indices
+            assert (got.P, got.K, got.Q) == (want.P, want.K, want.Q)
+            assert (got.canonical_endo, got.canonical_input) == (want.canonical_endo, want.canonical_input)
+        unreachable = [(RingMatrix.zeros(ring, 2, 2), RingMatrix.zeros(ring, 2, 0))]
+        for _ in range(10):
+            n = rng.randint(1, 5)
+            unreachable.append(_rand_unreachable_pair(ring, rng, n, rng.randint(0, 3)))
+        for a, b in unreachable:
+            for fn in (canonical_certificate, reference_canonical_certificate):
+                with pytest.raises(NotReachable):
+                    fn(a, b)

@@ -30,7 +30,8 @@ from ringsys import (
     snf,
     solve_right,
 )
-from util import minors_gcd_invariants, rand_matrix
+from ringsys.linalg import _det_berkowitz
+from util import minors_gcd_invariants, rand_matrix, reference_det_expansion
 
 Q = Rationals()
 Z = Integers()
@@ -391,6 +392,42 @@ class TestDet:
     def test_shape_guard(self):
         with pytest.raises(ShapeError):
             det(mat(Q, [[1, 2]]))
+
+    def test_berkowitz_matches_subset_expansion(self):
+        vars_ = ("x", "y", "z")
+        sphere = PolyQuotient(vars_, parse_polynomial("x^2+y^2+z^2-1", vars_))
+        gf7 = PrimeField(7)
+        lits = ["0", "0", "1", "-1", "x", "y", "z", "x*y-z", "2*z^2+x", "1/2*y"]
+        rng = random.Random(71)
+        for n in range(7):
+            for _ in range(4):
+                m = RingMatrix.from_rows(sphere, [[rng.choice(lits) for _ in range(n)] for _ in range(n)], cols=n)
+                assert det(m).value == reference_det_expansion(m)
+                m7 = rand_matrix(gf7, n, n, rng)
+                assert _det_berkowitz(m7) == reference_det_expansion(m7) == det(m7).value
+
+    def test_quotient_ring_product_rule_past_the_old_cap(self):
+        # 13 x 13 is past the subset expansion's former 12 x 12 limit.
+        vars_ = ("x", "y", "z")
+        sphere = PolyQuotient(vars_, parse_polynomial("x^2+y^2+z^2-1", vars_))
+        rng = random.Random(13)
+        diag, off = ["1", "-1", "x", "z", "y+1"], ["1", "-1", "x", "y", "z"]
+
+        def triangular(lower):
+            rows = [
+                [
+                    rng.choice(diag) if i == j else rng.choice(off) if (i > j) == lower and rng.random() < 0.2 else "0"
+                    for j in range(13)
+                ]
+                for i in range(13)
+            ]
+            rng.shuffle(rows)
+            return RingMatrix.from_rows(sphere, rows, cols=13)
+
+        x, y = triangular(True), triangular(False)
+        dx, dy = det(x), det(y)
+        assert not dx.is_zero and not dy.is_zero
+        assert det(x @ y) == dx * dy
 
 
 @settings(max_examples=150, deadline=None)

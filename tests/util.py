@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from ringsys import (
     AbelianGroupStructure,
+    CanonicalCertificate,
     DescriptorMismatch,
     Integers,
     InvariantReport,
     IsoCertificate,
+    NotReachable,
     Poly,
     RingMatrix,
     ShapeError,
+    UnsupportedRing,
     VerifyResult,
     canonical_pair,
     cokernel_structure,
@@ -25,6 +29,7 @@ from ringsys import (
     rref,
     solve_right,
 )
+from ringsys.invariants import _Staircase
 from ringsys.rings import grlex_key
 
 
@@ -322,3 +327,148 @@ def reference_verify(s1, s2, cert):
     if defect != g2 @ cert.Kw:
         return VerifyResult(False, "Kw-identity")
     return VerifyResult(True)
+
+
+def reference_canonical_certificate(a, b):
+    """The canonical certificate by one solve_right per chain on the
+    stacked reach matrix [B, AB, ...] and an inverted, permuted root
+    block for Q, the reference for canonical_certificate, which reads
+    the same triple from the staircase's rejection coordinates."""
+    if not a.ring.is_field:
+        raise UnsupportedRing("canonical certificates need a field")
+    if a.rows != a.cols or b.rows != a.rows:
+        raise ShapeError("expected an n x n endomorphism and an n-row input matrix")
+    ring = a.ring
+    n, m = a.rows, b.cols
+    # Level-major greedy basis selection from the columns of [B, AB, ...];
+    # mu[j] is the length of input column j's chain.
+    staircase = _Staircase(a, b)
+    if len(staircase.selected) < n:
+        raise NotReachable("pair is not reachable")
+    mu = Counter(j for j, _ in staircase.selected)
+
+    chains = sorted((j for j in range(m) if mu[j] > 0), key=lambda j: (-mu[j], j))
+    indices = tuple(mu[j] for j in chains)
+
+    # Purified chain roots: strip components along still-growing chains
+    # (basis members selected at the same level the chain died).
+    v_columns: list[RingMatrix] = []
+    k_values: list[RingMatrix] = []
+    powers_b = [b]
+    for _ in range(max(indices, default=0)):
+        powers_b.append(a @ powers_b[-1])
+    for j in chains:
+        depth = mu[j]
+        _, coeffs, upto = staircase.rejections[j]
+        root = b.column(j)
+        for k in range(upto):
+            owner, lvl = staircase.selected[k]
+            if lvl == depth:
+                root = root - b.column(owner).scale(coeffs[k])
+        # Solve A^depth root = sum_l A^l B u_l over the reach stack.
+        target = root
+        for _ in range(depth):
+            target = a @ target
+        stack = powers_b[0]
+        for l in range(1, depth):
+            stack = stack.hstack(powers_b[l])
+        sol = solve_right(stack, target)
+        if sol is None:
+            raise RuntimeError("rejected iterate escaped the reachability span")
+        u = [RingMatrix(ring, m, 1, sol.entries[l * m : (l + 1) * m]) for l in range(depth)]
+        # v_{l+1} = A^{l+1} root - sum_t A^t B u_{depth-(l+1)+t}; the
+        # closed loop then shifts v_l to v_{l+1} and kills the chain top.
+        vec = root
+        for l in range(depth):
+            v_columns.append(vec)
+            k_values.append(-u[depth - 1 - l])
+            if l + 1 < depth:
+                acc = root
+                for _ in range(l + 1):
+                    acc = a @ acc
+                correction = RingMatrix.zeros(ring, n, 1)
+                for t in range(l + 1):
+                    correction = correction + (powers_b[t] @ u[depth - (l + 1) + t])
+                vec = acc - correction
+
+    v_mat = RingMatrix.zeros(ring, n, 0)
+    for col in v_columns:
+        v_mat = v_mat.hstack(col)
+    if v_mat.cols != n:
+        raise RuntimeError("straightened chain vectors do not fill the state module")
+    if n == 0:
+        v_mat = RingMatrix.identity(ring, 0)
+    p = invert(v_mat)
+    if p is None:
+        raise RuntimeError("straightened chain vectors failed to form a basis")
+    u_mat = RingMatrix.zeros(ring, m, 0)
+    for col in k_values:
+        u_mat = u_mat.hstack(col)
+    k = u_mat @ p
+
+    a_c, b_c = canonical_pair(ring, indices)
+    b_c_padded = b_c.hstack(RingMatrix.zeros(ring, n, m - b_c.cols))
+
+    # Column transform: root columns become the block units, all other
+    # input columns are combinations of roots and get cleared.
+    coords = p @ b
+    offsets = []
+    off = 0
+    for kk in indices:
+        offsets.append(off)
+        off += kk
+    r = len(indices)
+    c_rows = [[coords.entry(o, j) for j in range(m)] for o in offsets]
+    c_mat = RingMatrix._of_rows(ring, c_rows, m)
+    others = [j for j in range(m) if j not in chains]
+    perm = list(chains) + others
+    pi_rows = [[ring.one() if perm[t] == i else ring.zero() for t in range(m)] for i in range(m)]
+    pi = RingMatrix._of_rows(ring, pi_rows, m)
+    cp = c_mat @ pi
+    t_mat = RingMatrix._of_rows(ring, [[cp.entry(i, j) for j in range(r)] for i in range(r)], r)
+    c_rest = RingMatrix._of_rows(ring, [[cp.entry(i, j) for j in range(r, m)] for i in range(r)], m - r)
+    t_inv = invert(t_mat)
+    if t_inv is None:
+        raise RuntimeError("root coordinate block is singular")
+    q_top = t_inv.hstack(-(t_inv @ c_rest))
+    q_bottom = RingMatrix.zeros(ring, m - r, r).hstack(RingMatrix.identity(ring, m - r))
+    q = pi @ q_top.vstack(q_bottom)
+
+    closed = p @ (a + b @ k) @ v_mat
+    if closed != a_c or (p @ b @ q) != b_c_padded:
+        raise RuntimeError("canonical certificate failed internal verification")
+    return CanonicalCertificate(p, k, q, a_c, b_c_padded, indices)
+
+
+def reference_det_expansion(m):
+    """Determinant by Laplace expansion organised as a subset DP, 2^n
+    states, the reference for the Berkowitz determinant; reduction
+    happens inside every ring multiplication, so it is exact in any
+    commutative ring, zero divisors included."""
+    ring = m.ring
+    n = m.rows
+    dp = {0: ring.one()}
+    for i in range(n):
+        ndp = {}
+        for mask, val in dp.items():
+            if ring.is_zero(val):
+                continue
+            for j in range(n):
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                entry = m.entry(i, j)
+                if ring.is_zero(entry):
+                    continue
+                below = bin(mask & (bit - 1)).count("1")
+                term = ring.mul(val, entry)
+                if (i + below) % 2:
+                    term = ring.neg(term)
+                nmask = mask | bit
+                if nmask in ndp:
+                    ndp[nmask] = ring.add(ndp[nmask], term)
+                else:
+                    ndp[nmask] = term
+        dp = ndp
+    full = (1 << n) - 1
+    return dp.get(full, ring.zero())
