@@ -17,8 +17,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
+from math import gcd
 from operator import mul
-from typing import Union
+from typing import Sequence, Union
 
 from .errors import NotLocallyBrunovsky, NotReachable, ShapeError, UnsupportedRing
 from .linalg import (
@@ -29,7 +30,7 @@ from .linalg import (
     cokernel_structure,
     invert,
 )
-from .rings import Integers, PolyQuotient, RingDescriptor
+from .rings import Integers, PolyQuotient, Rationals, RingDescriptor, _cleared_fractions
 from .systems import LinearSystem
 
 ModuleStructure = Union[int, AbelianGroupStructure]
@@ -217,6 +218,74 @@ class _Staircase:
         return RingMatrix(self.ring, self.n, len(vecs), entries)
 
 
+def _rank_staircase(a: Sequence[Sequence[int]], offers: Sequence[Sequence[int]], p: int) -> tuple[list[int], list]:
+    """dim N_0, ..., dim N_s of a Krylov staircase, with a basis of N_s.
+
+    ``a`` is the rows of A and ``offers`` the columns of B, as residues
+    mod p, or as integers when p is 0 (a pair over Q with its
+    denominators cleared).  Level 0 offers the columns of B and level
+    l + 1 offers A times each remainder kept at level l; those span
+    N_{l+1} modulo N_l, which is all ``_Staircase`` relies on too.  Only
+    ranks are wanted, so no basis is fully reduced: each basis vector is
+    zero at the pivots of those kept before it, and one pass over the
+    basis in order leaves a remainder that vanishes exactly when the
+    offer is dependent.  Over the integers the elimination is
+    fraction-free, w <- g w - f v with the pivot pair (g, f) divided by
+    its gcd, and each kept vector is made primitive by dividing out the
+    gcd of its entries.  Over GF(p) kept vectors are monic and each
+    entry takes one ``% p``.
+    """
+    basis: list[tuple[int, list[int]]] = []
+    dims = [0]
+    while True:
+        kept = []
+        for w in offers:
+            for q, v in basis:
+                f = w[q]
+                if not f:
+                    continue
+                if p:
+                    w = [(x - f * y) % p for x, y in zip(w, v)]
+                else:
+                    c = gcd(f, v[q])
+                    f, g = f // c, v[q] // c
+                    w = [g * x - f * y for x, y in zip(w, v)]
+            q = next((i for i, x in enumerate(w) if x), None)
+            if q is None:
+                continue
+            if p:
+                inv = pow(w[q], -1, p)
+                w = [x * inv % p for x in w]
+            else:
+                c = gcd(*w)
+                w = [x // c for x in w]
+            basis.append((q, w))
+            kept.append(w)
+        if not kept:
+            return dims, [v for _, v in basis]
+        dims.append(len(basis))
+        if p:
+            offers = [[sum(map(mul, row, w)) % p for row in a] for w in kept]
+        else:
+            offers = [[sum(map(mul, row, w)) for row in a] for w in kept]
+
+
+def _field_staircase(a: RingMatrix, b: RingMatrix) -> tuple[list[int], list]:
+    # _rank_staircase of a pair over Q or GF(p).  Over Q, a is scaled by
+    # the lcm of all its denominators and each column of b by the lcm of
+    # its own; nonzero scalars change no span.
+    n = a.rows
+    entries = a.entries
+    offers = [b.entries[j :: b.cols] for j in range(b.cols)]
+    if isinstance(a.ring, Rationals):
+        entries = _cleared_fractions(entries)[0]
+        offers = [_cleared_fractions(w)[0] for w in offers]
+        p = 0
+    else:
+        p = a.ring.p
+    return _rank_staircase([entries[i * n : (i + 1) * n] for i in range(n)], offers, p)
+
+
 def _layer_ranks(dims: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # Ranks of I_i and Z_i from the ranks of N_0, ..., N_s: f induces a
     # surjection I_i -> I_{i+1}, so rank Z_i = rank I_i - rank I_{i+1}.
@@ -260,17 +329,21 @@ def _coordinates(basis: tuple[list[list[int]], list[int]], vectors, message: str
     return coords
 
 
-def _quotient_structure(basis: RingMatrix, n: int) -> AbelianGroupStructure:
-    """Z^n / col(basis) for a column Hermite basis.
+def _unit_pivots(basis: RingMatrix) -> bool:
+    """Whether every pivot of a column Hermite basis is 1.
 
-    When every pivot is 1, the rows at the pivots form a unit
-    lower-triangular minor, so the basis extends to a basis of Z^n and
-    the quotient is free of rank n - d.  Otherwise the Smith form
-    decides.
+    The rows at the pivots then form a unit lower-triangular minor, so
+    the basis extends to a basis of Z^n and Z^n / col(basis) is free.
     """
     cols = basis.cols
-    if all(next(filter(None, basis.entries[k::cols])) == 1 for k in range(cols)):
-        return AbelianGroupStructure(n - cols, ())
+    return all(next(filter(None, basis.entries[k::cols])) == 1 for k in range(cols))
+
+
+def _quotient_structure(basis: RingMatrix, n: int) -> AbelianGroupStructure:
+    """Z^n / col(basis) for a column Hermite basis: free of rank n - d
+    when its pivots are all 1, and otherwise read from the Smith form."""
+    if _unit_pivots(basis):
+        return AbelianGroupStructure(n - basis.cols, ())
     return cokernel_structure(basis, n)
 
 
@@ -279,8 +352,13 @@ def _report_over_integers(sigma: LinearSystem, chain: list[RingMatrix]) -> Invar
 
     Every chain basis is in Hermite form, so coordinates over it come
     from back-substitution.  rel[i] writes N_{i-1} in the basis of N_i
-    and presents I_i.  Three exact rules give most of the rest:
+    and presents I_i.  Four exact rules give most of the rest:
 
+    - I_i lies in M_{i-1}, and submodules of free modules are free over
+      a PID, so I_i is free of rank d_i - d_{i-1} when M_{i-1} is.  That
+      is decided by the unit pivots of chain[i - 1] alone (always true
+      for M_0 = Z^n), never by the M rule below, which reads M_{i-1}
+      from I_i; only the other I_i take a Smith form.
     - f induces a surjection I_i -> I_{i+1} with kernel Z_i.  When
       I_{i+1} is free it splits, so Z_i has rank I_i - rank I_{i+1}
       and the torsion of I_i.  The chain stops when f(N_s) <= N_s, so
@@ -307,7 +385,10 @@ def _report_over_integers(sigma: LinearSystem, chain: list[RingMatrix]) -> Invar
         _coordinates(bases[i], bases[i - 1][0], "chain is not increasing") for i in range(1, s + 1)
     ]
     i_structs = tuple(
-        cokernel_structure(RingMatrix._of_columns(ring, rel[i], dims[i]), dims[i]) for i in range(1, s + 1)
+        AbelianGroupStructure(dims[i] - dims[i - 1], ())
+        if _unit_pivots(chain[i - 1])
+        else cokernel_structure(RingMatrix._of_columns(ring, rel[i], dims[i]), dims[i])
+        for i in range(1, s + 1)
     )
     # layers[i] is I_i for 1 <= i <= s + 1, with I_{s+1} = 0.
     layers = (None,) + i_structs + (AbelianGroupStructure(0, ()),)
@@ -373,16 +454,24 @@ def z_signature(sigma: LinearSystem) -> ZSignature:
     Z_i are then differences of chain ranks.  A level whose Hermite
     pivots are all 1 has a free quotient outright, and only the others
     take a Smith form (``_quotient_structure``).  The I_i and Z_i
-    structures are never built.
+    structures are never built.  Over Q and GF(p) every module is free,
+    so the system is locally Brunovsky exactly when it is reachable, and
+    the ranks come from ``_rank_staircase`` on integer or residue data.
     """
-    if not isinstance(sigma.ring, Integers):
+    ring, n = sigma.ring, sigma.state_rank
+    if isinstance(ring, Integers):
+        chain = _hermite_chain(sigma)
+        reachable = chain[-1] == RingMatrix.identity(ring, n)
+        if not reachable or not all(_quotient_structure(c, n).is_free for c in chain[1:-1]):
+            raise NotLocallyBrunovsky(_NOT_LOCALLY_BRUNOVSKY)
+        dims = [c.cols for c in chain]
+    elif ring.is_field:
+        dims = _field_staircase(sigma.endo, sigma.input_gens)[0]
+        if dims[-1] != n:
+            raise NotLocallyBrunovsky(_NOT_LOCALLY_BRUNOVSKY)
+    else:
         return signature_from_report(compute_chain(sigma))
-    n = sigma.state_rank
-    chain = _hermite_chain(sigma)
-    reachable = chain[-1] == RingMatrix.identity(sigma.ring, n)
-    if not reachable or not all(_quotient_structure(c, n).is_free for c in chain[1:-1]):
-        raise NotLocallyBrunovsky(_NOT_LOCALLY_BRUNOVSKY)
-    return ZSignature(_layer_ranks([c.cols for c in chain])[1])
+    return ZSignature(_layer_ranks(dims)[1])
 
 
 def conjugate_partition(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -419,10 +508,10 @@ def brunovsky(sigma: LinearSystem) -> BrunovskyData:
     """Index partition and canonical pair of a reachable field system."""
     if not sigma.ring.is_field:
         raise UnsupportedRing("canonical form needs a field")
-    report = compute_chain(sigma)
-    if not report.reachable:
+    dims = _field_staircase(sigma.endo, sigma.input_gens)[0]
+    if dims[-1] != sigma.state_rank:
         raise NotReachable("chain stabilised below the full state module")
-    indices = conjugate_partition(tuple(report.I))
+    indices = conjugate_partition(_layer_ranks(dims)[0])
     a_c, b_c = canonical_pair(sigma.ring, indices)
     return BrunovskyData(indices, a_c, b_c)
 

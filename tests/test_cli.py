@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringsys import Rationals, RingMatrix
 from ringsys.cli import build_parser, main
 from ringsys.fixtures import sphere_fixture_path
+from ringsys.equivalence import MODES
 from ringsys.sysfile import PairEntry, SystemFile, parse, write
+from util import fuzz_base_documents, mutated_document
 
 Q = Rationals()
 
@@ -318,3 +326,37 @@ class TestOrbitOracleCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["disagreements"] == 0
         assert doc["comparisons"] > 0
+
+
+BASE_DOCUMENTS = fuzz_base_documents()
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_mutated_files_exit_with_a_code(data):
+    """On mutated valid files, invariants, equiv, k0 and verify exit 0,
+    1 or 2 without raising; 1 only with a false or Reject verdict, and 2
+    only with a one-line error that is not an internal failure."""
+    doc = mutated_document(data, data.draw(st.sampled_from(BASE_DOCUMENTS)))
+    mode = data.draw(st.sampled_from(MODES))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "f.json")
+        Path(path).write_text(json.dumps(doc), encoding="utf-8")
+        commands = [
+            ["invariants", path, "S"],
+            ["invariants", path, "U"],
+            ["equiv", path, "S", "T", "--mode", mode],
+            ["k0", path, "T"],
+            ["verify", path, "C"],
+        ]
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + ["--json"])
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                verdict = json.loads(out.getvalue())
+                assert verdict.get("equivalent") is False or verdict.get("verdict") == "Reject", argv
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+                assert "internal failure" not in err.getvalue(), (argv, err.getvalue())

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +40,7 @@ from ringsys import (
     solve_right,
     z_signature,
 )
-from ringsys.invariants import _quotient_structure
+from ringsys.invariants import _field_staircase, _quotient_structure
 from util import (
     combine_structures,
     pad_family,
@@ -49,6 +51,7 @@ from util import (
     rand_system,
     reference_canonical_certificate,
     reference_field_chain,
+    reference_field_report,
     reference_integer_chain,
     reference_integer_report,
 )
@@ -97,9 +100,12 @@ def _unit_pivots(basis):
 
 def _structure_branches(rep):
     """The rule or general path each structure of an integer report
-    takes: Z_i splits off I_i when I_{i+1} is free, M_{i-1} is read
+    takes: I_i is free when the chain level below it has Hermite pivots
+    all 1, Z_i splits off I_i when I_{i+1} is free, M_{i-1} is read
     from I_i when M_i is free, and a chain level's quotient is free
     outright when its Hermite pivots are all 1."""
+    for i in range(1, rep.s + 1):
+        yield "I free by rule" if _unit_pivots(rep.chain[i - 1]) else "I by Smith form"
     layers = rep.I + (AbelianGroupStructure(0, ()),)
     for i in range(1, rep.s + 1):
         yield "Z split" if layers[i].is_free else "Z general"
@@ -123,6 +129,43 @@ def _rand_unreachable_pair(ring, rng, n, m):
     p = rand_invertible(ring, n, rng)
     p_inv = solve_right(p, RingMatrix.identity(ring, n)) if ring == Z else invert(p)
     return p @ a @ p_inv, p @ b
+
+
+def _rational_twist(a, b, rng):
+    """(D a D^-1, D b E) for random diagonal D, E over Q whose entries
+    have several distinct denominators; spans and reachability are
+    unchanged."""
+    def diag(k):
+        d = [Fraction(rng.choice([1, -1, 2, 3, -5, 7]), rng.choice([1, 2, 3, 5, 7, 9])) for _ in range(k)]
+        return RingMatrix.from_rows(Q, [[d[i] if i == j else 0 for j in range(k)] for i in range(k)], cols=k)
+
+    d = diag(a.rows)
+    return d @ a @ invert(d), d @ b @ diag(b.cols)
+
+
+def _rand_field_pair(ring, rng, k):
+    """Pairs over a field for the rank-only signature cross-check,
+    cycling through B = 0, n = 0, unreachable pairs, reachable pairs
+    with zero or dependent extra inputs, and unstructured pairs; over Q
+    the entries then get several distinct denominators."""
+    kind = k % 6
+    n = 0 if kind == 1 else rng.randint(1, 7)
+    m = rng.randint(0, 3)
+    if kind == 0:
+        a, b = rand_matrix(ring, n, n, rng), RingMatrix.zeros(ring, n, m)
+    elif kind == 2:
+        a, b = _rand_unreachable_pair(ring, rng, n, m)
+    elif kind == 3:
+        _, a, b = rand_locally_brunovsky_pair(ring, rng, n, extra_cols=rng.randint(0, 2))
+        mix = rand_matrix(ring, b.cols, rng.randint(1, 2), rng, span=rng.choice([0, 2]))
+        cols = [c.entries for c in b.columns() + (b @ mix).columns()]
+        rng.shuffle(cols)
+        b = RingMatrix.from_columns(ring, cols, rows=n)
+    else:
+        a, b = rand_matrix(ring, n, n, rng), rand_matrix(ring, n, m, rng)
+    if ring == Q:
+        a, b = _rational_twist(a, b, rng)
+    return a, b
 
 
 class TestChainExamples:
@@ -183,6 +226,13 @@ class TestChainExamples:
         s = from_pair(RingMatrix.zeros(ring, 1, 1), RingMatrix.identity(ring, 1))
         with pytest.raises(UnsupportedRing):
             compute_chain(s)
+
+    def test_quotient_ring_signature_unsupported(self):
+        vars_ = ("x",)
+        ring = PolyQuotient(vars_, parse_polynomial("x^2-1", vars_))
+        s = from_pair(RingMatrix.zeros(ring, 1, 1), RingMatrix.identity(ring, 1))
+        with pytest.raises(UnsupportedRing):
+            z_signature(s)
 
     def test_empty_input_not_reachable(self):
         s = from_pair(mat(Q, [[1, 0], [0, 1]]), RingMatrix.zeros(Q, 2, 0))
@@ -269,6 +319,41 @@ class TestChainProperties:
             seen.add(rep.reachable)
         assert seen == {True, False}
 
+    @pytest.mark.parametrize("ring", [Q, F2, F3, F101], ids=str)
+    def test_field_signature_matches_reference(self, ring):
+        """The rank-only staircase against the signature read off the
+        from-scratch chain (or the same refusal), and brunovsky's
+        indices against the chain's I ranks, on the pairs of
+        _rand_field_pair and a few of state rank 12-16.  The staircase
+        of the raw pair has the same ranks, and its basis is kept
+        primitive over Q and reduced mod p over GF(p)."""
+        rng = random.Random(29)
+        pairs = [_rand_field_pair(ring, rng, k) for k in range(240)]
+        for _ in range(4):
+            n = rng.randint(12, 16)
+            a, b = rand_matrix(ring, n, n, rng), rand_matrix(ring, n, rng.randint(1, 3), rng)
+            pairs.append(_rational_twist(a, b, rng) if ring == Q else (a, b))
+        seen = Counter()
+        for a, b in pairs:
+            sigma = from_pair(a, b)
+            expected = _signature_or_error(lambda s: signature_from_report(reference_field_report(s)), sigma)
+            assert _signature_or_error(z_signature, sigma) == expected
+            dims, basis = _field_staircase(sigma.endo, sigma.input_gens)
+            # The raw input columns, zero and dependent ones included,
+            # give the same staircase as the canonical ones.
+            assert _field_staircase(a, b)[0] == dims
+            if ring == Q:
+                assert all(math.gcd(*v) == 1 for v in basis)
+            else:
+                assert all(0 <= x < ring.p for v in basis for x in v)
+            if isinstance(expected, ZSignature):
+                assert brunovsky(sigma).indices == conjugate_partition(compute_chain(sigma).I)
+            else:
+                with pytest.raises(NotReachable):
+                    brunovsky(sigma)
+            seen[sigma.state_rank == 0, sigma.input_gens.cols == 0, isinstance(expected, ZSignature)] += 1
+        assert set(seen) == {(True, True, True), (False, True, False), (False, False, False), (False, False, True)}
+
     def test_integer_chain_and_signature_match_reference(self):
         # The incremental Hermite staircase against the from-scratch
         # chain, and the rank-only signature against the one read off
@@ -311,7 +396,8 @@ class TestChainProperties:
             branches.update(_structure_branches(rep))
         assert min(torsion.values()) > 0
         # Every split rule and every general path is exercised.
-        kinds = {"Z split", "Z general", "M split", "M general", "unit pivots", "other pivots"}
+        kinds = {"I free by rule", "I by Smith form", "Z split", "Z general", "M split", "M general"}
+        kinds |= {"unit pivots", "other pivots"}
         assert set(branches) == kinds, branches
 
     @pytest.mark.parametrize("ring", [Q, F2], ids=str)

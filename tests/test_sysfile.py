@@ -6,6 +6,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringsys import (
     Integers,
@@ -15,7 +17,7 @@ from ringsys import (
     SystemFileError,
 )
 from ringsys.sysfile import PairEntry, SystemFile, emit, parse, parse_text, write
-from util import rand_matrix
+from util import fuzz_base_documents, mutated_document, rand_matrix
 
 Q = Rationals()
 SPHERE = {"kind": "poly_quotient", "vars": ["x", "y", "z"], "relation": "x^2 + y^2 + z^2 - 1"}
@@ -246,3 +248,18 @@ class TestValidation:
     def test_large_prime_modulus_accepted(self):
         sf = parse_text(json.dumps({"ring": {"kind": "GF", "p": 2**61 - 1}}))
         assert sf.ring == PrimeField(2**61 - 1)
+
+
+BASE_DOCUMENTS = fuzz_base_documents()
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_mutated_documents_parse_or_raise_system_file_error(data):
+    """Random literals, wrong JSON types, missing or extra fields and
+    ragged rows in valid files either parse or raise SystemFileError."""
+    doc = mutated_document(data, data.draw(st.sampled_from(BASE_DOCUMENTS)))
+    try:
+        parse_text(json.dumps(doc))
+    except SystemFileError:
+        pass

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import json
 from collections import Counter
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from ringsys import (
     AbelianGroupStructure,
@@ -14,15 +18,20 @@ from ringsys import (
     IsoCertificate,
     NotReachable,
     Poly,
+    PolyQuotient,
+    PrimeField,
+    Rationals,
     RingMatrix,
     ShapeError,
     UnsupportedRing,
     VerifyResult,
     canonical_pair,
+    certificate_from_action,
     cokernel_structure,
     column_canonical,
     column_space_sum,
     from_pair,
+    identity_certificate,
     invert,
     kernel_basis,
     membership,
@@ -30,7 +39,8 @@ from ringsys import (
     solve_right,
 )
 from ringsys.invariants import _Staircase
-from ringsys.rings import grlex_key
+from ringsys.rings import descriptor_from_dict, grlex_key
+from ringsys.sysfile import CertEntry, PairEntry, SystemFile, emit
 
 
 def rand_matrix(ring, rows, cols, rng, span=3):
@@ -189,6 +199,24 @@ def reference_field_chain(sigma):
         z_dims.append(len(reps[i]) - rank)
     i_dims = tuple(len(reps[i]) for i in range(1, s + 1))
     return tuple(chain), s, i_dims, tuple(z_dims), chain[s].cols == n
+
+
+def reference_field_report(sigma):
+    """reference_field_chain as an InvariantReport: over a field every
+    module is free, so locally Brunovsky means reachable."""
+    chain, s, i_dims, z_dims, reachable = reference_field_chain(sigma)
+    n = sigma.state_rank
+    return InvariantReport(
+        ring=sigma.ring,
+        state_rank=n,
+        chain=chain,
+        s=s,
+        M=tuple(n - c.cols for c in chain[1:]),
+        I=i_dims,
+        Z=z_dims,
+        reachable=reachable,
+        locally_brunovsky=reachable,
+    )
 
 
 def pad_family(report, kind, i):
@@ -472,3 +500,98 @@ def reference_det_expansion(m):
         dp = ndp
     full = (1 << n) - 1
     return dp.get(full, ring.zero())
+
+
+SPHERE_RING = {"kind": "poly_quotient", "vars": ["x", "y", "z"], "relation": "x^2 + y^2 + z^2 - 1"}
+
+
+def fuzz_base_documents():
+    """Small valid system files as JSON objects, one per ring kind.
+
+    Each holds a reachable system S, its image T under a feedback
+    action, an unreachable system U, and a certificate C from S to T.
+    Over the sphere ring, where the action's witnesses cannot be
+    solved for, T is S and C the identity certificate.
+    """
+    docs = []
+    for ring in (Rationals(), Integers(), PrimeField(7), descriptor_from_dict(SPHERE_RING)):
+        m = lambda rows: RingMatrix.from_rows(ring, [[ring.from_int(x) for x in r] for r in rows])
+        a, b = m([[1, 2], [0, 1]]), m([[0], [1]])
+        if isinstance(ring, PolyQuotient):
+            s = t = from_pair(a, b)
+            cert = identity_certificate(s)
+        else:
+            s, t, cert = certificate_from_action(a, b, m([[1, 1], [0, 1]]), m([[1, 0]]), m([[-1]]))
+        systems = {
+            "S": PairEntry(2, a, b),
+            "T": PairEntry(2, t.endo, t.input_gens),
+            "U": PairEntry(2, m([[0, 0], [0, 0]]), m([[1], [0]])),
+        }
+        sf = SystemFile(ring, systems, {"C": CertEntry("S", "T", cert)})
+        docs.append(json.loads(emit(sf)))
+    return docs
+
+
+_LITERALS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "6", "1/2", "-2/3", "x", "y*z - 1"]),
+    st.text(alphabet="0123456789-+*/^ xyzab().", max_size=10),
+    st.sampled_from(["", "1/0", "--1", "1e3", "0x10", " 7 ", "x^65", "x^2*y^2*z^2", "3/4", "9" * 400]),
+)
+_WRONG_VALUES = st.sampled_from(
+    [None, True, 0, -1, 3, 2.5, "", "S", "Q", [], {}, [[]], [["1"]], [["1", "2"], ["3"]], {"kind": "Q"}, 10**30 + 57]
+).map(copy.deepcopy)
+
+
+def _nodes(doc, path=()):
+    yield path, doc
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _nodes(value, path + (i,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def mutated_document(data, doc):
+    """A deep copy of doc after one to three random mutations drawn from
+    hypothesis ``data``: a matrix entry replaced by a random string, any
+    value replaced by one of a wrong JSON type, a key dropped, a key
+    added, or a matrix row lengthened or shortened."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        nodes = list(_nodes(doc))
+        kind = data.draw(st.sampled_from(["literal", "type", "drop", "extra", "ragged"]))
+        if kind == "literal":
+            targets = [p for p, v in nodes if isinstance(v, str) and isinstance(p[-1], int)]
+        elif kind == "type":
+            targets = [p for p, v in nodes if p]
+        elif kind == "ragged":
+            targets = [p for p, v in nodes if isinstance(v, list) and any(isinstance(r, list) for r in v)]
+        else:
+            targets = [p for p, v in nodes if isinstance(v, dict)]
+        if not targets:
+            continue
+        path = data.draw(st.sampled_from(targets))
+        node = _at(doc, path)
+        if kind == "literal":
+            _at(doc, path[:-1])[path[-1]] = data.draw(_LITERALS)
+        elif kind == "type":
+            _at(doc, path[:-1])[path[-1]] = data.draw(_WRONG_VALUES)
+        elif kind == "drop" and node:
+            del node[data.draw(st.sampled_from(sorted(node)))]
+        elif kind == "extra":
+            key = data.draw(st.sampled_from(["extra", "n", "ring", "systems", "certificates", "V", "S2"]))
+            node[key] = data.draw(st.one_of(_WRONG_VALUES, st.sampled_from(list(node.values()) or [0]).map(copy.deepcopy)))
+        elif kind == "ragged":
+            row = data.draw(st.sampled_from([r for r in node if isinstance(r, list)]))
+            if row and data.draw(st.booleans()):
+                row.pop()
+            else:
+                row.append(data.draw(_LITERALS))
+    return doc
