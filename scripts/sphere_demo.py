@@ -3,7 +3,8 @@
 
 Shows the ring, the two system pairs, and how certificate verification
 plays out: both shipped certificates accept, and damaging one entry of
-a state map gets caught by the first identity.
+a state map gets caught by the first identity.  Exits 1 when a shipped
+certificate is rejected or the damaged one is accepted.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ def main() -> int:
     for name in ("Sigma", "SigmaPrime", "SigmaLB", "SigmaPrimeLB"):
         entry = fixture.systems[name]
         print(f"system {name}: n={entry.n}, input generators {entry.input_gens}")
+    ok = True
     for name, entry in fixture.certificates.items():
         src = fixture.system(entry.source)
         tgt = fixture.system(entry.target)
         result = verify_certificate(src, tgt, entry.certificate)
         print(f"certificate {name}: {entry.source} -> {entry.target}: {result}")
+        ok = ok and result.accepted
         print(f"  det(phi) = {det(entry.certificate.phi)}")
 
     entry = fixture.certificates["cert_main"]
@@ -44,7 +47,7 @@ def main() -> int:
         IsoCertificate(damaged, cert.psi, cert.U, cert.V, cert.Kw),
     )
     print(f"cert_main with one damaged entry: {result}")
-    return 0
+    return 0 if ok and not result.accepted else 1
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
 from operator import mul
@@ -150,96 +151,37 @@ def _hermite_chain(sigma: LinearSystem) -> list[RingMatrix]:
         offers = [[sum(map(mul, arow, w)) for arow in a] for w in offers]
 
 
-class _Staircase:
-    """Krylov staircase N_1 <= N_2 <= ... of a pair (a, b) over a field.
+def _rank_staircase(
+    a: Sequence[Sequence[int]], columns: Sequence[Sequence[int]], p: int
+) -> tuple[list[int], list, list[tuple[int, int]]]:
+    """dim N_0, ..., dim N_s of a Krylov staircase, a basis of N_s, and
+    the Krylov columns it selects.
 
-    Level 0 offers the columns of b; level l + 1 offers a times each
-    column selected at level l, because N_{i+1} = N_i + a W_i for any
-    W_i spanning what N_i added.  A fully reduced echelon basis of the
-    span so far decides each offer: the offer's remainder is zero
-    exactly when it is dependent.  Every basis vector carries its
-    coordinates over the selected columns, so a rejected offer gets its
-    unique coordinates without a solve.  O(n^3) field operations.
-
-    ``selected`` lists (column of b, level) in selection order,
-    ``rejections`` maps each column of b to (level, coordinates over
-    ``selected``, number selected before it) of its first dependent
-    iterate, and ``chain[i]`` is the canonical basis of N_i, equal to
-    ``column_canonical`` of any generators of N_i.
-    """
-
-    def __init__(self, a: RingMatrix, b: RingMatrix):
-        self.ring, self.n = a.ring, a.rows
-        self.selected: list[tuple[int, int]] = []
-        self.rejections: dict[int, tuple[int, list, int]] = {}
-        self.chain = [RingMatrix.zeros(a.ring, a.rows, 0)]
-        self._basis: dict[int, list[list]] = {}  # pivot -> [vector, coordinates]
-        offers = [(j, b.column(j)) for j in range(b.cols)]
-        level = 0
-        while offers:
-            offers = [(j, w) for j, w in offers if self._select(j, level, w.entries)]
-            if offers:
-                self.chain.append(self._canonical())
-            offers = [(j, a @ w) for j, w in offers]
-            level += 1
-
-    def _select(self, j: int, level: int, w) -> bool:
-        ring = self.ring
-        add, sub, mul, is_zero = ring.add, ring.sub, ring.mul, ring.is_zero
-        coords = [ring.zero()] * self.n
-        for piv, (vec, crd) in self._basis.items():
-            f = w[piv]
-            if not is_zero(f):
-                w = [sub(x, mul(f, y)) for x, y in zip(w, vec)]
-                coords = [add(x, mul(f, y)) for x, y in zip(coords, crd)]
-        q = next((i for i, x in enumerate(w) if not is_zero(x)), None)
-        if q is None:
-            self.rejections[j] = (level, coords, len(self.selected))
-            return False
-        # w is the offer minus the basis combination coords, and the offer
-        # becomes selected column len(self.selected).
-        inv = ring.try_invert_payload(w[q])
-        coords = [ring.neg(x) for x in coords]
-        coords[len(self.selected)] = ring.one()
-        vec = [mul(inv, x) for x in w]
-        crd = [mul(inv, x) for x in coords]
-        for entry in self._basis.values():
-            g = entry[0][q]
-            if not is_zero(g):
-                entry[0] = [sub(x, mul(g, y)) for x, y in zip(entry[0], vec)]
-                entry[1] = [sub(x, mul(g, y)) for x, y in zip(entry[1], crd)]
-        self._basis[q] = [vec, crd]
-        self.selected.append((j, level))
-        return True
-
-    def _canonical(self) -> RingMatrix:
-        vecs = [self._basis[p][0] for p in sorted(self._basis)]
-        entries = tuple(v[i] for i in range(self.n) for v in vecs)
-        return RingMatrix(self.ring, self.n, len(vecs), entries)
-
-
-def _rank_staircase(a: Sequence[Sequence[int]], offers: Sequence[Sequence[int]], p: int) -> tuple[list[int], list]:
-    """dim N_0, ..., dim N_s of a Krylov staircase, with a basis of N_s.
-
-    ``a`` is the rows of A and ``offers`` the columns of B, as residues
+    ``a`` is the rows of A and ``columns`` the columns of B, as residues
     mod p, or as integers when p is 0 (a pair over Q with its
     denominators cleared).  Level 0 offers the columns of B and level
-    l + 1 offers A times each remainder kept at level l; those span
-    N_{l+1} modulo N_l, which is all ``_Staircase`` relies on too.  Only
-    ranks are wanted, so no basis is fully reduced: each basis vector is
-    zero at the pivots of those kept before it, and one pass over the
-    basis in order leaves a remainder that vanishes exactly when the
-    offer is dependent.  Over the integers the elimination is
-    fraction-free, w <- g w - f v with the pivot pair (g, f) divided by
-    its gcd, and each kept vector is made primitive by dividing out the
-    gcd of its entries.  Over GF(p) kept vectors are monic and each
-    entry takes one ``% p``.
+    l + 1 offers A times each remainder kept at level l.  A remainder
+    differs from its Krylov column A^l b_j by a vector of the span so
+    far, and A maps that span into the span ahead of column j's next
+    offer, so each offer is dependent exactly when its Krylov column
+    is.  ``selected`` therefore lists, as (j, l), the columns A^l b_j
+    that the level-major greedy scan of [B, AB, ...] keeps, in order,
+    and ``basis[:k]`` spans what the first k of them span.  No basis is
+    fully reduced: each basis vector is zero at the pivots of those
+    kept before it, and one pass over the basis in order leaves a
+    remainder that vanishes exactly when the offer is dependent.  Over
+    the integers the elimination is fraction-free, w <- g w - f v with
+    the pivot pair (g, f) divided by its gcd, and each kept vector is
+    made primitive by dividing out the gcd of its entries.  Over GF(p)
+    kept vectors are monic and each entry takes one ``% p``.
     """
     basis: list[tuple[int, list[int]]] = []
+    selected: list[tuple[int, int]] = []
     dims = [0]
+    offers = list(enumerate(columns))
     while True:
         kept = []
-        for w in offers:
+        for j, w in offers:
             for q, v in basis:
                 f = w[q]
                 if not f:
@@ -260,30 +202,31 @@ def _rank_staircase(a: Sequence[Sequence[int]], offers: Sequence[Sequence[int]],
                 c = gcd(*w)
                 w = [x // c for x in w]
             basis.append((q, w))
-            kept.append(w)
+            selected.append((j, len(dims) - 1))
+            kept.append((j, w))
         if not kept:
-            return dims, [v for _, v in basis]
+            return dims, [v for _, v in basis], selected
         dims.append(len(basis))
         if p:
-            offers = [[sum(map(mul, row, w)) % p for row in a] for w in kept]
+            offers = [(j, [sum(map(mul, row, w)) % p for row in a]) for j, w in kept]
         else:
-            offers = [[sum(map(mul, row, w)) for row in a] for w in kept]
+            offers = [(j, [sum(map(mul, row, w)) for row in a]) for j, w in kept]
 
 
-def _field_staircase(a: RingMatrix, b: RingMatrix) -> tuple[list[int], list]:
+def _field_staircase(a: RingMatrix, b: RingMatrix) -> tuple[list[int], list, list[tuple[int, int]]]:
     # _rank_staircase of a pair over Q or GF(p).  Over Q, a is scaled by
     # the lcm of all its denominators and each column of b by the lcm of
     # its own; nonzero scalars change no span.
     n = a.rows
     entries = a.entries
-    offers = [b.entries[j :: b.cols] for j in range(b.cols)]
+    columns = [b.entries[j :: b.cols] for j in range(b.cols)]
     if isinstance(a.ring, Rationals):
         entries = _cleared_fractions(entries)[0]
-        offers = [_cleared_fractions(w)[0] for w in offers]
+        columns = [_cleared_fractions(w)[0] for w in columns]
         p = 0
     else:
         p = a.ring.p
-    return _rank_staircase([entries[i * n : (i + 1) * n] for i in range(n)], offers, p)
+    return _rank_staircase([entries[i * n : (i + 1) * n] for i in range(n)], columns, p)
 
 
 def _layer_ranks(dims: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -294,13 +237,31 @@ def _layer_ranks(dims: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _report_over_field(sigma: LinearSystem) -> InvariantReport:
-    n = sigma.state_rank
-    chain = _Staircase(sigma.endo, sigma.input_gens).chain
-    dims = [m.cols for m in chain]
+    ring, n = sigma.ring, sigma.state_rank
+    dims, basis, _ = _field_staircase(sigma.endo, sigma.input_gens)
+    # basis[k] vanishes at the pivots of basis[:k].  Made monic and
+    # cleared from the vectors kept before it, the first dims[i] vectors
+    # sorted by pivot are the reduced echelon basis of N_i, which is what
+    # column_canonical gives for any generators of N_i.
+    p = 0 if isinstance(ring, Rationals) else ring.p
+    reduced: dict[int, list] = {}
+    chain = [RingMatrix.zeros(ring, n, 0)]
+    for lo, hi in zip(dims, dims[1:]):
+        for v in basis[lo:hi]:
+            q = next(i for i, x in enumerate(v) if x)
+            if not p:
+                v = [Fraction(x, v[q]) for x in v]
+            for r, u in reduced.items():
+                g = u[q]
+                if g:
+                    u = [x - g * y for x, y in zip(u, v)]
+                    reduced[r] = [x % p for x in u] if p else u
+            reduced[q] = v
+        chain.append(RingMatrix._of_columns(ring, [reduced[q] for q in sorted(reduced)], n))
     i_dims, z_dims = _layer_ranks(dims)
     reachable = dims[-1] == n
     return InvariantReport(
-        ring=sigma.ring,
+        ring=ring,
         state_rank=n,
         chain=tuple(chain),
         s=len(chain) - 1,
@@ -547,35 +508,45 @@ def canonical_certificate(a: RingMatrix, b: RingMatrix) -> CanonicalCertificate:
         raise ShapeError("expected an n x n endomorphism and an n-row input matrix")
     ring = a.ring
     n, m = a.rows, b.cols
-    # Level-major greedy basis selection from the columns of [B, AB, ...];
+    # Level-major greedy selection of Krylov columns A^l b_j, as (j, l);
     # mu[j] is the length of input column j's chain.
-    staircase = _Staircase(a, b)
-    if len(staircase.selected) < n:
+    selected = _field_staircase(a, b)[2]
+    if len(selected) < n:
         raise NotReachable("pair is not reachable")
-    mu = Counter(j for j, _ in staircase.selected)
+    mu = Counter(j for j, _ in selected)
 
     chains = sorted((j for j in range(m) if mu[j] > 0), key=lambda j: (-mu[j], j))
     indices = tuple(mu[j] for j in chains)
+    order = chains + [j for j in range(m) if not mu[j]]
 
-    # Input column j first repeats at level mu[j], as the combination
-    # coeffs of the columns selected before it.  Moving the level-mu[j]
-    # terms into Q's column c_j leaves A^mu[j] B c_j = sum_l A^l B u_l
-    # over lower levels: B c_j is a purified chain root (zero when
-    # mu[j] = 0), and v_{l+1} = A v_l + B k_l with k_l = -u_{mu[j]-1-l}
-    # walks the chain up to a top that the closed loop kills.
-    zero = ring.zero()
+    # Input column j first repeats at level mu[j]: A^mu[j] b_j is a
+    # combination of the selected columns W kept before it.  W is a
+    # basis, so one inversion gives every column's unique coordinates,
+    # and those on columns kept later are zero; skipping zeros skips
+    # every column at a level past mu[j].  Moving the level-mu[j] terms into Q's column c_j
+    # leaves A^mu[j] B c_j = sum_l A^l B u_l over lower levels: B c_j is
+    # a purified chain root (zero when mu[j] = 0), and
+    # v_{l+1} = A v_l + B k_l with k_l = -u_{mu[j]-1-l} walks the chain
+    # up to a top that the closed loop kills.
+    powers = [b]
+    for _ in range(max(indices, default=0)):
+        powers.append(a @ powers[-1])
+    w_mat = RingMatrix._of_columns(ring, [powers[l].entries[j::m] for j, l in selected], n)
+    coords = invert(w_mat) @ RingMatrix._of_columns(ring, [powers[mu[j]].entries[j::m] for j in order], n)
+    zero, one = ring.zero(), ring.one()
     v_columns, k_columns, q_columns = [], [], []
-    for j in chains + [j for j in range(m) if not mu[j]]:
-        depth, coeffs, upto = staircase.rejections[j]
+    for t, j in enumerate(order):
+        depth = mu[j]
         c = [zero] * m
-        c[j] = ring.one()
+        c[j] = one
         minus_u = [[zero] * m for _ in range(depth)]
-        for k in range(upto):
-            owner, lvl = staircase.selected[k]
+        for (owner, lvl), x in zip(selected, coords.entries[t::m]):
+            if ring.is_zero(x):
+                continue
             if lvl == depth:
-                c[owner] = ring.neg(coeffs[k])
+                c[owner] = ring.neg(x)
             else:
-                minus_u[lvl][owner] = ring.neg(coeffs[k])
+                minus_u[lvl][owner] = ring.neg(x)
         q_columns.append(c)
         for l in range(depth):
             vec = b @ RingMatrix(ring, m, 1, tuple(c)) if l == 0 else a @ vec + b @ k_l

@@ -245,19 +245,9 @@ class RingDescriptor:
     def is_zero(self, a) -> bool:
         return a == self.zero()
 
-    def is_one(self, a) -> bool:
-        return a == self.one()
-
     def try_invert_payload(self, a):
         """Inverse payload, or None when no inverse is certified."""
         raise NotImplementedError
-
-    def div(self, a, b):
-        """Exact division, only available over fields."""
-        inv = self.try_invert_payload(b)
-        if inv is None:
-            raise ZeroDivisionError(f"{self.format_payload(b)} is not a unit in {self}")
-        return self.mul(a, inv)
 
     def from_int(self, n: int):
         raise NotImplementedError
@@ -592,9 +582,6 @@ class PolyQuotient(RingDescriptor):
         if isinstance(value, Poly):
             return self.reduce(value)
         return Poly.const(len(self.variables), Fraction(value))
-
-    def var(self, name: str) -> Poly:
-        return Poly.variable(self.variables.index(name), len(self.variables))
 
     def parse_payload(self, text: str):
         # A rational constant is already in normal form.  Any other

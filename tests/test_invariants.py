@@ -318,6 +318,14 @@ class TestChainProperties:
             assert (rep.chain, rep.s, rep.I, rep.Z, rep.reachable) == reference_field_chain(sigma)
             seen.add(rep.reachable)
         assert seen == {True, False}
+        # State rank 12-16, over Q with several denominators, where the
+        # back-reduced chain's entries grow.
+        for _ in range(3):
+            n = rng.randint(12, 16)
+            a, b = rand_matrix(ring, n, n, rng), rand_matrix(ring, n, rng.randint(1, 3), rng)
+            sigma = from_pair(*(_rational_twist(a, b, rng) if ring == Q else (a, b)))
+            rep = compute_chain(sigma)
+            assert (rep.chain, rep.s, rep.I, rep.Z, rep.reachable) == reference_field_chain(sigma)
 
     @pytest.mark.parametrize("ring", [Q, F2, F3, F101], ids=str)
     def test_field_signature_matches_reference(self, ring):
@@ -338,7 +346,7 @@ class TestChainProperties:
             sigma = from_pair(a, b)
             expected = _signature_or_error(lambda s: signature_from_report(reference_field_report(s)), sigma)
             assert _signature_or_error(z_signature, sigma) == expected
-            dims, basis = _field_staircase(sigma.endo, sigma.input_gens)
+            dims, basis, _ = _field_staircase(sigma.endo, sigma.input_gens)
             # The raw input columns, zero and dependent ones included,
             # give the same staircase as the canonical ones.
             assert _field_staircase(a, b)[0] == dims

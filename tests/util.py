@@ -38,7 +38,6 @@ from ringsys import (
     rref,
     solve_right,
 )
-from ringsys.invariants import _Staircase
 from ringsys.rings import descriptor_from_dict, grlex_key
 from ringsys.sysfile import CertEntry, PairEntry, SystemFile, emit
 
@@ -357,11 +356,39 @@ def reference_verify(s1, s2, cert):
     return VerifyResult(True)
 
 
+def _reference_krylov_selection(a, b):
+    """Level-major greedy selection from the columns of [B, AB, ...] by
+    membership tests: the selected (column of b, level) pairs in order,
+    and for each column of b the coordinates of its first dependent
+    iterate over the columns selected so far, by solve_right, with the
+    number selected so far."""
+    ring, n = a.ring, a.rows
+    selected, columns, rejections = [], [], {}
+    span = RingMatrix.zeros(ring, n, 0)
+    live, power, level = list(range(b.cols)), b, 0
+    while live:
+        kept = []
+        for j in live:
+            col = power.column(j)
+            if not membership(col, span):
+                selected.append((j, level))
+                columns.append(col.entries)
+                span = column_space_sum(span, col)
+                kept.append(j)
+                continue
+            sol = solve_right(RingMatrix.from_columns(ring, columns, rows=n), col)
+            assert sol is not None, "a member of the span has no coordinates"
+            rejections[j] = (list(sol.entries), len(selected))
+        live, power, level = kept, a @ power, level + 1
+    return selected, rejections
+
+
 def reference_canonical_certificate(a, b):
     """The canonical certificate by one solve_right per chain on the
     stacked reach matrix [B, AB, ...] and an inverted, permuted root
     block for Q, the reference for canonical_certificate, which reads
-    the same triple from the staircase's rejection coordinates."""
+    the same triple from the rank staircase's selection and one
+    inversion of the selected Krylov columns."""
     if not a.ring.is_field:
         raise UnsupportedRing("canonical certificates need a field")
     if a.rows != a.cols or b.rows != a.rows:
@@ -370,10 +397,10 @@ def reference_canonical_certificate(a, b):
     n, m = a.rows, b.cols
     # Level-major greedy basis selection from the columns of [B, AB, ...];
     # mu[j] is the length of input column j's chain.
-    staircase = _Staircase(a, b)
-    if len(staircase.selected) < n:
+    selected, rejections = _reference_krylov_selection(a, b)
+    if len(selected) < n:
         raise NotReachable("pair is not reachable")
-    mu = Counter(j for j, _ in staircase.selected)
+    mu = Counter(j for j, _ in selected)
 
     chains = sorted((j for j in range(m) if mu[j] > 0), key=lambda j: (-mu[j], j))
     indices = tuple(mu[j] for j in chains)
@@ -387,10 +414,10 @@ def reference_canonical_certificate(a, b):
         powers_b.append(a @ powers_b[-1])
     for j in chains:
         depth = mu[j]
-        _, coeffs, upto = staircase.rejections[j]
+        coeffs, upto = rejections[j]
         root = b.column(j)
         for k in range(upto):
-            owner, lvl = staircase.selected[k]
+            owner, lvl = selected[k]
             if lvl == depth:
                 root = root - b.column(owner).scale(coeffs[k])
         # Solve A^depth root = sum_l A^l B u_l over the reach stack.
