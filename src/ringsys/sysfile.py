@@ -102,7 +102,7 @@ def _reject_duplicates(pairs):
     return seen
 
 
-def _parse_matrix(ring: RingDescriptor, data, where: str, rows=None, cols=None) -> RingMatrix:
+def _parse_matrix(ring: RingDescriptor, data, where: str, memo: dict, rows=None, cols=None) -> RingMatrix:
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise SystemFileError(f"{where}: expected a list of rows")
     parsed = []
@@ -116,10 +116,14 @@ def _parse_matrix(ring: RingDescriptor, data, where: str, rows=None, cols=None) 
         for j, literal in enumerate(row):
             if not isinstance(literal, str):
                 raise SystemFileError(f"{where}[{i}][{j}]: entries must be strings")
-            try:
-                out.append(ring.parse_payload(literal))
-            except ElementSyntaxError as exc:
-                raise SystemFileError(f"{where}[{i}][{j}]: {exc}") from exc
+            # Payloads are immutable, so each distinct text is parsed once per file
+            payload = memo.get(literal)
+            if payload is None:
+                try:
+                    payload = memo[literal] = ring.parse_payload(literal)
+                except ElementSyntaxError as exc:
+                    raise SystemFileError(f"{where}[{i}][{j}]: {exc}") from exc
+            out.append(payload)
         parsed.append(out)
     if rows is not None and len(parsed) != rows:
         raise SystemFileError(f"{where}: expected {rows} rows, found {len(parsed)}")
@@ -150,6 +154,7 @@ def parse_text(text: str) -> SystemFile:
         ring = descriptor_from_dict(data["ring"])
     except (KeyError, ValueError, TypeError, ElementSyntaxError) as exc:
         raise SystemFileError(f"ring: {exc}") from exc
+    memo: dict = {}
     systems: dict[str, PairEntry] = {}
     for name, spec in _named_map(data, "systems").items():
         where = f"systems.{name}"
@@ -158,8 +163,8 @@ def parse_text(text: str) -> SystemFile:
         n = spec.get("n")
         if type(n) is not int or n < 0:
             raise SystemFileError(f"{where}.n: missing or not a nonnegative integer")
-        endo = _parse_matrix(ring, spec.get("endo"), f"{where}.endo", rows=n, cols=n)
-        gens = _parse_matrix(ring, spec.get("input_gens"), f"{where}.input_gens", rows=n)
+        endo = _parse_matrix(ring, spec.get("endo"), f"{where}.endo", memo, rows=n, cols=n)
+        gens = _parse_matrix(ring, spec.get("input_gens"), f"{where}.input_gens", memo, rows=n)
         systems[name] = PairEntry(n, endo, gens)
     certificates: dict[str, CertEntry] = {}
     for name, spec in _named_map(data, "certificates").items():
@@ -173,7 +178,7 @@ def parse_text(text: str) -> SystemFile:
         for key in _CERT_FIELDS:
             if key not in spec:
                 raise SystemFileError(f"{where}.{key}: missing matrix")
-            mats[key] = _parse_matrix(ring, spec[key], f"{where}.{key}")
+            mats[key] = _parse_matrix(ring, spec[key], f"{where}.{key}", memo)
         certificates[name] = CertEntry(
             spec["source"],
             spec["target"],

@@ -4,19 +4,23 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringsys import (
+    ElementSyntaxError,
     Integers,
     PrimeField,
     Rationals,
     RingMatrix,
     SystemFileError,
 )
-from ringsys.sysfile import PairEntry, SystemFile, emit, parse, parse_text, write
+from ringsys.equivalence import IsoCertificate
+from ringsys.rings import MAX_REDUCE_COST, _parse_terms, descriptor_from_dict
+from ringsys.sysfile import _CERT_FIELDS, CertEntry, PairEntry, SystemFile, emit, parse, parse_text, write
 from util import fuzz_base_documents, mutated_document, rand_matrix
 
 Q = Rationals()
@@ -248,6 +252,162 @@ class TestValidation:
     def test_large_prime_modulus_accepted(self):
         sf = parse_text(json.dumps({"ring": {"kind": "GF", "p": 2**61 - 1}}))
         assert sf.ring == PrimeField(2**61 - 1)
+
+
+# Literals that differ as text but may share a payload ("0", "-0", "0/4";
+# "5/10", "1/2"; " 1", "1 ", "8" in GF(7); "x*y - 1", "y*x - 1").  Each
+# ring keeps the ones it accepts.
+MEMO_POOL = ["0", "-0", "0/4", "5/10", "1/2", " 1", "1 ", "8", "-3", "x*y - 1", "y*x - 1", "z^2", "1 - x^2 - y^2"]
+MEMO_RINGS = [{"kind": "Q"}, {"kind": "Z"}, {"kind": "GF", "p": 7}, SPHERE]
+
+
+def _accepted(ring, pool):
+    out = []
+    for literal in pool:
+        try:
+            ring.parse_payload(literal)
+        except ElementSyntaxError:
+            continue
+        out.append(literal)
+    return out
+
+
+def _memo_document(ring_doc, literal, dim):
+    """A system file whose entries all come from literal(), repeated
+    across systems and a certificate; dim(lo, hi) picks each size."""
+
+    def mat(rows, cols):
+        return [[literal() for _ in range(cols)] for _ in range(rows)]
+
+    systems = {}
+    for k in range(dim(1, 3)):
+        n = dim(0, 3)
+        systems[f"S{k}"] = {"n": n, "endo": mat(n, n), "input_gens": mat(n, dim(0, 2))}
+    cert = {"source": "S0", "target": f"S{len(systems) - 1}"}
+    cert.update((key, mat(dim(0, 3), dim(1, 3))) for key in _CERT_FIELDS)
+    return {"ring": ring_doc, "systems": systems, "certificates": {"C": cert}}
+
+
+def _check_per_entry(doc):
+    """parse_text agrees with parsing every entry on its own."""
+    ring = descriptor_from_dict(doc["ring"])
+    sf = parse_text(json.dumps(doc))
+
+    def each(rows):
+        return [[ring.parse_payload(t) for t in r] for r in rows]
+
+    def typed(rows):
+        return [[(type(v), v) for v in r] for r in rows]
+
+    def reference(rows):
+        return RingMatrix._of_rows(ring, each(rows), len(rows[0]) if rows else 0)
+
+    systems = {}
+    for name, spec in doc["systems"].items():
+        entry = sf.systems[name]
+        assert typed(entry.endo.to_lists()) == typed(each(spec["endo"]))
+        assert typed(entry.input_gens.to_lists()) == typed(each(spec["input_gens"]))
+        systems[name] = PairEntry(spec["n"], reference(spec["endo"]), reference(spec["input_gens"]))
+    certificates = {}
+    for name, spec in doc["certificates"].items():
+        cert = sf.certificates[name].certificate
+        for key in _CERT_FIELDS:
+            assert typed(getattr(cert, key).to_lists()) == typed(each(spec[key]))
+        witness = IsoCertificate(*(reference(spec[key]) for key in _CERT_FIELDS))
+        certificates[name] = CertEntry(spec["source"], spec["target"], witness)
+    expected = SystemFile(ring, systems, certificates)
+    assert sf == expected
+    assert emit(sf) == emit(expected)
+
+
+def _count_parses(monkeypatch, ring):
+    calls = Counter()
+    original = type(ring).parse_payload
+
+    def counting(self, text):
+        calls[text] += 1
+        return original(self, text)
+
+    monkeypatch.setattr(type(ring), "parse_payload", counting)
+    return calls
+
+
+def _literals(doc):
+    for spec in doc["systems"].values():
+        yield from (t for key in ("endo", "input_gens") for row in spec[key] for t in row)
+    for spec in doc["certificates"].values():
+        yield from (t for key in _CERT_FIELDS for row in spec[key] for t in row)
+
+
+# A sphere literal whose reduction costs just under MAX_REDUCE_COST: a
+# 4101-bit coefficient costs 6 per rewrite of z^60.
+COSTLY = f"{2**4100}*z^60"
+
+
+class TestLiteralMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), ring_doc=st.sampled_from(MEMO_RINGS))
+    def test_repeated_literals_parse_as_each_alone(self, data, ring_doc):
+        pool = _accepted(descriptor_from_dict(ring_doc), MEMO_POOL)
+        doc = _memo_document(
+            ring_doc, lambda: data.draw(st.sampled_from(pool)), lambda lo, hi: data.draw(st.integers(lo, hi))
+        )
+        _check_per_entry(doc)
+
+    @pytest.mark.parametrize("ring_doc", MEMO_RINGS, ids=lambda d: d["kind"])
+    def test_one_parse_per_distinct_literal(self, monkeypatch, ring_doc):
+        ring = descriptor_from_dict(ring_doc)
+        pool = _accepted(ring, MEMO_POOL)
+        rng = random.Random(11)
+        doc = _memo_document(ring_doc, lambda: rng.choice(pool), lambda lo, hi: hi)
+        calls = _count_parses(monkeypatch, ring)
+        parse_text(json.dumps(doc))
+        literals = list(_literals(doc))
+        assert len(literals) > len(set(literals))
+        assert calls == Counter(set(literals))
+
+    def test_costly_literal_repeated_in_every_entry_parses_once(self, monkeypatch):
+        ring = descriptor_from_dict(SPHERE)
+        terms = _parse_terms(COSTLY, ring.variables)
+        ring.reduce(terms, MAX_REDUCE_COST)
+        with pytest.raises(ElementSyntaxError):
+            ring.reduce(terms, MAX_REDUCE_COST * 98 // 100)
+        doc = _memo_document(SPHERE, lambda: COSTLY, lambda lo, hi: hi)
+        calls = _count_parses(monkeypatch, ring)
+        sf = parse_text(json.dumps(doc))
+        assert calls == Counter([COSTLY])
+        payload = ring.parse_payload(COSTLY)
+        assert all(v == payload for entry in sf.systems.values() for v in entry.endo.entries)
+
+    @pytest.mark.parametrize(
+        "ring_doc, bad, message",
+        [
+            ({"kind": "Q"}, "1/0", "zero denominator"),
+            ({"kind": "Z"}, "x", "bad integer literal"),
+            ({"kind": "GF", "p": 7}, "1/2", "bad residue literal"),
+            (SPHERE, "x^65", "monomial of total degree"),
+        ],
+        ids=["Q", "Z", "GF", "sphere"],
+    )
+    def test_repeated_bad_literal_names_first_position(self, ring_doc, bad, message):
+        doc = {
+            "ring": ring_doc,
+            "systems": {"S": {"n": 2, "endo": [["1", "1"], ["1", bad]], "input_gens": [[bad], ["1"]]}},
+        }
+        for _ in range(2):  # nothing carries over from one call to the next
+            with pytest.raises(SystemFileError) as err:
+                parse_text(json.dumps(doc))
+            assert str(err.value).startswith(f"systems.S.endo[1][1]: {message}")
+
+    @pytest.mark.parametrize("entry", [["1"], {"1": "1"}, 1, None], ids=["list", "dict", "int", "null"])
+    @pytest.mark.parametrize("ring_doc", MEMO_RINGS, ids=lambda d: d["kind"])
+    def test_non_string_entry_among_repeats(self, ring_doc, entry):
+        doc = {
+            "ring": ring_doc,
+            "systems": {"S": {"n": 2, "endo": [["1", "1"], ["1", entry]], "input_gens": [["1"], ["1"]]}},
+        }
+        with pytest.raises(SystemFileError, match=r"systems\.S\.endo\[1\]\[1\]: entries must be strings"):
+            parse_text(json.dumps(doc))
 
 
 BASE_DOCUMENTS = fuzz_base_documents()
