@@ -22,7 +22,7 @@ from .equivalence import (
 )
 from .errors import RingsysError
 from .invariants import canonical_certificate, compute_chain, signature_from_report, z_signature
-from .linalg import AbelianGroupStructure, RingMatrix
+from .linalg import AbelianGroupStructure
 from .sysfile import PairEntry, SystemFile, parse, write
 from .systems import enlarged_pair
 
@@ -31,10 +31,6 @@ def _structure_doc(structure):
     if isinstance(structure, AbelianGroupStructure):
         return {"free_rank": structure.free_rank, "torsion": list(structure.torsion)}
     return structure
-
-
-def _matrix_doc(m: RingMatrix):
-    return m.to_str_rows()
 
 
 def _emit(doc, human_lines, as_json: bool) -> None:
@@ -89,11 +85,11 @@ def _cmd_canon(args) -> int:
         "command": "canon",
         "system": args.system,
         "indices": list(cert.indices),
-        "canonical_endo": _matrix_doc(cert.canonical_endo),
-        "canonical_input": _matrix_doc(cert.canonical_input),
-        "P": _matrix_doc(cert.P),
-        "K": _matrix_doc(cert.K),
-        "Q": _matrix_doc(cert.Q),
+        "canonical_endo": cert.canonical_endo.to_str_rows(),
+        "canonical_input": cert.canonical_input.to_str_rows(),
+        "P": cert.P.to_str_rows(),
+        "K": cert.K.to_str_rows(),
+        "Q": cert.Q.to_str_rows(),
     }
     lines = [
         f"indices: ({', '.join(map(str, cert.indices))})",

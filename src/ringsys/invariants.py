@@ -145,7 +145,7 @@ def _hermite_chain(sigma: LinearSystem) -> list[RingMatrix]:
         offers = [w for w in offers if any(w)]
         if not offers:
             return chain
-        h, _, pivots = _hnf_int(basis + offers, len(basis) + len(offers), n, transform=False)
+        h, pivots = _hnf_int(basis + offers, n)
         basis = h[: len(pivots)]
         chain.append(RingMatrix._of_columns(ring, basis, n))
         offers = [[sum(map(mul, arow, w)) for arow in a] for w in offers]
@@ -375,7 +375,7 @@ def _report_over_integers(sigma: LinearSystem, chain: list[RingMatrix]) -> Invar
         )
         rows = [f + [1 if k == j else 0 for k in range(d)] for j, f in enumerate(f_cols)]
         rows += [g + [0] * d for g in rel[i + 1]]
-        h, _, pivots = _hnf_int(rows, len(rows), r + d, transform=False)
+        h, pivots = _hnf_int(rows, r + d)
         keep = [k for k, p in enumerate(pivots) if p >= r]
         preimage = ([h[k][r:] for k in keep], [pivots[k] - r for k in keep])
         y = _coordinates(preimage, rel[i], "relations escaped their preimage lattice")
@@ -418,6 +418,7 @@ def z_signature(sigma: LinearSystem) -> ZSignature:
     structures are never built.  Over Q and GF(p) every module is free,
     so the system is locally Brunovsky exactly when it is reachable, and
     the ranks come from ``_rank_staircase`` on integer or residue data.
+    A quotient ring is refused, as ``compute_chain`` refuses it.
     """
     ring, n = sigma.ring, sigma.state_rank
     if isinstance(ring, Integers):
@@ -431,7 +432,7 @@ def z_signature(sigma: LinearSystem) -> ZSignature:
         if dims[-1] != n:
             raise NotLocallyBrunovsky(_NOT_LOCALLY_BRUNOVSKY)
     else:
-        return signature_from_report(compute_chain(sigma))
+        raise UnsupportedRing("invariant chains need decidable submodule arithmetic")
     return ZSignature(_layer_ranks(dims)[1])
 
 

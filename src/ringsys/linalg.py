@@ -9,10 +9,12 @@ pure and exact; there is no floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import prod
 from typing import Optional, Sequence
 
 from .errors import DescriptorMismatch, ShapeError, UnsupportedRing
-from .rings import Integers, PolyQuotient, RingDescriptor, RingElement
+from .rings import Integers, PolyQuotient, PrimeField, Rationals, RingDescriptor, RingElement, _cleared_fractions
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,8 @@ class RingMatrix:
             height = len(columns[0])
             if any(len(c) != height for c in columns):
                 raise ShapeError("ragged columns")
+            if rows is not None and rows != height:
+                raise ShapeError(f"declared {rows} rows, columns have {height}")
             rows = height
         elif rows is None:
             rows = 0
@@ -220,7 +224,7 @@ class AbelianGroupStructure:
         # diagonal relations matrix.
         k = len(merged)
         diag = [[merged[i] if i == j else 0 for j in range(k)] for i in range(k)]
-        _, d, _ = _snf_int(diag, k, k, transform=False)
+        d = _snf_int(diag, k, k)
         factors = tuple(d[i][i] for i in range(k) if d[i][i] > 1)
         return AbelianGroupStructure(self.free_rank + other.free_rank, factors)
 
@@ -239,6 +243,37 @@ def _require_integers(m: RingMatrix, what: str) -> None:
         raise UnsupportedRing(f"{what} needs the integers, got {m.ring}")
 
 
+def _gauss_jordan(ring: RingDescriptor, a: list[list], ncols: int) -> list[int]:
+    """Reduce the rows ``a`` in place to reduced row-echelon form in their
+    first ``ncols`` columns; returns the pivot columns.
+
+    Columns past ``ncols`` are riders: they get the same row operations,
+    so an appended identity becomes the row transform and an appended
+    right-hand side its image under that transform.
+    """
+    piv_row = 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        sel = None
+        for i in range(piv_row, len(a)):
+            if not ring.is_zero(a[i][col]):
+                sel = i
+                break
+        if sel is None:
+            continue
+        a[piv_row], a[sel] = a[sel], a[piv_row]
+        inv = ring.try_invert_payload(a[piv_row][col])
+        a[piv_row] = [ring.mul(inv, x) for x in a[piv_row]]
+        for i in range(len(a)):
+            if i == piv_row or ring.is_zero(a[i][col]):
+                continue
+            f = a[i][col]
+            a[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(a[i], a[piv_row])]
+        pivots.append(col)
+        piv_row += 1
+    return pivots
+
+
 def rref(m: RingMatrix) -> RrefResult:
     """Reduced row-echelon form with its invertible row transform.
 
@@ -246,36 +281,13 @@ def rref(m: RingMatrix) -> RrefResult:
     """
     _require_field(m, "rref")
     ring = m.ring
-    a = m.to_lists()
-    t = RingMatrix.identity(ring, m.rows).to_lists()
-    piv_row = 0
-    pivots: list[int] = []
-    for col in range(m.cols):
-        sel = None
-        for i in range(piv_row, m.rows):
-            if not ring.is_zero(a[i][col]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        a[piv_row], a[sel] = a[sel], a[piv_row]
-        t[piv_row], t[sel] = t[sel], t[piv_row]
-        inv = ring.try_invert_payload(a[piv_row][col])
-        a[piv_row] = [ring.mul(inv, x) for x in a[piv_row]]
-        t[piv_row] = [ring.mul(inv, x) for x in t[piv_row]]
-        for i in range(m.rows):
-            if i == piv_row or ring.is_zero(a[i][col]):
-                continue
-            f = a[i][col]
-            a[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(a[i], a[piv_row])]
-            t[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(t[i], t[piv_row])]
-        pivots.append(col)
-        piv_row += 1
+    a = m.hstack(RingMatrix.identity(ring, m.rows)).to_lists()
+    pivots = _gauss_jordan(ring, a, m.cols)
     return RrefResult(
-        RingMatrix._of_rows(ring, a, m.cols),
+        RingMatrix._of_rows(ring, [row[: m.cols] for row in a], m.cols),
         len(pivots),
         tuple(pivots),
-        RingMatrix._of_rows(ring, t, m.rows),
+        RingMatrix._of_rows(ring, [row[m.cols :] for row in a], m.rows),
     )
 
 
@@ -294,30 +306,28 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _hnf_int(mat: list[list[int]], nrows: int, ncols: int, transform: bool = True):
-    """Row-style Hermite form: returns (H, U, pivots) with U*mat = H.
+def _hnf_int(mat: list[list[int]], ncols: int):
+    """Row-style Hermite form of the first ``ncols`` columns of ``mat``:
+    returns the reduced rows and the pivot columns.
 
-    Pivots are positive, entries above each pivot are reduced into
-    [0, pivot), and U is unimodular.  U is carried as extra columns of
-    every row, so the same row operations build it; without
-    ``transform`` they are not carried and U is None.
+    Pivots are positive and entries above each pivot are reduced into
+    [0, pivot).  Columns past ``ncols`` are riders that get the same
+    row operations, so an appended identity becomes a unimodular U with
+    U*mat = H.
     """
-    if transform:
-        h = [row[:] + [1 if i == j else 0 for j in range(nrows)] for i, row in enumerate(mat)]
-    else:
-        h = [row[:] for row in mat]
+    h = list(mat)
     piv_row = 0
     pivots: list[int] = []
     for col in range(ncols):
         sel = None
-        for i in range(piv_row, nrows):
+        for i in range(piv_row, len(h)):
             if h[i][col] != 0:
                 sel = i
                 break
         if sel is None:
             continue
         h[piv_row], h[sel] = h[sel], h[piv_row]
-        for i in range(piv_row + 1, nrows):
+        for i in range(piv_row + 1, len(h)):
             if h[i][col] == 0:
                 continue
             top, row = h[piv_row], h[i]
@@ -335,35 +345,32 @@ def _hnf_int(mat: list[list[int]], nrows: int, ncols: int, transform: bool = Tru
                 h[i] = [x - q * y for x, y in zip(h[i], h[piv_row])]
         pivots.append(col)
         piv_row += 1
-    if transform:
-        return [row[:ncols] for row in h], [row[ncols:] for row in h], pivots
-    return h, None, pivots
+    return h, pivots
 
 
 def hnf(m: RingMatrix) -> tuple[RingMatrix, RingMatrix]:
     """Hermite normal form (H, U) of an integer matrix with U @ m = H."""
     _require_integers(m, "hnf")
-    h, u, _ = _hnf_int(m.to_lists(), m.rows, m.cols)
     ring = m.ring
+    h, _ = _hnf_int(m.hstack(RingMatrix.identity(ring, m.rows)).to_lists(), m.cols)
     return (
-        RingMatrix._of_rows(ring, h, m.cols),
-        RingMatrix._of_rows(ring, u, m.rows),
+        RingMatrix._of_rows(ring, [row[: m.cols] for row in h], m.cols),
+        RingMatrix._of_rows(ring, [row[m.cols :] for row in h], m.rows),
     )
 
 
-def _snf_int(mat: list[list[int]], nrows: int, ncols: int, transform: bool = True):
-    """Smith form (U, D, V) of an integer matrix, U*mat*V = D.
+def _snf_int(mat: list[list[int]], nrows: int, ncols: int) -> list[list[int]]:
+    """Smith form of the first ``nrows`` rows and ``ncols`` columns of
+    ``mat``: returns the reduced rows, whose leading block is diagonal
+    with entries forming a divisibility chain.
 
     The pivot is always a minimal-absolute-value nonzero entry of the
-    remaining submatrix, which keeps intermediate growth low.  U rides
-    along as extra columns of the first nrows rows and V as extra rows
-    below them, so row and column operations build both; without
-    ``transform`` neither is carried and U, V are None.
+    remaining submatrix, which keeps intermediate growth low.  Columns
+    past ``ncols`` ride along with the row operations and rows past
+    ``nrows`` with the column operations, so identities appended there
+    become unimodular U and V with U*mat*V = D.
     """
     a = [row[:] for row in mat]
-    if transform:
-        a = [row + [1 if i == j else 0 for j in range(nrows)] for i, row in enumerate(a)]
-        a += [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     t = 0
     while t < min(nrows, ncols):
         best = None
@@ -415,21 +422,19 @@ def _snf_int(mat: list[list[int]], nrows: int, ncols: int, transform: bool = Tru
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
         t += 1
-    d = [[a[i][j] if i == j else 0 for j in range(ncols)] for i in range(nrows)]
-    if transform:
-        return [row[ncols:] for row in a[:nrows]], d, [row[:] for row in a[nrows:]]
-    return None, d, None
+    return a
 
 
 def snf(m: RingMatrix) -> SmithDecomposition:
     """Smith normal form of an integer matrix."""
     _require_integers(m, "snf")
-    u, d, v = _snf_int(m.to_lists(), m.rows, m.cols)
     ring = m.ring
+    u_riders = m.hstack(RingMatrix.identity(ring, m.rows)).to_lists()
+    a = _snf_int(u_riders + RingMatrix.identity(ring, m.cols).to_lists(), m.rows, m.cols)
     return SmithDecomposition(
-        RingMatrix._of_rows(ring, u, m.rows),
-        RingMatrix._of_rows(ring, d, m.cols),
-        RingMatrix._of_rows(ring, v, m.cols),
+        RingMatrix._of_rows(ring, [row[m.cols :] for row in a[: m.rows]], m.rows),
+        RingMatrix._of_rows(ring, [row[: m.cols] for row in a[: m.rows]], m.cols),
+        RingMatrix._of_rows(ring, a[m.rows :], m.cols),
     )
 
 
@@ -441,13 +446,13 @@ def column_canonical(m: RingMatrix) -> RingMatrix:
     Two generator matrices span the same submodule exactly when their
     canonical forms are equal.
     """
+    rows = m.transpose().to_lists()
     if isinstance(m.ring, Integers):
-        h, _, _ = _hnf_int(m.transpose().to_lists(), m.cols, m.rows, transform=False)
-        return RingMatrix._of_columns(m.ring, [row for row in h if any(row)], m.rows)
-    _require_field(m, "column_canonical")
-    res = rref(m.transpose())
-    basis = [res.matrix.row_list(i) for i in range(res.rank)]
-    return RingMatrix._of_columns(m.ring, basis, m.rows)
+        rows, pivots = _hnf_int(rows, m.rows)
+    else:
+        _require_field(m, "column_canonical")
+        pivots = _gauss_jordan(m.ring, rows, m.rows)
+    return RingMatrix._of_columns(m.ring, rows[: len(pivots)], m.rows)
 
 
 def column_space_sum(a: RingMatrix, b: RingMatrix) -> RingMatrix:
@@ -486,15 +491,15 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> Optional[RingMatrix]:
     if isinstance(a.ring, Integers):
         return _solve_right_int(a, b)
     _require_field(a, "solve_right")
-    res = rref(a)
-    c = res.transform @ b
     ring = a.ring
-    for i in range(res.rank, a.rows):
-        if any(not ring.is_zero(c.entry(i, j)) for j in range(b.cols)):
+    rows = a.hstack(b).to_lists()
+    pivots = _gauss_jordan(ring, rows, a.cols)
+    for row in rows[len(pivots) :]:
+        if any(not ring.is_zero(x) for x in row[a.cols :]):
             return None
     x = [[ring.zero() for _ in range(b.cols)] for _ in range(a.cols)]
-    for r, pivot_col in enumerate(res.pivots):
-        x[pivot_col] = [c.entry(r, j) for j in range(b.cols)]
+    for row, pivot_col in zip(rows, pivots):
+        x[pivot_col] = row[a.cols :]
     return RingMatrix._of_rows(ring, x, b.cols)
 
 
@@ -505,6 +510,7 @@ def _back_substitute(basis: list[list[int]], pivots: list[int], target: Sequence
     pivot ``pivots[r]``, and the pivots increase), so the coordinates
     are forced one pivot at a time: each division must be exact, and
     nothing may be left of the target once every pivot is walked.
+    Columns of ``basis`` past the target's length are ignored.
     """
     y = []
     for row, p in zip(basis, pivots):
@@ -520,35 +526,36 @@ def _back_substitute(basis: list[list[int]], pivots: list[int], target: Sequence
 
 
 def _solve_right_int(a: RingMatrix, b: RingMatrix) -> Optional[RingMatrix]:
-    hrow, urow, pivots = _hnf_int(a.transpose().to_lists(), a.cols, a.rows)
-    # a @ W = Hcol with W = urow^T, Hcol = hrow^T (column staircase).
+    n = a.rows
+    # Rows [H | U] with U @ a^T = H, so a @ U^T is the column staircase H^T.
+    h, pivots = _hnf_int(a.transpose().hstack(RingMatrix.identity(a.ring, a.cols)).to_lists(), n)
     cols_x = []
     for j in range(b.cols):
-        y = _back_substitute(hrow, pivots, b.entries[j :: b.cols])
+        y = _back_substitute(h, pivots, b.entries[j :: b.cols])
         if y is None:
             return None
-        # x = W @ y = urow^T @ y
-        cols_x.append([sum(u[i] * c for u, c in zip(urow, y)) for i in range(a.cols)])
+        # x = U^T @ y
+        cols_x.append([sum(row[n + i] * c for row, c in zip(h, y)) for i in range(a.cols)])
     return RingMatrix._of_columns(a.ring, cols_x, a.cols)
 
 
 def kernel_basis(m: RingMatrix) -> RingMatrix:
     """Columns spanning ker(m): a basis over a field, a lattice basis
     over the integers.  The zero kernel yields a 0-column matrix."""
-    if isinstance(m.ring, Integers):
-        hrow, urow, pivots = _hnf_int(m.transpose().to_lists(), m.cols, m.rows)
-        rank = len(pivots)
-        return RingMatrix._of_columns(m.ring, urow[rank:], m.cols)
-    _require_field(m, "kernel_basis")
-    res = rref(m)
     ring = m.ring
-    free = [c for c in range(m.cols) if c not in res.pivots]
+    if isinstance(ring, Integers):
+        h, pivots = _hnf_int(m.transpose().hstack(RingMatrix.identity(ring, m.cols)).to_lists(), m.rows)
+        return RingMatrix._of_columns(ring, [row[m.rows :] for row in h[len(pivots) :]], m.cols)
+    _require_field(m, "kernel_basis")
+    rows = m.to_lists()
+    pivots = _gauss_jordan(ring, rows, m.cols)
+    free = [c for c in range(m.cols) if c not in pivots]
     cols = []
     for f in free:
         vec = [ring.zero()] * m.cols
         vec[f] = ring.one()
-        for r, p in enumerate(res.pivots):
-            vec[p] = ring.neg(res.matrix.entry(r, f))
+        for row, p in zip(rows, pivots):
+            vec[p] = ring.neg(row[f])
         cols.append(vec)
     return RingMatrix._of_columns(ring, cols, m.cols)
 
@@ -558,7 +565,7 @@ def cokernel_structure(g: RingMatrix, ambient_rank: int) -> AbelianGroupStructur
     _require_integers(g, "cokernel_structure")
     if g.rows != ambient_rank:
         raise ShapeError("generators do not live in the stated ambient module")
-    _, d, _ = _snf_int(g.to_lists(), g.rows, g.cols, transform=False)
+    d = _snf_int(g.to_lists(), g.rows, g.cols)
     diag = [d[i][i] for i in range(min(g.rows, g.cols))]
     nonzero = [x for x in diag if x != 0]
     return AbelianGroupStructure(
@@ -590,29 +597,6 @@ def _det_int(mat: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _det_field(m: RingMatrix):
-    ring = m.ring
-    a = m.to_lists()
-    n = m.rows
-    det = ring.one()
-    for k in range(n):
-        sel = next((i for i in range(k, n) if not ring.is_zero(a[i][k])), None)
-        if sel is None:
-            return ring.zero()
-        if sel != k:
-            a[k], a[sel] = a[sel], a[k]
-            det = ring.neg(det)
-        piv = a[k][k]
-        det = ring.mul(det, piv)
-        inv = ring.try_invert_payload(piv)
-        for i in range(k + 1, n):
-            f = ring.mul(a[i][k], inv)
-            if ring.is_zero(f):
-                continue
-            a[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(a[i], a[k])]
-    return det
-
-
 def _det_berkowitz(m: RingMatrix):
     # Division-free Berkowitz: the characteristic polynomial of each
     # leading principal block follows from the previous one by a
@@ -641,10 +625,15 @@ def det(m: RingMatrix) -> RingElement:
     if m.rows != m.cols:
         raise ShapeError("determinant needs a square matrix")
     ring = m.ring
-    if isinstance(ring, Integers):
-        return RingElement(ring, _det_int(m.to_lists()))
-    if ring.is_field:
-        return RingElement(ring, _det_field(m))
+    if isinstance(ring, Rationals):
+        # Clearing row i's denominators scales the determinant by den_i.
+        cleared = [_cleared_fractions(row) for row in m.to_lists()]
+        num = _det_int([row for row, _ in cleared])
+        return RingElement(ring, Fraction(num, prod(den for _, den in cleared)))
+    if isinstance(ring, (Integers, PrimeField)):
+        # Over GF(p) the residues are integers; the determinant commutes
+        # with reduction mod p.
+        return RingElement(ring, ring.from_int(_det_int(m.to_lists())))
     if isinstance(ring, PolyQuotient):
         return RingElement(ring, _det_berkowitz(m))
     raise UnsupportedRing(f"det not implemented over {ring}")

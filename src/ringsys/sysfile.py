@@ -196,10 +196,6 @@ def parse(path) -> SystemFile:
     return parse_text(text)
 
 
-def _matrix_doc(m: RingMatrix) -> list[list[str]]:
-    return m.to_str_rows()
-
-
 def emit(sf: SystemFile) -> str:
     """Deterministic JSON text; identical files emit identical bytes."""
     doc = {
@@ -207,8 +203,8 @@ def emit(sf: SystemFile) -> str:
         "systems": {
             name: {
                 "n": entry.n,
-                "endo": _matrix_doc(entry.endo),
-                "input_gens": _matrix_doc(entry.input_gens),
+                "endo": entry.endo.to_str_rows(),
+                "input_gens": entry.input_gens.to_str_rows(),
             }
             for name, entry in sf.systems.items()
         },
@@ -218,11 +214,11 @@ def emit(sf: SystemFile) -> str:
             name: {
                 "source": entry.source,
                 "target": entry.target,
-                "phi": _matrix_doc(entry.certificate.phi),
-                "psi": _matrix_doc(entry.certificate.psi),
-                "U": _matrix_doc(entry.certificate.U),
-                "V": _matrix_doc(entry.certificate.V),
-                "Kw": _matrix_doc(entry.certificate.Kw),
+                "phi": entry.certificate.phi.to_str_rows(),
+                "psi": entry.certificate.psi.to_str_rows(),
+                "U": entry.certificate.U.to_str_rows(),
+                "V": entry.certificate.V.to_str_rows(),
+                "Kw": entry.certificate.Kw.to_str_rows(),
             }
             for name, entry in sf.certificates.items()
         }

@@ -320,6 +320,18 @@ class TestVerifyCommand:
         assert "Reject(inverse)" in capsys.readouterr().out
 
 
+class TestQuotientRingRefusal:
+    @pytest.mark.parametrize(
+        "argv", [["equiv", "Sigma", "SigmaPrime"], ["equiv", "Sigma", "Sigma", "--mode", "stable"], ["k0", "Sigma"]]
+    )
+    def test_signature_commands_exit_2(self, argv, capsys):
+        path = str(sphere_fixture_path())
+        assert main([argv[0], path] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invariant chains need decidable submodule arithmetic\n"
+
+
 class TestOrbitOracleCommand:
     def test_small_run(self, capsys):
         assert main(["orbit-oracle", "--max-n", "2", "--json"]) == 0

@@ -31,6 +31,7 @@ from ringsys import (
     solve_right,
 )
 from ringsys.linalg import _det_berkowitz
+from ringsys.rings import PRIME_BOUND
 from util import minors_gcd_invariants, rand_matrix, reference_det_expansion
 
 Q = Rationals()
@@ -40,6 +41,23 @@ F2 = PrimeField(2)
 
 def mat(ring, rows):
     return RingMatrix.from_rows(ring, rows)
+
+
+def rank_deficient(ring, rows, cols, rng):
+    """A random rows x cols matrix of rank at most min(rows, cols) - 1,
+    through a thinner inner dimension (the zero matrix when that is 0)."""
+    inner = rng.randint(0, max(min(rows, cols) - 1, 0))
+    return rand_matrix(ring, rows, inner, rng) @ rand_matrix(ring, inner, cols, rng)
+
+
+class TestConstruction:
+    def test_from_columns_declared_height(self):
+        assert RingMatrix.from_columns(Q, [[1, 2]], rows=2) == mat(Q, [[1], [2]])
+        assert RingMatrix.from_columns(Q, [], rows=3) == RingMatrix.zeros(Q, 3, 0)
+        with pytest.raises(ShapeError):
+            RingMatrix.from_columns(Q, [[1, 2]], rows=3)
+        with pytest.raises(ShapeError):
+            RingMatrix.from_columns(Z, [[1, 2], [3, 4]], rows=0)
 
 
 class TestRref:
@@ -138,6 +156,62 @@ class TestKernel:
         assert column_canonical(k) == mat(Z, [[2], [1]])
 
 
+class TestFieldKernelsAgainstRref:
+    """column_canonical, kernel_basis and solve_right over fields read off
+    what the public rref gives: its R rows and T @ b."""
+
+    @staticmethod
+    def cases(ring, rng):
+        for k in range(150):
+            r, c = rng.randint(0, 5), rng.randint(0, 5)
+            if k % 10 == 0:
+                r = 0
+            elif k % 10 == 1:
+                c = 0
+            yield rank_deficient(ring, r, c, rng) if k % 2 else rand_matrix(ring, r, c, rng)
+
+    @pytest.mark.parametrize("ring", [Q, F2, PrimeField(101)], ids=str)
+    def test_column_canonical(self, ring):
+        for m in self.cases(ring, random.Random(5)):
+            res = rref(m.transpose())
+            rows = [res.matrix.row_list(i) for i in range(res.rank)]
+            assert column_canonical(m) == RingMatrix.from_rows(ring, rows, cols=m.rows).transpose()
+
+    @pytest.mark.parametrize("ring", [Q, F2, PrimeField(101)], ids=str)
+    def test_kernel_basis(self, ring):
+        for m in self.cases(ring, random.Random(6)):
+            res = rref(m)
+            cols = []
+            for f in (c for c in range(m.cols) if c not in res.pivots):
+                vec = [ring.zero()] * m.cols
+                vec[f] = ring.one()
+                for r, p in enumerate(res.pivots):
+                    vec[p] = ring.neg(res.matrix.entry(r, f))
+                cols.append(vec)
+            assert kernel_basis(m) == RingMatrix.from_columns(ring, cols, rows=m.cols)
+
+    @pytest.mark.parametrize("ring", [Q, F2, PrimeField(101)], ids=str)
+    def test_solve_right(self, ring):
+        rng = random.Random(7)
+        solved = 0
+        for a in self.cases(ring, rng):
+            b = rand_matrix(ring, a.rows, rng.randint(0, 2), rng)
+            if rng.random() < 0.5:
+                b = a @ rand_matrix(ring, a.cols, b.cols, rng)
+            res = rref(a)
+            c = res.transform @ b
+            x = solve_right(a, b)
+            if not all(c.row_list(i) == [ring.zero()] * b.cols for i in range(res.rank, a.rows)):
+                assert x is None
+                continue
+            expected = [[ring.zero()] * b.cols for _ in range(a.cols)]
+            for r, p in enumerate(res.pivots):
+                expected[p] = c.row_list(r)
+            assert x == RingMatrix.from_rows(ring, expected, cols=b.cols)
+            solved += 1
+        assert solved > 50
+
+
 class TestHnf:
     def test_diagonal_fixed_point(self):
         h, u = hnf(mat(Z, [[2, 0], [0, 3]]))
@@ -219,8 +293,10 @@ class TestSnf:
 
 class TestTransformFree:
     def test_same_forms_as_transformed(self):
-        # H and D do not depend on whether U and V ride along.
-        from ringsys.linalg import _hnf_int, _snf_int
+        # H, D, the echelon form and the pivots do not depend on what
+        # rides along: identity columns for U (and the field transform),
+        # identity rows below for V.
+        from ringsys.linalg import _gauss_jordan, _hnf_int, _snf_int
 
         rng = random.Random(31)
         for k in range(200):
@@ -232,12 +308,18 @@ class TestTransformFree:
                 rows = [[sum(x * y for x, y in zip(lr, col)) for col in zip(*right)] if inner else [0] * c for lr in left]
             else:
                 rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
-            h, u, pivots = _hnf_int(rows, r, c)
-            assert _hnf_int(rows, r, c, transform=False) == (h, None, pivots)
-            assert u is not None and len(u) == r
-            uu, d, v = _snf_int(rows, r, c)
-            assert _snf_int(rows, r, c, transform=False) == (None, d, None)
-            assert uu is not None and v is not None
+            with_u = [row + [1 if i == j else 0 for j in range(r)] for i, row in enumerate(rows)]
+            h, pivots = _hnf_int(rows, c)
+            hu, u_pivots = _hnf_int(with_u, c)
+            assert u_pivots == pivots and [row[:c] for row in hu] == h
+            d = _snf_int(rows, r, c)
+            duv = _snf_int(with_u + [[1 if i == j else 0 for j in range(c)] for i in range(c)], r, c)
+            assert [row[:c] for row in duv[:r]] == d
+            reduced = [[Fraction(x, 3) for x in row] for row in rows]
+            with_t = [row + [Fraction(x) for x in u[c:]] for row, u in zip(reduced, with_u)]
+            f_pivots = _gauss_jordan(Q, reduced, c)
+            assert _gauss_jordan(Q, with_t, c) == f_pivots
+            assert [row[:c] for row in with_t] == reduced
 
 
 class TestBackSubstitution:
@@ -405,6 +487,21 @@ class TestDet:
                 assert det(m).value == reference_det_expansion(m)
                 m7 = rand_matrix(gf7, n, n, rng)
                 assert _det_berkowitz(m7) == reference_det_expansion(m7) == det(m7).value
+        # Bareiss on cleared rows over Q and on residues over GF(p), up to
+        # the largest prime below PRIME_BOUND; singular inputs included.
+        big = PrimeField(3_317_044_064_679_887_385_961_813)
+        assert 0 < PRIME_BOUND - big.p < 200
+        rng = random.Random(17)
+        for n in range(7):
+            for _ in range(6):
+                rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)] for _ in range(n)]
+                m = RingMatrix.from_rows(Q, rows, cols=n)
+                assert det(m).value == reference_det_expansion(m)
+                for ring in (F2, PrimeField(101), big):
+                    m = RingMatrix.from_rows(ring, [[rng.randrange(ring.p) for _ in range(n)] for _ in range(n)], cols=n)
+                    singular = rank_deficient(ring, n, n, rng)
+                    assert det(m).value == reference_det_expansion(m)
+                    assert det(singular).value == reference_det_expansion(singular)
 
     def test_quotient_ring_product_rule_past_the_old_cap(self):
         # 13 x 13 is past the subset expansion's former 12 x 12 limit.
