@@ -27,14 +27,18 @@ from .linalg import (
     AbelianGroupStructure,
     RingMatrix,
     _back_substitute,
+    _hermite_reduce,
     _hnf_int,
     cokernel_structure,
+    det,
     invert,
 )
 from .rings import Integers, PolyQuotient, Rationals, RingDescriptor, _cleared_fractions
 from .systems import LinearSystem
 
 ModuleStructure = Union[int, AbelianGroupStructure]
+# A chain level over Z: the rows of a row Hermite basis and their pivots.
+_Level = tuple[list[list[int]], list[int]]
 
 
 @dataclass(frozen=True)
@@ -116,39 +120,30 @@ def compute_chain(sigma: LinearSystem) -> InvariantReport:
     return _report_over_integers(sigma, _hermite_chain(sigma))
 
 
-def _hermite_chain(sigma: LinearSystem) -> list[RingMatrix]:
-    """Canonical bases of N_0 < N_1 < ... < N_s over the integers.
+def _hermite_chain(sigma: LinearSystem) -> list[_Level]:
+    """Row Hermite bases of N_0 < N_1 < ... < N_s over the integers,
+    each as its rows and their pivot columns, the form ``_hnf_int``
+    returns.
 
-    One Hermite basis is kept, its rows the generators, as in
-    ``column_canonical``.  N_{i+1} = N_i + A^i B, and the offer A^i b
-    may be replaced by anything congruent to it modulo N_i: if
-    w = A^i b - x with x in N_i, then A w differs from A^{i+1} b by A x,
-    which lies in N_{i+1}.  Each step therefore reduces the offers
-    modulo the basis, stops when every remainder vanishes (the
-    remainder of a lattice member is zero), and otherwise inserts the
-    remainders and offers A times them next.
+    N_{i+1} = N_i + A^i B, and the offer A^i b may be replaced by
+    anything congruent to it modulo N_i: if w = A^i b - x with x in N_i,
+    then A w differs from A^{i+1} b by A x, which lies in N_{i+1}.  Each
+    step therefore reduces the offers modulo the basis, stops when every
+    remainder vanishes (the remainder of a lattice member is zero), and
+    otherwise inserts the remainders and offers A times them next.
     """
-    ring, n = sigma.ring, sigma.state_rank
+    n = sigma.state_rank
     a = sigma.endo.to_lists()
     b = sigma.input_gens
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    chain = [RingMatrix.zeros(ring, n, 0)]
+    chain: list[_Level] = [([], [])]
     offers = [list(b.entries[j :: b.cols]) for j in range(b.cols)]
     while True:
-        for i, w in enumerate(offers):
-            for row, p in zip(basis, pivots):
-                q = w[p] // row[p]
-                if q:
-                    w = [x - q * y for x, y in zip(w, row)]
-            offers[i] = w
-        offers = [w for w in offers if any(w)]
+        offers = [w for w in (_hermite_reduce(*chain[-1], w)[1] for w in offers) if any(w)]
         if not offers:
             return chain
-        h, pivots = _hnf_int(basis + offers, n)
-        basis = h[: len(pivots)]
-        chain.append(RingMatrix._of_columns(ring, basis, n))
-        offers = [[sum(map(mul, arow, w)) for arow in a] for w in offers]
+        h, pivots = _hnf_int(chain[-1][0] + offers, n)
+        chain.append((h[: len(pivots)], pivots))
+        offers = [[sum(map(mul, row, w)) for row in a] for w in offers]
 
 
 def _rank_staircase(
@@ -273,13 +268,7 @@ def _report_over_field(sigma: LinearSystem) -> InvariantReport:
     )
 
 
-def _hermite_rows(m: RingMatrix) -> tuple[list[list[int]], list[int]]:
-    # The columns of a column Hermite basis as rows, with their pivots.
-    rows = [list(m.entries[k :: m.cols]) for k in range(m.cols)]
-    return rows, [next(p for p, x in enumerate(r) if x) for r in rows]
-
-
-def _coordinates(basis: tuple[list[list[int]], list[int]], vectors, message: str) -> list[list[int]]:
+def _coordinates(basis: _Level, vectors, message: str) -> list[list[int]]:
     # Coordinates of each vector over a Hermite basis, by back-substitution.
     coords = []
     for v in vectors:
@@ -290,30 +279,30 @@ def _coordinates(basis: tuple[list[list[int]], list[int]], vectors, message: str
     return coords
 
 
-def _unit_pivots(basis: RingMatrix) -> bool:
-    """Whether every pivot of a column Hermite basis is 1.
+def _unit_pivots(level: _Level) -> bool:
+    """Whether every pivot of a row Hermite basis is 1.
 
-    The rows at the pivots then form a unit lower-triangular minor, so
-    the basis extends to a basis of Z^n and Z^n / col(basis) is free.
+    The pivot columns then hold a unit triangular minor, so the basis
+    extends to a basis of Z^n and Z^n / span is free.  With n rows it
+    is the identity: the system is reachable exactly then.
     """
-    cols = basis.cols
-    return all(next(filter(None, basis.entries[k::cols])) == 1 for k in range(cols))
+    return all(row[p] == 1 for row, p in zip(*level))
 
 
-def _quotient_structure(basis: RingMatrix, n: int) -> AbelianGroupStructure:
-    """Z^n / col(basis) for a column Hermite basis: free of rank n - d
-    when its pivots are all 1, and otherwise read from the Smith form."""
-    if _unit_pivots(basis):
-        return AbelianGroupStructure(n - basis.cols, ())
-    return cokernel_structure(basis, n)
+def _quotient_structure(level: _Level, n: int) -> AbelianGroupStructure:
+    """Z^n / span for a row Hermite basis: free of rank n - d when its
+    pivots are all 1, and otherwise read from the Smith form."""
+    if _unit_pivots(level):
+        return AbelianGroupStructure(n - len(level[1]), ())
+    return cokernel_structure(RingMatrix._of_columns(Integers(), level[0], n), n)
 
 
-def _report_over_integers(sigma: LinearSystem, chain: list[RingMatrix]) -> InvariantReport:
+def _report_over_integers(sigma: LinearSystem, chain: list[_Level]) -> InvariantReport:
     """M, I and Z structures over Z, read off the Hermite chain.
 
-    Every chain basis is in Hermite form, so coordinates over it come
-    from back-substitution.  rel[i] writes N_{i-1} in the basis of N_i
-    and presents I_i.  Four exact rules give most of the rest:
+    Every chain level is a row Hermite basis, so coordinates over it
+    come from back-substitution.  rel[i] writes N_{i-1} in the basis of
+    N_i and presents I_i.  Four exact rules give most of the rest:
 
     - I_i lies in M_{i-1}, and submodules of free modules are free over
       a PID, so I_i is free of rank d_i - d_{i-1} when M_{i-1} is.  That
@@ -339,11 +328,10 @@ def _report_over_integers(sigma: LinearSystem, chain: list[RingMatrix]) -> Invar
     ring = sigma.ring
     n = sigma.state_rank
     s = len(chain) - 1
-    dims = [c.cols for c in chain]
-    bases = [_hermite_rows(c) for c in chain]
-    # rel[i][k]: column k of chain[i - 1] in the basis of chain[i].
+    dims = [len(pivots) for _, pivots in chain]
+    # rel[i][k]: row k of chain[i - 1] in the basis of chain[i].
     rel = [None] + [
-        _coordinates(bases[i], bases[i - 1][0], "chain is not increasing") for i in range(1, s + 1)
+        _coordinates(chain[i], chain[i - 1][0], "chain is not increasing") for i in range(1, s + 1)
     ]
     i_structs = tuple(
         AbelianGroupStructure(dims[i] - dims[i - 1], ())
@@ -360,6 +348,7 @@ def _report_over_integers(sigma: LinearSystem, chain: list[RingMatrix]) -> Invar
         else:
             m_down.append(_quotient_structure(chain[i], n))
     m_structs = tuple(reversed(m_down))
+    a = sigma.endo.to_lists()
     z_structs = []
     for i in range(1, s + 1):
         if layers[i + 1].is_free:
@@ -367,10 +356,9 @@ def _report_over_integers(sigma: LinearSystem, chain: list[RingMatrix]) -> Invar
             z_structs.append(AbelianGroupStructure(rank, layers[i].torsion))
             continue
         d, r = dims[i], dims[i + 1]
-        image = sigma.endo @ chain[i]
         f_cols = _coordinates(
-            bases[i + 1],
-            (image.entries[j :: d] for j in range(d)),
+            chain[i + 1],
+            ([sum(map(mul, row, v)) for row in a] for v in chain[i][0]),
             "chain construction violated f(N_i) <= N_{i+1}",
         )
         rows = [f + [1 if k == j else 0 for k in range(d)] for j, f in enumerate(f_cols)]
@@ -380,13 +368,13 @@ def _report_over_integers(sigma: LinearSystem, chain: list[RingMatrix]) -> Invar
         preimage = ([h[k][r:] for k in keep], [pivots[k] - r for k in keep])
         y = _coordinates(preimage, rel[i], "relations escaped their preimage lattice")
         z_structs.append(cokernel_structure(RingMatrix._of_columns(ring, y, len(keep)), len(keep)))
-    reachable = chain[s] == RingMatrix.identity(ring, n)
+    reachable = dims[s] == n and _unit_pivots(chain[s])
     structures = list(m_structs) + list(i_structs) + list(z_structs)
     locally = reachable and all(st.is_free for st in structures)
     return InvariantReport(
         ring=ring,
         state_rank=n,
-        chain=tuple(chain),
+        chain=tuple(RingMatrix._of_columns(ring, rows, n) for rows, _ in chain),
         s=s,
         M=m_structs,
         I=i_structs,
@@ -423,10 +411,10 @@ def z_signature(sigma: LinearSystem) -> ZSignature:
     ring, n = sigma.ring, sigma.state_rank
     if isinstance(ring, Integers):
         chain = _hermite_chain(sigma)
-        reachable = chain[-1] == RingMatrix.identity(ring, n)
-        if not reachable or not all(_quotient_structure(c, n).is_free for c in chain[1:-1]):
+        dims = [len(pivots) for _, pivots in chain]
+        reachable = dims[-1] == n and _unit_pivots(chain[-1])
+        if not reachable or not all(_quotient_structure(level, n).is_free for level in chain[1:-1]):
             raise NotLocallyBrunovsky(_NOT_LOCALLY_BRUNOVSKY)
-        dims = [c.cols for c in chain]
     elif ring.is_field:
         dims = _field_staircase(sigma.endo, sigma.input_gens)[0]
         if dims[-1] != n:
@@ -520,52 +508,54 @@ def canonical_certificate(a: RingMatrix, b: RingMatrix) -> CanonicalCertificate:
     indices = tuple(mu[j] for j in chains)
     order = chains + [j for j in range(m) if not mu[j]]
 
-    # Input column j first repeats at level mu[j]: A^mu[j] b_j is a
-    # combination of the selected columns W kept before it.  W is a
-    # basis, so one inversion gives every column's unique coordinates,
-    # and those on columns kept later are zero; skipping zeros skips
-    # every column at a level past mu[j].  Moving the level-mu[j] terms into Q's column c_j
-    # leaves A^mu[j] B c_j = sum_l A^l B u_l over lower levels: B c_j is
-    # a purified chain root (zero when mu[j] = 0), and
-    # v_{l+1} = A v_l + B k_l with k_l = -u_{mu[j]-1-l} walks the chain
-    # up to a top that the closed loop kills.
+    # Input column j first repeats at level d = mu[j]: A^d b_j is a sum
+    # of x A^lam b_o over the selected columns W kept before it, read
+    # from one inversion of W.  Shifted down, that relation gives the
+    # chain (Luenberger): v_l = A^l b_j - sum_{lam >= d-l} x A^(lam-d+l) b_o,
+    # k_l = -sum_{lam = d-l-1} x e_o, and Q e_j is the l = -1 case plus
+    # e_j, so v_0 = B Q e_j, v_{l+1} = A v_l + B k_l, and the closed loop
+    # kills v_(d-1).  Each A^(lam-d+l) b_o is a column of W kept before
+    # A^l b_j, so V = W U with U unit triangular in selection order, and
+    # P = V^{-1} = U^{-1} W^{-1} is W^{-1} back-substituted.
     powers = [b]
     for _ in range(max(indices, default=0)):
         powers.append(a @ powers[-1])
-    w_mat = RingMatrix._of_columns(ring, [powers[l].entries[j::m] for j, l in selected], n)
-    coords = invert(w_mat) @ RingMatrix._of_columns(ring, [powers[mu[j]].entries[j::m] for j in order], n)
+    w_inv = invert(RingMatrix._of_columns(ring, [powers[l].entries[j::m] for j, l in selected], n))
+    coords = w_inv @ RingMatrix._of_columns(ring, [powers[mu[j]].entries[j::m] for j in order], n)
     zero, one = ring.zero(), ring.one()
-    v_columns, k_columns, q_columns = [], [], []
+    position = {jl: r for r, jl in enumerate(selected)}
+    above: list[list] = [[] for _ in range(n)]  # (c, x) for U[r][c] = -x, c > r
+    rows_of_p, k_columns, q_columns = [], [], []
     for t, j in enumerate(order):
-        depth = mu[j]
-        c = [zero] * m
-        c[j] = one
-        minus_u = [[zero] * m for _ in range(depth)]
-        for (owner, lvl), x in zip(selected, coords.entries[t::m]):
-            if ring.is_zero(x):
-                continue
-            if lvl == depth:
-                c[owner] = ring.neg(x)
+        d = mu[j]
+        relation = [(o, lam, x) for (o, lam), x in zip(selected, coords.entries[t::m]) if not ring.is_zero(x)]
+        for l in range(-1, d):
+            k_l = [zero] * m
+            for o, lam, x in relation:
+                if lam == d - l - 1:
+                    k_l[o] = ring.neg(x)
+                elif lam > d - l - 1:
+                    above[position[o, lam - d + l]].append((position[j, l], x))
+            if l < 0:
+                k_l[j] = one
+                q_columns.append(k_l)
             else:
-                minus_u[lvl][owner] = ring.neg(x)
-        q_columns.append(c)
-        for l in range(depth):
-            vec = b @ RingMatrix(ring, m, 1, tuple(c)) if l == 0 else a @ vec + b @ k_l
-            k_l = RingMatrix(ring, m, 1, tuple(minus_u[depth - 1 - l]))
-            v_columns.append(vec.entries)
-            k_columns.append(k_l.entries)
-
-    v_mat = RingMatrix._of_columns(ring, v_columns, n)
-    p = invert(v_mat)
-    if p is None:
-        raise RuntimeError("straightened chain vectors failed to form a basis")
+                rows_of_p.append(position[j, l])
+                k_columns.append(k_l)
+    # Row r of Y = U^{-1} W^{-1} is row r of W^{-1} plus x times row c
+    # of Y for each (c, x) in above[r]: last selected row first.
+    y = w_inv.to_lists()
+    for r in reversed(range(n)):
+        if above[r]:
+            cols, xs = zip(*above[r])
+            y[r] = ring.products([(one,) + xs], list(zip(y[r], *(y[c] for c in cols))))
+    p = RingMatrix._of_rows(ring, [y[r] for r in rows_of_p], n)
     k = RingMatrix._of_columns(ring, k_columns, m) @ p
     q = RingMatrix._of_columns(ring, q_columns, m)
 
     a_c, b_c = canonical_pair(ring, indices)
     b_c_padded = b_c.hstack(RingMatrix.zeros(ring, n, m - b_c.cols))
 
-    closed = p @ (a + b @ k) @ v_mat
-    if closed != a_c or (p @ b @ q) != b_c_padded:
+    if ring.is_zero(det(p).value) or p @ (a + b @ k) != a_c @ p or p @ b @ q != b_c_padded:
         raise RuntimeError("canonical certificate failed internal verification")
     return CanonicalCertificate(p, k, q, a_c, b_c_padded, indices)

@@ -209,8 +209,13 @@ class AbelianGroupStructure:
     torsion: tuple[int, ...]
 
     def __post_init__(self):
+        # Only the canonical form, so that equal groups compare equal.
+        if self.free_rank < 0:
+            raise ValueError("free rank must be nonnegative")
         if any(d <= 1 for d in self.torsion):
             raise ValueError("torsion entries must exceed 1")
+        if any(e % d for d, e in zip(self.torsion, self.torsion[1:])):
+            raise ValueError("torsion entries must form a divisibility chain")
 
     @property
     def is_free(self) -> bool:
@@ -503,26 +508,30 @@ def solve_right(a: RingMatrix, b: RingMatrix) -> Optional[RingMatrix]:
     return RingMatrix._of_rows(ring, x, b.cols)
 
 
-def _back_substitute(basis: list[list[int]], pivots: list[int], target: Sequence[int]) -> Optional[list[int]]:
-    """Coordinates y with sum_r y[r] * basis[r] = target, or None.
+def _hermite_reduce(basis: list[list[int]], pivots: list[int], target: Sequence[int]) -> tuple[list, Sequence]:
+    """Quotients y and remainder of target modulo a row Hermite basis.
 
     ``basis`` is a row-style Hermite basis (row r is zero before its
-    pivot ``pivots[r]``, and the pivots increase), so the coordinates
-    are forced one pivot at a time: each division must be exact, and
-    nothing may be left of the target once every pivot is walked.
-    Columns of ``basis`` past the target's length are ignored.
+    pivot ``pivots[r]``, and the pivots increase).  Walking the pivots,
+    y[r] is the floor quotient at pivot r and y[r] * basis[r] is
+    subtracted, so the remainder is zero exactly when the target lies in
+    the lattice, and y are then its coordinates.  Columns of ``basis``
+    past the target's length are ignored.
     """
     y = []
     for row, p in zip(basis, pivots):
-        q, rem = divmod(target[p], row[p])
-        if rem:
-            return None
+        q = target[p] // row[p]
         y.append(q)
         if q:
             target = [x - q * h for x, h in zip(target, row)]
-    if any(target):
-        return None
-    return y
+    return y, target
+
+
+def _back_substitute(basis: list[list[int]], pivots: list[int], target: Sequence[int]) -> Optional[list[int]]:
+    """Coordinates of target over a row Hermite basis, or None when it
+    is not in the lattice."""
+    y, rest = _hermite_reduce(basis, pivots, target)
+    return None if any(rest) else y
 
 
 def _solve_right_int(a: RingMatrix, b: RingMatrix) -> Optional[RingMatrix]:

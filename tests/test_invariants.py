@@ -424,6 +424,13 @@ class TestChainProperties:
             assert r1.reachable == r2.reachable
 
 
+def _level(basis):
+    # A column Hermite basis as a chain level: its columns as rows, with
+    # their pivots.
+    rows = [list(basis.entries[k :: basis.cols]) for k in range(basis.cols)]
+    return rows, [next(p for p, x in enumerate(r) if x) for r in rows]
+
+
 class TestQuotientStructure:
     @pytest.mark.parametrize(
         "columns, n, unit, expected",
@@ -438,7 +445,7 @@ class TestQuotientStructure:
     def test_hand_built_bases(self, columns, n, unit, expected):
         basis = column_canonical(RingMatrix.from_columns(Z, columns, rows=n))
         assert basis.cols == len(columns) and _unit_pivots(basis) == unit
-        assert _quotient_structure(basis, n) == expected == cokernel_structure(basis, n)
+        assert _quotient_structure(_level(basis), n) == expected == cokernel_structure(basis, n)
 
     def test_random_hermite_bases_match_smith_form(self):
         rng = random.Random(31)
@@ -447,7 +454,7 @@ class TestQuotientStructure:
             n, k = rng.randint(0, 5), rng.randint(0, 4)
             basis = column_canonical(rand_matrix(Z, n, k, rng, span=rng.randint(1, 4)))
             expected = cokernel_structure(basis, n)
-            assert _quotient_structure(basis, n) == expected
+            assert _quotient_structure(_level(basis), n) == expected
             kinds["unit" if _unit_pivots(basis) else "free" if expected.is_free else "torsion"] += 1
         assert set(kinds) == {"unit", "free", "torsion"}, kinds
 
@@ -573,6 +580,24 @@ class TestCanonicalCertificate:
                 rng.shuffle(cols)
                 b = RingMatrix.from_columns(ring, cols, rows=n)
             pairs.append((a, b))
+        for _ in range(4):
+            # n = 10..14 with 2..4 inputs: chains of unequal lengths plus
+            # a dependent or zero column, so that the chain vectors carry
+            # components along other chains.
+            n = rng.randint(10, 14)
+            parts = (0,)
+            while len(set(parts)) < 2:
+                cuts = sorted(rng.sample(range(1, n), rng.randint(1, 2)))
+                parts = tuple(sorted((y - x for x, y in zip([0] + cuts, cuts + [n])), reverse=True))
+            a_c, b_c = canonical_pair(ring, parts)
+            k = len(parts)
+            p = rand_invertible(ring, n, rng)
+            a = p @ (a_c + b_c @ rand_matrix(ring, k, n, rng, span=2)) @ invert(p)
+            b = p @ b_c @ rand_invertible(ring, k, rng)
+            extra = b @ rand_matrix(ring, k, 1, rng, span=rng.choice([0, 2]))
+            cols = [c.entries for c in b.columns() + extra.columns()]
+            rng.shuffle(cols)
+            pairs.append((a, RingMatrix.from_columns(ring, cols, rows=n)))
         for a, b in pairs:
             got, want = canonical_certificate(a, b), reference_canonical_certificate(a, b)
             assert got.indices == want.indices

@@ -436,6 +436,18 @@ class TestCokernel:
         c = AbelianGroupStructure(0, (2,))
         assert a.direct_sum(c) == AbelianGroupStructure(1, (2, 2))
 
+    @pytest.mark.parametrize(
+        "free_rank, torsion",
+        [(0, (2, 3)), (1, (4, 2)), (0, (2, 4, 6)), (-1, ()), (0, (1,)), (0, (0,))],
+        ids=["coprime", "decreasing", "broken-chain", "negative-rank", "unit", "zero"],
+    )
+    def test_only_the_canonical_form_is_accepted(self, free_rank, torsion):
+        # Z/2 + Z/3 is Z/6; accepting (2, 3) would make two spellings of
+        # one group compare unequal.
+        with pytest.raises(ValueError):
+            AbelianGroupStructure(free_rank, torsion)
+        assert AbelianGroupStructure(0, (2, 4, 12)).torsion == (2, 4, 12)
+
 
 class TestDet:
     def test_identity_and_swap(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -25,6 +26,7 @@ from ringsys import (
     gamma,
     identity_morphism,
     is_morphism,
+    membership,
     parse_polynomial,
     swap_matrix,
     zero_system,
@@ -34,6 +36,7 @@ from util import rand_invertible, rand_matrix, rand_system
 Q = Rationals()
 Z = Integers()
 F2 = PrimeField(2)
+F3 = PrimeField(3)
 
 
 def mat(ring, rows):
@@ -143,6 +146,38 @@ class TestIsMorphism:
         assert not is_morphism(bad, s1, s2)
         with pytest.raises(ValueError):
             SystemMorphism(s1, s2, bad)
+
+    def test_integer_inputs_are_a_lattice(self):
+        # [1] sends Z into Z, not into 2Z; [2] does.
+        s1 = from_pair(mat(Z, [[0]]), mat(Z, [[1]]))
+        s2 = from_pair(mat(Z, [[0]]), mat(Z, [[2]]))
+        assert not is_morphism(mat(Z, [[1]]), s1, s2)
+        assert is_morphism(mat(Z, [[2]]), s1, s2)
+
+    @pytest.mark.parametrize("ring", [Q, F3, Z], ids=str)
+    def test_defect_alone_refused(self, ring):
+        # diag(1, 2) keeps B = span(e1) but not the shift: the defect
+        # A phi - phi A is -e2 e1^T, outside B.
+        s = from_pair(mat(ring, [[0, 0], [1, 0]]), mat(ring, [[1], [0]]))
+        phi = mat(ring, [[1, 0], [0, 2]])
+        assert phi @ s.input_gens == s.input_gens
+        assert not is_morphism(phi, s, s)
+
+    @pytest.mark.parametrize("ring", [Q, F2, Z], ids=str)
+    def test_random_maps_match_membership(self, ring):
+        rng = random.Random(8)
+        verdicts = Counter()
+        for _ in range(150):
+            s1, s2 = rand_system(ring, rng), rand_system(ring, rng)
+            if rng.random() < 0.5:
+                s2 = from_pair(s2.endo, s2.input_gens.hstack(rand_matrix(ring, s2.state_rank, 2, rng)))
+            phi = rand_matrix(ring, s2.state_rank, s1.state_rank, rng, span=rng.choice([0, 1, 2]))
+            defect = s2.endo @ phi - phi @ s1.endo
+            columns = (phi @ s1.input_gens).columns() + defect.columns()
+            expected = all(membership(v, s2.input_gens) for v in columns)
+            assert is_morphism(phi, s1, s2) == expected
+            verdicts[expected] += 1
+        assert verdicts[True] and verdicts[False], verdicts
 
 
 class TestCompositionClosure:
