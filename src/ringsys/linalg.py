@@ -255,27 +255,59 @@ def _gauss_jordan(ring: RingDescriptor, a: list[list], ncols: int) -> list[int]:
     Columns past ``ncols`` are riders: they get the same row operations,
     so an appended identity becomes the row transform and an appended
     right-hand side its image under that transform.
+
+    Over GF(p) the rows are residues: each pivot row is made monic with
+    one modular inverse and each entry takes one ``% p``.  Over Q each
+    row is cleared by the lcm d_i of its denominators and the
+    elimination is fraction-free Gauss-Jordan (Bareiss 1968; Nakos,
+    Turner and Williams 1997): every row but the pivot row becomes
+    (pv * row - f * pivot_row) // prev, where pv is the pivot and prev
+    the one before it.  Sylvester's identity makes each division exact,
+    provided every other row is updated, also one whose entry f is
+    already zero.  Afterwards a pivot row is D times its reduced form
+    and any other row D * d_i times its remainder, D being the last
+    pivot, so each nonzero output entry is one Fraction.
     """
-    piv_row = 0
+    if isinstance(ring, Rationals):
+        cleared = [_cleared_fractions(row) for row in a]
+        a[:] = [row for row, _ in cleared]
+        dens = [den for _, den in cleared]
+        p = 0
+    else:
+        p = ring.p
+    prev = 1
     pivots: list[int] = []
     for col in range(ncols):
-        sel = None
-        for i in range(piv_row, len(a)):
-            if not ring.is_zero(a[i][col]):
-                sel = i
+        r = len(pivots)
+        for sel in range(r, len(a)):
+            if a[sel][col]:
                 break
-        if sel is None:
+        else:
             continue
-        a[piv_row], a[sel] = a[sel], a[piv_row]
-        inv = ring.try_invert_payload(a[piv_row][col])
-        a[piv_row] = [ring.mul(inv, x) for x in a[piv_row]]
-        for i in range(len(a)):
-            if i == piv_row or ring.is_zero(a[i][col]):
-                continue
-            f = a[i][col]
-            a[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(a[i], a[piv_row])]
+        a[r], a[sel] = a[sel], a[r]
+        if p:
+            inv = pow(a[r][col], -1, p)
+            top = a[r] = [x * inv % p for x in a[r]]
+            for i, row in enumerate(a):
+                f = row[col]
+                if f and i != r:
+                    a[i] = [(x - f * y) % p for x, y in zip(row, top)]
+        else:
+            dens[r], dens[sel] = dens[sel], dens[r]
+            top = a[r]
+            pv = top[col]
+            for i, row in enumerate(a):
+                if i != r:
+                    f = row[col]
+                    a[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+            prev = pv
         pivots.append(col)
-        piv_row += 1
+    if not p:
+        zero = Fraction(0)
+        rank = len(pivots)
+        for i, row in enumerate(a):
+            den = prev if i < rank else prev * dens[i]
+            a[i] = [Fraction(x, den) if x else zero for x in row]
     return pivots
 
 

@@ -450,6 +450,15 @@ MAX_DEGREE = 64
 # over the sphere relation with 1000-digit coefficients, takes minutes).
 MAX_REDUCE_COST = 30_000
 
+# Largest bit size of a numerator or denominator built while parsing a
+# quotient-ring literal: a product of factors, or the sum of a monomial's
+# repeated terms.  Two integer literals at the interpreter's default
+# int-string limit (4300 digits, 14 284 bits) multiply to less.  Without
+# it the work grows quadratically with the literal's length: 200 factors
+# of 4000 digits, or 100 terms ``1/<4000 digits>*x`` with distinct
+# denominators, take seconds.
+MAX_COEFF_BITS = 32_768
+
 
 @dataclass(frozen=True)
 class PolyQuotient(RingDescriptor):
@@ -702,6 +711,7 @@ def _parse_terms(text: str, variables: tuple[str, ...]) -> dict[Monomial, Fracti
                         raise ElementSyntaxError("zero denominator")
                     den *= d
                     i += 2
+                _check_coeff_bits(num, den)
             elif kind == "name":
                 if tok not in index:
                     raise ElementSyntaxError(f"unknown variable {tok!r}")
@@ -726,8 +736,16 @@ def _parse_terms(text: str, variables: tuple[str, ...]) -> dict[Monomial, Fracti
         mono = tuple(expo)
         coeff = Fraction(num) if den == 1 else Fraction(num, den)
         old = coeffs.get(mono)
-        coeffs[mono] = coeff if old is None else old + coeff
+        if old is not None:
+            coeff = old + coeff
+            _check_coeff_bits(coeff.numerator, coeff.denominator)
+        coeffs[mono] = coeff
     return coeffs
+
+
+def _check_coeff_bits(num: int, den: int) -> None:
+    if max(num.bit_length(), den.bit_length()) > MAX_COEFF_BITS:
+        raise ElementSyntaxError(f"coefficient over MAX_COEFF_BITS = {MAX_COEFF_BITS} bits")
 
 
 def format_polynomial(p: Poly, variables: tuple[str, ...]) -> str:

@@ -7,18 +7,19 @@ import io
 import json
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringsys import Rationals, RingMatrix
+from ringsys import PrimeField, Rationals, RingMatrix
 from ringsys.cli import build_parser, main
 from ringsys.fixtures import sphere_fixture_path
 from ringsys.equivalence import MODES
 from ringsys.sysfile import PairEntry, SystemFile, parse, write
-from util import fuzz_base_documents, mutated_document
+from util import SPHERE_RING, fuzz_base_documents, mutated_document
 
 Q = Rationals()
 
@@ -57,6 +58,13 @@ CANON_DOC = {
     "P": [["0", "1", "1/2", "0"], ["0", "1", "0", "0"], ["0", "1", "0", "-1/2"], ["1", "0", "0", "0"]],
     "K": [["-1", "-2", "0", "1"], ["-3/2", "-1", "-1/2", "-1/2"], ["0", "0", "0", "0"]],
     "Q": [["0", "1", "-1"], ["1", "0", "-2"], ["0", "0", "1"]],
+}
+# The same pair over GF(101), each literal read as a residue (1/2 is 51).
+CANON_DOC_GF101 = {
+    **CANON_DOC,
+    "P": [["0", "1", "51", "0"], ["0", "1", "0", "0"], ["0", "1", "0", "50"], ["1", "0", "0", "0"]],
+    "K": [["100", "99", "0", "1"], ["49", "100", "50", "50"], ["0", "0", "0", "0"]],
+    "Q": [["0", "1", "100"], ["1", "0", "99"], ["0", "0", "1"]],
 }
 
 
@@ -121,6 +129,17 @@ HOSTILE = {
     "costly-coefficients": {
         "ring": {"kind": "poly_quotient", "vars": ["x", "y", "z"], "relation": "7" * 1000 + "*z^2 + 3*y^2 + 5*x^2 - 1"},
         "systems": {"S": {"n": 1, "endo": [["z^64"]], "input_gens": [["1"]]}},
+    },
+    # coefficients past MAX_COEFF_BITS, each seconds to build unbounded:
+    # 100 distinct 4000-digit denominators summed into one monomial, and
+    # 200 factors of 4000 digits in one term
+    "wide-denominator-sum": {
+        "ring": SPHERE_RING,
+        "systems": {"S": {"n": 1, "endo": [[" + ".join(f"1/{10**3999 + 2 * k + 1}*x" for k in range(100))]], "input_gens": [["1"]]}},
+    },
+    "wide-factor-product": {
+        "ring": SPHERE_RING,
+        "systems": {"S": {"n": 1, "endo": [["*".join(str(10**3999 + k) for k in range(200)) + "*x"]], "input_gens": [["1"]]}},
     },
 }
 
@@ -253,6 +272,19 @@ class TestReports:
         write(SystemFile(Q, {"T": PairEntry(4, a, b)}), path)
         assert main(["canon", str(path), "T", "--json"]) == 0
         assert capsys.readouterr().out == json.dumps(CANON_DOC, indent=2, sort_keys=True) + "\n"
+
+    def test_canon_json_pinned_over_gf101(self, tmp_path, capsys):
+        ring = PrimeField(101)
+
+        def residue(text):
+            q = Fraction(text)
+            return q.numerator * pow(q.denominator, -1, ring.p) % ring.p
+
+        a, b = (RingMatrix.from_rows(ring, [[residue(t) for t in row] for row in rows]) for rows in CANON_PAIR)
+        path = tmp_path / "canon.json"
+        write(SystemFile(ring, {"T": PairEntry(4, a, b)}), path)
+        assert main(["canon", str(path), "T", "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps(CANON_DOC_GF101, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("name", sorted(INT_SYSTEMS))
     def test_integer_invariants_json_pinned(self, name, tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +31,10 @@ from ringsys import (
     snf,
     solve_right,
 )
+from ringsys import linalg
 from ringsys.linalg import _det_berkowitz
 from ringsys.rings import PRIME_BOUND
-from util import minors_gcd_invariants, rand_matrix, reference_det_expansion
+from util import minors_gcd_invariants, rand_matrix, reference_det_expansion, reference_gauss_jordan
 
 Q = Rationals()
 Z = Integers()
@@ -87,6 +89,15 @@ class TestRref:
                 assert all(x == 0 for i, x in enumerate(col) if i != r)
             assert list(res.pivots) == sorted(res.pivots)
             assert res.rank == rref(m.transpose()).rank
+
+    def test_rank_deficient_transform_pinned(self):
+        # rows cleared by different denominators (6, 4, 35); the second
+        # is 3/2 times the first, so the last row of T is its own
+        # remainder, which the kernel scales back by its denominator
+        res = rref(mat(Q, [["1/2", "1/3", "1"], ["3/4", "1/2", "3/2"], ["2/5", "0", "1/7"]]))
+        assert (res.rank, res.pivots) == (2, (0, 1))
+        assert res.matrix.to_str_rows() == [["1", "0", "5/14"], ["0", "1", "69/28"], ["0", "0", "0"]]
+        assert res.transform.to_str_rows() == [["0", "0", "5/2"], ["3", "0", "-15/4"], ["-3/2", "1", "0"]]
 
     def test_needs_field(self):
         with pytest.raises(Exception):
@@ -555,3 +566,64 @@ def test_snf_axioms_hypothesis(n, m, data):
     facs = [f for f in dec.invariant_factors if f]
     for a, b in zip(facs, facs[1:]):
         assert b % a == 0
+
+
+# The package's field elimination against the generic ring-operation
+# loop in tests/util.py, entry by entry, through every public kernel.
+DIFFERENTIAL_FIELDS = [Q, F2, PrimeField(101), PrimeField(3317044064679887385961813)]
+
+
+@st.composite
+def field_matrices(draw):
+    ring = draw(st.sampled_from(DIFFERENTIAL_FIELDS))
+    if ring == Q:
+        # several distinct denominators per row
+        entry = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 5, 7, 12]))
+    else:
+        entry = st.one_of(st.integers(-3, 3), st.integers(0, ring.p - 1))
+
+    def matrix(r, c):
+        return RingMatrix.from_rows(ring, [[draw(entry) for _ in range(c)] for _ in range(r)], cols=c)
+
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, max(min(r, c) - 1, 0)))
+        m = matrix(r, inner) @ matrix(inner, c)
+    else:
+        m = matrix(r, c)
+    k = draw(st.integers(0, 2))
+    return m, matrix(c, k), matrix(r, k)
+
+
+def _field_kernels(m, x, b):
+    def lists(mat):
+        return None if mat is None else (mat.rows, mat.cols, mat.to_lists())
+
+    res = rref(m)
+    return (
+        lists(res.matrix),
+        res.rank,
+        res.pivots,
+        lists(res.transform),
+        lists(linalg.invert(m)) if m.rows == m.cols else None,
+        lists(solve_right(m, m @ x)),
+        lists(solve_right(m, b)),
+        lists(kernel_basis(m)),
+        lists(column_canonical(m)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_matrices())
+def test_field_kernels_match_reference_gauss_jordan(case):
+    m, x, b = case
+    got = _field_kernels(m, x, b)
+    with mock.patch.object(linalg, "_gauss_jordan", reference_gauss_jordan):
+        expected = _field_kernels(m, x, b)
+    assert got == expected
+    # payloads keep their type: Fractions over Q, residues in [0, p) over GF(p)
+    entries = [v for _, _, rows in (got[0], got[3]) for row in rows for v in row]
+    if m.ring == Q:
+        assert all(type(v) is Fraction for v in entries)
+    else:
+        assert all(type(v) is int and 0 <= v < m.ring.p for v in entries)

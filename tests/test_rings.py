@@ -24,7 +24,7 @@ from ringsys import (
     solve_right,
     try_invert,
 )
-from ringsys.rings import MAX_DEGREE, MAX_REDUCE_COST, _parse_terms
+from ringsys.rings import MAX_COEFF_BITS, MAX_DEGREE, MAX_REDUCE_COST, _parse_terms
 from util import reference_product, reference_reduce
 
 VARS = ("x", "y", "z")
@@ -128,6 +128,19 @@ def test_over_long_literal_is_a_syntax_error():
             ring.parse_payload(text)
     with pytest.raises(ElementSyntaxError, match="5000 digits"):
         sphere_ring().parse_payload(f"{digits}*x")
+
+
+def test_coefficient_bits_bound():
+    ring = sphere_ring()
+    # 2^32767 (the largest coefficient allowed) as a product of literals
+    # within the int-string limit, then one bit more as a product, a
+    # denominator, or the sum of a repeated monomial
+    top = f"{2**14000}*{2**14000}*{2**4767}"
+    assert ring.parse_payload(f"{top}*x") == ring.reduce(Poly.from_dict(3, {(1, 0, 0): Fraction(2**32767)}))
+    for text in (f"{top}*2*x", f"1/{2**14000}*1/{2**14000}*1/{2**4768}*x", f"{top}*x + {top}*x"):
+        with pytest.raises(ElementSyntaxError, match=f"over MAX_COEFF_BITS = {MAX_COEFF_BITS} bits"):
+            ring.parse_payload(text)
+    assert ring.parse_payload(f"{top}*x - {top}*x") == ring.zero()
 
 
 class TestReduce:

@@ -529,6 +529,34 @@ def reference_det_expansion(m):
     return dp.get(full, ring.zero())
 
 
+def reference_gauss_jordan(ring, a, ncols):
+    """Gauss-Jordan through the ring's own operations, the reference for
+    linalg._gauss_jordan: same contract (rows reduced in place, pivots
+    among the first ncols columns, riders follow), one ring.mul and
+    ring.sub per entry and step."""
+    piv_row = 0
+    pivots = []
+    for col in range(ncols):
+        sel = None
+        for i in range(piv_row, len(a)):
+            if not ring.is_zero(a[i][col]):
+                sel = i
+                break
+        if sel is None:
+            continue
+        a[piv_row], a[sel] = a[sel], a[piv_row]
+        inv = ring.try_invert_payload(a[piv_row][col])
+        a[piv_row] = [ring.mul(inv, x) for x in a[piv_row]]
+        for i in range(len(a)):
+            if i == piv_row or ring.is_zero(a[i][col]):
+                continue
+            f = a[i][col]
+            a[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(a[i], a[piv_row])]
+        pivots.append(col)
+        piv_row += 1
+    return pivots
+
+
 SPHERE_RING = {"kind": "poly_quotient", "vars": ["x", "y", "z"], "relation": "x^2 + y^2 + z^2 - 1"}
 
 
