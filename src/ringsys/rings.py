@@ -431,11 +431,11 @@ class PrimeField(RingDescriptor):
         return f"GF({self.p})"
 
 
-# One scan covers the whole literal: whitespace matches no named group,
-# and any other character outside the grammar is a "bad" token.
-_POLY_SCAN = re.compile(
-    r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^])|\s+|(?P<bad>.)", re.DOTALL
-)
+# One findall tokenizes a whole literal.  Each token is a tuple of the
+# four groups (digits, name, operator, stray character), exactly one of
+# them nonempty; whitespace matches nothing.
+_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^])|(\S)")
+_STRAY = operator.itemgetter(3)
 
 # Largest total degree of a monomial in a polynomial literal.  Without a
 # bound a literal such as "z^100000000" never returns.
@@ -519,11 +519,18 @@ class PolyQuotient(RingDescriptor):
         # Denominators are cleared once per row and per column.  Every
         # term product of an entry goes into one integer coefficient map,
         # reduced once (reduction is Q-linear and a ring homomorphism, so
-        # the normal form is the same) and divided once.
-        rows = [_cleared(r) for r in rows]
+        # the normal form is the same) and divided once.  Only pairs of
+        # nonzero operands are multiplied (Gustavson's sparse product): an
+        # entry with no such pair is zero and is not reduced.
         cols = [_cleared(c) for c in cols]
-        reduce = self.reduce
-        return [_divided(reduce(_product_terms(zip(rn, cn))), rd * cd) for rn, rd in rows for cn, cd in cols]
+        reduce, zero = self.reduce, self.zero()
+        out = []
+        for rn, rd in map(_cleared, rows):
+            nonzero = [(k, x) for k, x in enumerate(rn) if x]
+            for cn, cd in cols:
+                pairs = [(x, cn[k]) for k, x in nonzero if cn[k]]
+                out.append(_divided(reduce(_product_terms(pairs)), rd * cd) if pairs else zero)
+        return out
 
     def neg(self, a):
         return -a
@@ -594,13 +601,16 @@ class PolyQuotient(RingDescriptor):
 
     def parse_payload(self, text: str):
         # A rational constant is already in normal form.  Any other
-        # literal, and a constant that fails, goes through the tokenizer,
-        # which owns the error messages.
+        # literal, and a constant that fails (past the int-string limit,
+        # a zero denominator, over MAX_COEFF_BITS), goes through the
+        # tokenizer, which owns the error messages.
         m = _RAT_LIT.match(text.strip())
         if m:
             try:
-                return Poly.const(len(self.variables), Fraction(int(m.group(1)), int(m.group(2) or 1)))
-            except (ValueError, ZeroDivisionError):
+                num, den = int(m.group(1)), int(m.group(2) or 1)
+                if den and max(num.bit_length(), den.bit_length()) <= MAX_COEFF_BITS:
+                    return Poly.const(len(self.variables), Fraction(num, den))
+            except ValueError:  # past the int-string limit
                 pass
         return self.reduce(_parse_terms(text, self.variables), MAX_REDUCE_COST)
 
@@ -670,67 +680,65 @@ def parse_polynomial(text: str, variables: tuple[str, ...]) -> Poly:
     return Poly.from_dict(len(variables), _parse_terms(text, variables))
 
 
-_SIGNS = (("op", "+"), ("op", "-"))
-_END = ("end", "")
-
-
 def _parse_terms(text: str, variables: tuple[str, ...]) -> dict[Monomial, Fraction]:
     """Coefficient map of a polynomial literal, unsorted, zeros allowed."""
     nvars = len(variables)
     index = {name: i for i, name in enumerate(variables)}
-    tokens: list[tuple[str, str]] = []
-    for m in _POLY_SCAN.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ElementSyntaxError(f"unexpected character at {text[m.start():].strip()[:10]!r}")
-        if kind is not None:
-            tokens.append((kind, m.group()))
+    tokens = _TOKEN.findall(text)
+    if any(map(_STRAY, tokens)):
+        at = next(m.start() for m in _TOKEN.finditer(text) if m.group(4))
+        raise ElementSyntaxError(f"unexpected character at {text[at:].strip()[:10]!r}")
     if not tokens:
         raise ElementSyntaxError("empty polynomial literal")
-    tokens.append(_END)
+    end = len(tokens)
+    tokens.append(("", "", "", ""))
 
     coeffs: dict[Monomial, Fraction] = {}
     i = 0
-    while tokens[i] != _END:
+    while i < end:
         num, den = 1, 1
-        while tokens[i] in _SIGNS:
-            if tokens[i][1] == "-":
+        op = tokens[i][2]
+        while op == "+" or op == "-":
+            if op == "-":
                 num = -num
             i += 1
-        if tokens[i] == _END:
+            op = tokens[i][2]
+        if i == end:
             raise ElementSyntaxError("dangling sign")
         expo = [0] * nvars
         while True:
-            kind, tok = tokens[i]
+            digits, name, op, _ = tokens[i]
             i += 1
-            if kind == "num":
-                num *= _int_literal(tok)
-                if tokens[i] == ("op", "/") and tokens[i + 1][0] == "num":
-                    d = _int_literal(tokens[i + 1][1])
+            if digits:
+                num *= _int_literal(digits)
+                if tokens[i][2] == "/" and tokens[i + 1][0]:
+                    d = _int_literal(tokens[i + 1][0])
                     if d == 0:
                         raise ElementSyntaxError("zero denominator")
                     den *= d
                     i += 2
                 _check_coeff_bits(num, den)
-            elif kind == "name":
-                if tok not in index:
-                    raise ElementSyntaxError(f"unknown variable {tok!r}")
-                if tokens[i] == ("op", "^"):
-                    if tokens[i + 1][0] != "num":
+            elif name:
+                v = index.get(name)
+                if v is None:
+                    raise ElementSyntaxError(f"unknown variable {name!r}")
+                if tokens[i][2] == "^":
+                    if not tokens[i + 1][0]:
                         raise ElementSyntaxError("malformed exponent")
-                    expo[index[tok]] += _int_literal(tokens[i + 1][1])
+                    expo[v] += _int_literal(tokens[i + 1][0])
                     i += 2
                 else:
-                    expo[index[tok]] += 1
+                    expo[v] += 1
             else:
-                raise ElementSyntaxError(f"unexpected operator {tok!r}")
-            if tokens[i] != ("op", "*"):
+                raise ElementSyntaxError(f"unexpected operator {op!r}")
+            if tokens[i][2] != "*":
                 break
             i += 1
-            if tokens[i] == _END:
+            if i == end:
                 raise ElementSyntaxError("dangling '*'")
-        if tokens[i] != _END and tokens[i] not in _SIGNS:
-            raise ElementSyntaxError(f"expected '+', '-' or end, found {tokens[i][1]!r}")
+        op = tokens[i][2]
+        if i != end and op != "+" and op != "-":
+            raise ElementSyntaxError(f"expected '+', '-' or end, found {''.join(tokens[i])!r}")
         if sum(expo) > MAX_DEGREE:
             raise ElementSyntaxError(f"monomial of total degree over MAX_DEGREE = {MAX_DEGREE}")
         mono = tuple(expo)

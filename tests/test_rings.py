@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from ringsys import (
     try_invert,
 )
 from ringsys.rings import MAX_COEFF_BITS, MAX_DEGREE, MAX_REDUCE_COST, _parse_terms
-from util import reference_product, reference_reduce
+from util import reference_parse_terms, reference_product, reference_reduce
 
 VARS = ("x", "y", "z")
 SPHERE_REL = parse_polynomial("x^2+y^2+z^2-1", VARS)
@@ -471,21 +472,64 @@ def test_products_edge_cases(ring):
         assert (row @ col).entries == (Fraction(1, 5) - Fraction(1, 4) + Fraction(5, 42),)
 
 
+# Quotient-ring products multiply only pairs of nonzero operands; these
+# rings take the sparse kernel with an integral and a non-integral rule.
+SPARSE_RINGS = [sphere_ring(), REFERENCE_RINGS[2]]
+
+
+@pytest.mark.parametrize("ring", SPARSE_RINGS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sparse_products_match_fold(ring, data):
+    nonzero_elems = polys.map(ring.reduce).filter(lambda p: not p.is_zero)
+
+    def sparse(rows, cols):
+        # up to 30% nonzero entries, so most entries have at most one
+        # nonzero pair and many rows and columns are all zero
+        size = rows * cols
+        density = data.draw(st.sampled_from((0, 0.1, 0.2, 0.3)))
+        positions = data.draw(st.sets(st.integers(0, max(size - 1, 0)), max_size=int(density * size)))
+        entries = [data.draw(nonzero_elems) if k in positions else ring.zero() for k in range(size)]
+        return RingMatrix(ring, rows, cols, tuple(entries))
+
+    rows, inner, cols = (data.draw(st.integers(0, 6)) for _ in range(3))
+    assert_products_match_fold(sparse(rows, inner), sparse(inner, cols))
+
+
+@pytest.mark.parametrize("ring", SPARSE_RINGS, ids=str)
+def test_sparse_products_edge_cases(ring):
+    p = ring.reduce(Poly.from_dict(3, {(1, 1, 0): Fraction(2, 3), (0, 0, 1): Fraction(-1)}))
+    q = ring.reduce(Poly.from_dict(3, {(2, 0, 1): Fraction(5), (0, 0, 0): Fraction(1, 7)}))
+    o = ring.zero()
+    a = RingMatrix(ring, 3, 3, (p, p, o, o, o, o, o, q, o))
+    b = RingMatrix(ring, 3, 3, (q, o, o, -q, o, p, o, o, o))
+    got = a @ b
+    # (p, p, 0) . (q, -q, 0) cancels; column 1 and row 1 are all zero;
+    # (p, p, 0) . (0, p, 0) and (0, q, 0) . (0, p, 0) have one nonzero pair
+    assert got.row_list(0) == [o, o, reference_reduce(ring, reference_product(p, p))]
+    assert got.row_list(1) == [o, o, o]
+    assert got.row_list(2) == [reference_reduce(ring, reference_product(q, -q)), o, ring.mul(q, p)]
+    assert ring.mul(q, p) == reference_reduce(ring, reference_product(q, p)) != o
+    assert_products_match_fold(a, b)
+    assert_products_match_fold(b.transpose(), a.transpose())
+
+
 # Rational constants skip the tokenizer; the result, or the error, must
 # be the tokenizer's.
 CONSTANT_LITERALS = ["0", "-3", "5/10", "+7", " 1 ", "1/0", "-0", "0/4", "\t12/8\n"]
 CONSTANT_LITERALS += ["7" * 5000, "-" + "7" * 5000, "1/" + "7" * 5000, "7" * 5000 + "/0"]
 
 
+def outcome(parse):
+    try:
+        return parse(), None
+    except ElementSyntaxError as exc:
+        return None, str(exc)
+
+
 @pytest.mark.parametrize("ring", REFERENCE_RINGS[::2], ids=str)
 @pytest.mark.parametrize("text", CONSTANT_LITERALS, ids=lambda t: t if len(t) < 10 else f"{len(t)} chars")
 def test_constant_literals_match_tokenizer(ring, text):
-    def outcome(parse):
-        try:
-            return parse(), None
-        except ElementSyntaxError as exc:
-            return None, str(exc)
-
     expected = outcome(lambda: ring.reduce(_parse_terms(text, ring.variables), MAX_REDUCE_COST))
     assert outcome(lambda: ring.parse_payload(text)) == expected
     value, error = expected
@@ -495,3 +539,80 @@ def test_constant_literals_match_tokenizer(ring, text):
         assert "5000 digits is too long" in error
     else:
         assert error is None and value.is_constant and all(type(c) is Fraction for _, c in value.terms)
+
+
+# Past the default int-string limit a constant's digits convert, and the
+# coefficient bound must refuse it as the tokenizer does: 9 800 sevens
+# are 32 555 bits, 12 000 are 39 863.
+WIDE_BITS = f"coefficient over MAX_COEFF_BITS = {MAX_COEFF_BITS} bits"
+WIDE_CONSTANT_LITERALS = [
+    ("7" * 9800, None),
+    ("-1/" + "7" * 9800, None),
+    ("7" * 12000, WIDE_BITS),
+    ("1/" + "7" * 12000, WIDE_BITS),
+    ("-" + "7" * 12000 + "/3", WIDE_BITS),
+    ("3/" + "7" * 12000 + " ", WIDE_BITS),
+    ("7" * 12000 + "/0", "zero denominator"),
+]
+
+
+@pytest.fixture
+def unlimited_int_strings():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-string limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS[::2], ids=str)
+@pytest.mark.parametrize(
+    "text, error", WIDE_CONSTANT_LITERALS, ids=[f"{len(t)} chars" for t, _ in WIDE_CONSTANT_LITERALS]
+)
+def test_wide_constant_literals_match_tokenizer(ring, text, error, unlimited_int_strings):
+    expected = outcome(lambda: ring.reduce(_parse_terms(text, ring.variables), MAX_REDUCE_COST))
+    assert outcome(lambda: ring.parse_payload(text)) == expected
+    value, got = expected
+    assert got == error
+    if error is None:
+        assert value.is_constant and value.terms[0][1] == Fraction(text)
+
+
+# The tokenizer against the finditer reference: the same coefficient map,
+# or the same exception type and message, on text over the grammar's
+# alphabet and characters just outside it, and on literals with huge
+# exponents and wide factors.
+WIDE = str(7**4700)  # 3 972 digits: three factors pass MAX_COEFF_BITS
+LITERAL_CHARS = "xyzw0123456789+-*/^ .$\n\t_٣²"
+literal_factors = st.one_of(
+    st.sampled_from(["x", "y", "z", "w", "xy", "_", "0", "3", "12", "٣", "²"]),
+    st.builds("{}^{}".format, st.sampled_from("xyz"), st.sampled_from(["0", "2", "64", "65", "9" * 30, "7" * 5000])),
+    st.builds("{}/{}".format, st.sampled_from(["1", "7", WIDE]), st.sampled_from(["0", "3", WIDE, "7" * 5000])),
+    st.sampled_from([WIDE, "7" * 5000]),
+)
+literal_terms = st.lists(literal_factors, min_size=1, max_size=4).map("*".join)
+literals = st.lists(st.tuples(st.sampled_from(["", "+", "-", " - ", "--", "+ "]), literal_terms), max_size=4).map(
+    lambda pieces: "".join(sign + term for sign, term in pieces)
+)
+
+
+def tokenizer_outcome(parse, text):
+    try:
+        return parse(text, VARS)
+    except Exception as exc:  # the type is part of the outcome
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(LITERAL_CHARS, max_size=16), literals))
+@example(f"{WIDE}*{WIDE}*{WIDE}*x")
+@example(f"1/{WIDE}*1/{WIDE}*y*1/{WIDE}")
+@example(f"{WIDE}*{WIDE}*x + {WIDE}*{WIDE}*x")
+@example("x^" + "9" * 30 + " + 1")
+@example("7" * 5000 + "*x")
+@example("x\n٣ $²")
+def test_tokenizer_matches_reference(text):
+    assert tokenizer_outcome(_parse_terms, text) == tokenizer_outcome(reference_parse_terms, text)

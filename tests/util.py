@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from ringsys import (
     AbelianGroupStructure,
     CanonicalCertificate,
     DescriptorMismatch,
+    ElementSyntaxError,
     Integers,
     InvariantReport,
     IsoCertificate,
@@ -38,7 +40,7 @@ from ringsys import (
     rref,
     solve_right,
 )
-from ringsys.rings import descriptor_from_dict, grlex_key
+from ringsys.rings import MAX_COEFF_BITS, MAX_DEGREE, descriptor_from_dict, grlex_key
 from ringsys.sysfile import CertEntry, PairEntry, SystemFile, emit
 
 
@@ -317,6 +319,95 @@ def reference_product(p, q):
             m = tuple(a + b for a, b in zip(m1, m2))
             coeffs[m] = coeffs.get(m, Fraction(0)) + c1 * c2
     return Poly.from_dict(p.nvars, coeffs)
+
+
+_REFERENCE_SCAN = re.compile(
+    r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^])|\s+|(?P<bad>.)", re.DOTALL
+)
+_SIGNS = (("op", "+"), ("op", "-"))
+_END = ("end", "")
+
+
+def reference_parse_terms(text, variables):
+    """Coefficient map of a polynomial literal from a finditer scan into
+    (kind, text) tokens, the reference for rings._parse_terms: the same
+    grammar, bounds and error messages, with its own checks."""
+
+    def integer(digits):
+        try:
+            return int(digits)
+        except ValueError as exc:
+            raise ElementSyntaxError(f"integer literal of {len(digits)} digits is too long") from exc
+
+    def check_bits(num, den):
+        if max(num.bit_length(), den.bit_length()) > MAX_COEFF_BITS:
+            raise ElementSyntaxError(f"coefficient over MAX_COEFF_BITS = {MAX_COEFF_BITS} bits")
+
+    nvars = len(variables)
+    index = {name: i for i, name in enumerate(variables)}
+    tokens = []
+    for m in _REFERENCE_SCAN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ElementSyntaxError(f"unexpected character at {text[m.start():].strip()[:10]!r}")
+        if kind is not None:
+            tokens.append((kind, m.group()))
+    if not tokens:
+        raise ElementSyntaxError("empty polynomial literal")
+    tokens.append(_END)
+
+    coeffs = {}
+    i = 0
+    while tokens[i] != _END:
+        num, den = 1, 1
+        while tokens[i] in _SIGNS:
+            if tokens[i][1] == "-":
+                num = -num
+            i += 1
+        if tokens[i] == _END:
+            raise ElementSyntaxError("dangling sign")
+        expo = [0] * nvars
+        while True:
+            kind, tok = tokens[i]
+            i += 1
+            if kind == "num":
+                num *= integer(tok)
+                if tokens[i] == ("op", "/") and tokens[i + 1][0] == "num":
+                    d = integer(tokens[i + 1][1])
+                    if d == 0:
+                        raise ElementSyntaxError("zero denominator")
+                    den *= d
+                    i += 2
+                check_bits(num, den)
+            elif kind == "name":
+                if tok not in index:
+                    raise ElementSyntaxError(f"unknown variable {tok!r}")
+                if tokens[i] == ("op", "^"):
+                    if tokens[i + 1][0] != "num":
+                        raise ElementSyntaxError("malformed exponent")
+                    expo[index[tok]] += integer(tokens[i + 1][1])
+                    i += 2
+                else:
+                    expo[index[tok]] += 1
+            else:
+                raise ElementSyntaxError(f"unexpected operator {tok!r}")
+            if tokens[i] != ("op", "*"):
+                break
+            i += 1
+            if tokens[i] == _END:
+                raise ElementSyntaxError("dangling '*'")
+        if tokens[i] != _END and tokens[i] not in _SIGNS:
+            raise ElementSyntaxError(f"expected '+', '-' or end, found {tokens[i][1]!r}")
+        if sum(expo) > MAX_DEGREE:
+            raise ElementSyntaxError(f"monomial of total degree over MAX_DEGREE = {MAX_DEGREE}")
+        mono = tuple(expo)
+        coeff = Fraction(num, den)
+        old = coeffs.get(mono)
+        if old is not None:
+            coeff = old + coeff
+            check_bits(coeff.numerator, coeff.denominator)
+        coeffs[mono] = coeff
+    return coeffs
 
 
 def reference_verify(s1, s2, cert):
