@@ -30,7 +30,6 @@ from .linalg import (
     _hermite_reduce,
     _hnf_int,
     cokernel_structure,
-    det,
     invert,
 )
 from .rings import Integers, PolyQuotient, Rationals, RingDescriptor, _cleared_fractions
@@ -470,9 +469,14 @@ def brunovsky(sigma: LinearSystem) -> BrunovskyData:
 class CanonicalCertificate:
     """Invertible (P, Q) and feedback K straightening a reachable pair.
 
-    The defining identities are A_c = P (A + B K) P^{-1} and
-    B_c = P B Q, with B_c padded by zero columns to the width of B;
-    ``indices`` is the Brunovsky partition of the canonical pair.
+    The defining identities are P (A + B K) = A_c P and P B Q = B_c,
+    with B_c padded by zero columns to the width of B; ``indices`` is
+    the Brunovsky partition of the canonical pair.  They make P
+    invertible without a determinant: together they give
+    P (A + B K)^l B Q = A_c^l B_c for every l, and since the indices sum
+    to n the canonical pair is reachable, so the columns of A_c^l B_c
+    with l < n span the state space.  P is therefore onto, and a square
+    matrix that is onto is invertible.
     """
 
     P: RingMatrix
@@ -488,8 +492,14 @@ def canonical_certificate(a: RingMatrix, b: RingMatrix) -> CanonicalCertificate:
 
     Any valid certificate is acceptable; this construction is
     deterministic (lowest-index columns first, blocks ordered by
-    decreasing length) and the returned triple is verified against the
-    canonical pair before being handed back.
+    decreasing length) and the returned triple is checked against the
+    two identities P (A + B K) = A_c P and P B Q = B_c before being
+    handed back.  Those identities prove P invertible (see
+    ``CanonicalCertificate``; the n selected columns are what make the
+    indices sum to n), and Q is invertible by construction: column t of
+    Q is e_order[t] minus multiples of e_o for inputs o < order[t]
+    selected at the same level, so Q is a column permutation of a unit
+    upper triangular matrix.
     """
     if not a.ring.is_field:
         raise UnsupportedRing("canonical certificates need a field")
@@ -556,6 +566,6 @@ def canonical_certificate(a: RingMatrix, b: RingMatrix) -> CanonicalCertificate:
     a_c, b_c = canonical_pair(ring, indices)
     b_c_padded = b_c.hstack(RingMatrix.zeros(ring, n, m - b_c.cols))
 
-    if ring.is_zero(det(p).value) or p @ (a + b @ k) != a_c @ p or p @ b @ q != b_c_padded:
+    if p @ (a + b @ k) != a_c @ p or p @ b @ q != b_c_padded:
         raise RuntimeError("canonical certificate failed internal verification")
     return CanonicalCertificate(p, k, q, a_c, b_c_padded, indices)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import tempfile
 import time
 from fractions import Fraction
@@ -285,6 +286,26 @@ class TestReports:
         write(SystemFile(ring, {"T": PairEntry(4, a, b)}), path)
         assert main(["canon", str(path), "T", "--json"]) == 0
         assert capsys.readouterr().out == json.dumps(CANON_DOC_GF101, indent=2, sort_keys=True) + "\n"
+
+    def test_canon_at_n36_over_q(self, tmp_path, capsys):
+        """A random pair over Q with n = 36 certifies, and the P, K and Q
+        read back from --json satisfy both identities.  P's entries run
+        to about 1 100 bits here, so a determinant of P in the internal
+        check would cost about ten times the rest of the run."""
+        rng = random.Random(36)
+        n, m = 36, 2
+        a, b = (RingMatrix.from_rows(Q, [[rng.randint(-3, 3) for _ in range(w)] for _ in range(n)]) for w in (n, m))
+        path = tmp_path / "n36.json"
+        write(SystemFile(Q, {"S": PairEntry(n, a, b)}), path)
+        assert main(["canon", str(path), "S", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        p, k, q, a_c, b_c = (
+            RingMatrix.from_rows(Q, doc[key], cols=width)
+            for key, width in (("P", n), ("K", n), ("Q", m), ("canonical_endo", n), ("canonical_input", m))
+        )
+        assert sum(doc["indices"]) == n
+        assert p @ (a + b @ k) == a_c @ p
+        assert p @ b @ q == b_c
 
     @pytest.mark.parametrize("name", sorted(INT_SYSTEMS))
     def test_integer_invariants_json_pinned(self, name, tmp_path, capsys):

@@ -30,6 +30,7 @@ from ringsys import (
     column_canonical,
     compute_chain,
     conjugate_partition,
+    det,
     direct_sum,
     dynamic_enlarge,
     from_pair,
@@ -611,3 +612,80 @@ class TestCanonicalCertificate:
             for fn in (canonical_certificate, reference_canonical_certificate):
                 with pytest.raises(NotReachable):
                     fn(a, b)
+
+    @pytest.mark.parametrize("ring", [Q, F2, F3, F101], ids=str)
+    def test_certificates_are_invertible(self, ring, monkeypatch):
+        """On the pairs of test_matches_reference_construction, det P is
+        nonzero and Q is a column permutation of a unit upper triangular
+        matrix: the facts the internal check leaves to its two
+        identities and to the construction.  The certificates are
+        collected by running that test with canonical_certificate
+        recorded."""
+        certs = []
+
+        def recorded(a, b, build=canonical_certificate):
+            certs.append(build(a, b))
+            return certs[-1]
+
+        monkeypatch.setitem(globals(), "canonical_certificate", recorded)
+        self.test_matches_reference_construction(ring)
+        assert len(certs) == 46
+        for cert in certs:
+            assert not ring.is_zero(det(cert.P).value)
+            # Column t of Q is column lows[t] of a unit upper triangular
+            # matrix: its lowest nonzero entry is a 1, in a row no other
+            # column ends in.
+            lows = []
+            for column in cert.Q.columns():
+                low = max(i for i, x in enumerate(column.entries) if not ring.is_zero(x))
+                assert column.entries[low] == ring.one()
+                lows.append(low)
+            assert sorted(lows) == list(range(cert.Q.cols))
+
+    @pytest.mark.parametrize("ring", [Q, F101], ids=str)
+    def test_corrupted_inverse_fails_verification(self, ring, monkeypatch):
+        """With one entry of W^{-1} off by one, the P, K and Q read from
+        it fail the identities and the internal check raises.  The entry
+        is in the first row, the coordinate along the first selected
+        column B e_j, so the corrupted relations still name only columns
+        kept before each first repeat and the construction runs through
+        to the check."""
+        rng = random.Random(62)
+        for _ in range(10):
+            _, a, b = rand_locally_brunovsky_pair(ring, rng, rng.randint(2, 6), extra_cols=rng.randint(0, 2))
+            canonical_certificate(a, b)
+            for col in range(a.rows):
+
+                def off_by_one(w, col=col):
+                    w_inv = invert(w)
+                    entries = list(w_inv.entries)
+                    entries[col] = ring.add(entries[col], ring.one())
+                    return RingMatrix(ring, w_inv.rows, w_inv.cols, tuple(entries))
+
+                with monkeypatch.context() as patch:
+                    patch.setattr("ringsys.invariants.invert", off_by_one)
+                    with pytest.raises(RuntimeError, match="^canonical certificate failed internal verification$"):
+                        canonical_certificate(a, b)
+
+    @pytest.mark.parametrize("ring", [Q, F101], ids=str)
+    def test_perturbed_target_fails_verification(self, ring, monkeypatch):
+        """The check refuses a K or a Q that is off, seen through the
+        canonical pair it compares with.  Checking P (A + B K) against
+        A_c + B_c E, the canonical pair closed by a feedback E with one
+        entry 1, is checking K - Q E P against A_c, since P B Q = B_c;
+        Q E P is nonzero because P and Q are invertible, and E runs over
+        every entry.  Checking P B Q against 2 B_c is checking P B (Q/2)
+        against B_c, which the first identity cannot see."""
+        rng = random.Random(63)
+        for _ in range(6):
+            _, a, b = rand_locally_brunovsky_pair(ring, rng, rng.randint(2, 6), extra_cols=rng.randint(0, 2))
+            blocks, n = len(canonical_certificate(a, b).indices), a.rows
+            units = [tuple(ring.one() if k == i else ring.zero() for k in range(blocks * n)) for i in range(blocks * n)]
+            targets = [lambda a_c, b_c, e=RingMatrix(ring, blocks, n, unit): (a_c + b_c @ e, b_c) for unit in units]
+            targets.append(lambda a_c, b_c: (a_c, b_c + b_c))
+            for target in targets:
+                with monkeypatch.context() as patch:
+                    perturbed = lambda ring, indices: target(*canonical_pair(ring, indices))
+                    patch.setattr("ringsys.invariants.canonical_pair", perturbed)
+                    with pytest.raises(RuntimeError, match="^canonical certificate failed internal verification$"):
+                        canonical_certificate(a, b)
