@@ -476,7 +476,9 @@ class CanonicalCertificate:
     P (A + B K)^l B Q = A_c^l B_c for every l, and since the indices sum
     to n the canonical pair is reachable, so the columns of A_c^l B_c
     with l < n span the state space.  P is therefore onto, and a square
-    matrix that is onto is invertible.
+    matrix that is onto is invertible.  The same identity gives P^{-1}
+    without an inversion: column l of its t-th block is
+    (A + B K)^l B Q e_t.
     """
 
     P: RingMatrix
@@ -500,6 +502,18 @@ def canonical_certificate(a: RingMatrix, b: RingMatrix) -> CanonicalCertificate:
     Q is e_order[t] minus multiples of e_o for inputs o < order[t]
     selected at the same level, so Q is a column permutation of a unit
     upper triangular matrix.
+
+    P, K and Q are Luenberger's, read from his dual rows: with W the
+    Krylov columns kept, d = mu_j and q_j the row of W^{-1} at
+    A^(d-1) b_j, row (j, l) of P is q_j A^(d-1-l), and K = -Q[:, :r] F,
+    where row t of F is q_j A^d for the t-th of the r chains.  They are
+    his because (1) q_j A^lam B = 0 for lam < d - 1, as no column kept
+    at an earlier level is A^(d-1) b_j, so the identities make row
+    (j, l) equal row (j, l+1) times A; (2) his chain vectors
+    v_l = A^l b_j - sum_{lam >= d-l} x A^(lam-d+l) b_o have no term
+    along a chain's last kept column (it would need lam >= mu_o), so q_j
+    is the row of V^{-1} at v_(d-1); and (3) K is unique on the chain
+    inputs, whose columns of B are independent, and zero on the rest.
     """
     if not a.ring.is_field:
         raise UnsupportedRing("canonical certificates need a field")
@@ -519,48 +533,33 @@ def canonical_certificate(a: RingMatrix, b: RingMatrix) -> CanonicalCertificate:
     order = chains + [j for j in range(m) if not mu[j]]
 
     # Input column j first repeats at level d = mu[j]: A^d b_j is a sum
-    # of x A^lam b_o over the selected columns W kept before it, read
-    # from one inversion of W.  Shifted down, that relation gives the
-    # chain (Luenberger): v_l = A^l b_j - sum_{lam >= d-l} x A^(lam-d+l) b_o,
-    # k_l = -sum_{lam = d-l-1} x e_o, and Q e_j is the l = -1 case plus
-    # e_j, so v_0 = B Q e_j, v_{l+1} = A v_l + B k_l, and the closed loop
-    # kills v_(d-1).  Each A^(lam-d+l) b_o is a column of W kept before
-    # A^l b_j, so V = W U with U unit triangular in selection order, and
-    # P = V^{-1} = U^{-1} W^{-1} is W^{-1} back-substituted.
+    # of x A^lam b_o over the columns W kept before it, read from one
+    # inversion of W, and column j of Q is e_j - sum x e_o over lam = d.
     powers = [b]
     for _ in range(max(indices, default=0)):
         powers.append(a @ powers[-1])
     w_inv = invert(RingMatrix._of_columns(ring, [powers[l].entries[j::m] for j, l in selected], n))
     coords = w_inv @ RingMatrix._of_columns(ring, [powers[mu[j]].entries[j::m] for j in order], n)
     zero, one = ring.zero(), ring.one()
-    position = {jl: r for r, jl in enumerate(selected)}
-    above: list[list] = [[] for _ in range(n)]  # (c, x) for U[r][c] = -x, c > r
-    rows_of_p, k_columns, q_columns = [], [], []
+    q_columns = []
     for t, j in enumerate(order):
-        d = mu[j]
-        relation = [(o, lam, x) for (o, lam), x in zip(selected, coords.entries[t::m]) if not ring.is_zero(x)]
-        for l in range(-1, d):
-            k_l = [zero] * m
-            for o, lam, x in relation:
-                if lam == d - l - 1:
-                    k_l[o] = ring.neg(x)
-                elif lam > d - l - 1:
-                    above[position[o, lam - d + l]].append((position[j, l], x))
-            if l < 0:
-                k_l[j] = one
-                q_columns.append(k_l)
-            else:
-                rows_of_p.append(position[j, l])
-                k_columns.append(k_l)
-    # Row r of Y = U^{-1} W^{-1} is row r of W^{-1} plus x times row c
-    # of Y for each (c, x) in above[r]: last selected row first.
-    y = w_inv.to_lists()
-    for r in reversed(range(n)):
-        if above[r]:
-            cols, xs = zip(*above[r])
-            y[r] = ring.products([(one,) + xs], list(zip(y[r], *(y[c] for c in cols))))
-    p = RingMatrix._of_rows(ring, [y[r] for r in rows_of_p], n)
-    k = RingMatrix._of_columns(ring, k_columns, m) @ p
+        column = [zero] * m
+        column[j] = one
+        for (o, lam), x in zip(selected, coords.entries[t::m]):
+            if lam == mu[j]:
+                column[o] = ring.neg(x)
+        q_columns.append(column)
+    # P's block for chain j is q_j A^(d-1), ..., q_j A, q_j; F's row is q_j A^d.
+    dual = {j: w_inv.row_list(r) for r, (j, l) in enumerate(selected) if l == mu[j] - 1}
+    p_rows, f_rows = [], []
+    for j in chains:
+        shifts = [RingMatrix._of_rows(ring, [dual[j]], n)]
+        for _ in range(mu[j]):
+            shifts.append(shifts[-1] @ a)
+        p_rows += [row.entries for row in shifts[-2::-1]]
+        f_rows.append(shifts[-1].entries)
+    p = RingMatrix._of_rows(ring, p_rows, n)
+    k = -(RingMatrix._of_columns(ring, q_columns[: len(chains)], m) @ RingMatrix._of_rows(ring, f_rows, n))
     q = RingMatrix._of_columns(ring, q_columns, m)
 
     a_c, b_c = canonical_pair(ring, indices)

@@ -105,14 +105,13 @@ def _reject_duplicates(pairs):
 def _parse_matrix(ring: RingDescriptor, data, where: str, memo: dict, rows=None, cols=None) -> RingMatrix:
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise SystemFileError(f"{where}: expected a list of rows")
-    parsed = []
+    entries = []
     width = None
     for i, row in enumerate(data):
         if width is None:
             width = len(row)
         elif len(row) != width:
             raise SystemFileError(f"{where}[{i}]: ragged row (expected {width} entries)")
-        out = []
         for j, literal in enumerate(row):
             if not isinstance(literal, str):
                 raise SystemFileError(f"{where}[{i}][{j}]: entries must be strings")
@@ -123,14 +122,13 @@ def _parse_matrix(ring: RingDescriptor, data, where: str, memo: dict, rows=None,
                     payload = memo[literal] = ring.parse_payload(literal)
                 except ElementSyntaxError as exc:
                     raise SystemFileError(f"{where}[{i}][{j}]: {exc}") from exc
-            out.append(payload)
-        parsed.append(out)
-    if rows is not None and len(parsed) != rows:
-        raise SystemFileError(f"{where}: expected {rows} rows, found {len(parsed)}")
+            entries.append(payload)
+    if rows is not None and len(data) != rows:
+        raise SystemFileError(f"{where}: expected {rows} rows, found {len(data)}")
     if cols is not None and (width if width is not None else cols) != cols:
         raise SystemFileError(f"{where}: expected {cols} columns, found {width}")
     # parse_payload returns canonical payloads, so nothing is reduced twice
-    return RingMatrix._of_rows(ring, parsed, width if parsed else (cols or 0))
+    return RingMatrix(ring, len(data), width if data else (cols or 0), tuple(entries))
 
 
 def _named_map(data: dict, key: str) -> dict:

@@ -618,19 +618,21 @@ class TestCanonicalCertificate:
         """On the pairs of test_matches_reference_construction, det P is
         nonzero and Q is a column permutation of a unit upper triangular
         matrix: the facts the internal check leaves to its two
-        identities and to the construction.  The certificates are
-        collected by running that test with canonical_certificate
-        recorded."""
+        identities and to the construction.  P^{-1} also comes from the
+        closed loop without an inversion: its column (j, 0) is column t
+        of B Q, for the t-th chain j, and column (j, l+1) is (A + B K)
+        times column (j, l).  The certificates are collected by running
+        that test with canonical_certificate recorded."""
         certs = []
 
         def recorded(a, b, build=canonical_certificate):
-            certs.append(build(a, b))
-            return certs[-1]
+            certs.append((a, b, build(a, b)))
+            return certs[-1][2]
 
         monkeypatch.setitem(globals(), "canonical_certificate", recorded)
         self.test_matches_reference_construction(ring)
         assert len(certs) == 46
-        for cert in certs:
+        for a, b, cert in certs:
             assert not ring.is_zero(det(cert.P).value)
             # Column t of Q is column lows[t] of a unit upper triangular
             # matrix: its lowest nonzero entry is a 1, in a row no other
@@ -641,25 +643,35 @@ class TestCanonicalCertificate:
                 assert column.entries[low] == ring.one()
                 lows.append(low)
             assert sorted(lows) == list(range(cert.Q.cols))
+            closed, chain_vectors = a + b @ cert.K, []
+            for t, d in enumerate(cert.indices):
+                v = (b @ cert.Q).column(t)
+                for _ in range(d):
+                    chain_vectors.append(v.entries)
+                    v = closed @ v
+            v_matrix = RingMatrix.from_columns(ring, chain_vectors, rows=a.rows)
+            assert cert.P @ v_matrix == RingMatrix.identity(ring, a.rows)
 
     @pytest.mark.parametrize("ring", [Q, F101], ids=str)
     def test_corrupted_inverse_fails_verification(self, ring, monkeypatch):
-        """With one entry of W^{-1} off by one, the P, K and Q read from
-        it fail the identities and the internal check raises.  The entry
-        is in the first row, the coordinate along the first selected
-        column B e_j, so the corrupted relations still name only columns
-        kept before each first repeat and the construction runs through
-        to the check."""
+        """With one entry of a dual row of W^{-1} off by one, the P, K
+        and Q read from it fail the identities and the internal check
+        raises.  The dual rows are the rows at the last kept column
+        A^(mu_j - 1) b_j of each chain, which the construction shifts by
+        A into P, and each of their entries is corrupted in turn."""
         rng = random.Random(62)
         for _ in range(10):
             _, a, b = rand_locally_brunovsky_pair(ring, rng, rng.randint(2, 6), extra_cols=rng.randint(0, 2))
             canonical_certificate(a, b)
-            for col in range(a.rows):
+            selected = _field_staircase(a, b)[2]
+            mu = Counter(j for j, _ in selected)
+            dual_rows = [r for r, (j, l) in enumerate(selected) if l == mu[j] - 1]
+            for index in [r * a.rows + c for r in dual_rows for c in range(a.rows)]:
 
-                def off_by_one(w, col=col):
+                def off_by_one(w, index=index):
                     w_inv = invert(w)
                     entries = list(w_inv.entries)
-                    entries[col] = ring.add(entries[col], ring.one())
+                    entries[index] = ring.add(entries[index], ring.one())
                     return RingMatrix(ring, w_inv.rows, w_inv.cols, tuple(entries))
 
                 with monkeypatch.context() as patch:
