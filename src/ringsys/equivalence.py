@@ -14,7 +14,7 @@ quotient rings where membership is undecidable here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import DescriptorMismatch, OrbitSizeError, ShapeError, UnsupportedRing
@@ -45,6 +45,15 @@ class IsoCertificate:
     U: RingMatrix
     V: RingMatrix
     Kw: RingMatrix
+
+    def witnesses(self) -> tuple[RingMatrix, ...]:
+        """The five matrices, in the order of WITNESSES."""
+        return tuple(getattr(self, name) for name in WITNESSES)
+
+
+# The certificate's field names, in declaration order: the one list that
+# readers, writers and block sums of certificates walk.
+WITNESSES = tuple(f.name for f in fields(IsoCertificate))
 
 
 @dataclass(frozen=True)
@@ -149,13 +158,7 @@ def identity_certificate(sigma: LinearSystem) -> IsoCertificate:
 def direct_sum_certificate(c1: IsoCertificate, c2: IsoCertificate) -> IsoCertificate:
     """Block-diagonal certificate for the direct sum of two certified
     isomorphisms; the workhorse behind dynamic and stable extensions."""
-    return IsoCertificate(
-        c1.phi.block_diag(c2.phi),
-        c1.psi.block_diag(c2.psi),
-        c1.U.block_diag(c2.U),
-        c1.V.block_diag(c2.V),
-        c1.Kw.block_diag(c2.Kw),
-    )
+    return IsoCertificate(*map(RingMatrix.block_diag, c1.witnesses(), c2.witnesses()))
 
 
 def enlarge_certificate(cert: IsoCertificate, ring: RingDescriptor, p: int) -> IsoCertificate:

@@ -184,6 +184,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _integral(value) -> int:
+    """The plain int an integral number equals; ValueError for anything else."""
+    try:
+        q = Fraction(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # not a number, NaN, infinity
+        raise ValueError(f"{value!r} is not an integer") from exc
+    if q.denominator != 1:
+        raise ValueError(f"{value!r} is not an integer")
+    return q.numerator
+
+
 def _int_literal(digits: str) -> int:
     try:
         return int(digits)
@@ -259,14 +270,15 @@ class RingDescriptor:
         raise NotImplementedError
 
     def element(self, value) -> "RingElement":
-        """Wrap a payload, an int, or a literal string as an element."""
+        """Wrap a payload, a number, or a literal string as an element.
+        Over Z and GF(p) a number that is not an integer raises ValueError."""
         if isinstance(value, RingElement):
             if value.ring != self:
                 raise DescriptorMismatch(f"element of {value.ring} used in {self}")
             return value
         if isinstance(value, str):
             return RingElement(self, self.parse_payload(value))
-        if isinstance(value, int):
+        if type(value) is int:
             return RingElement(self, self.from_int(value))
         return RingElement(self, self.canonical_payload(value))
 
@@ -296,9 +308,6 @@ class Rationals(RingDescriptor):
 
     def mul(self, a, b):
         return a * b
-
-    def dot(self, xs, ys):
-        return self.products((xs,), (ys,))[0]
 
     def products(self, rows, cols):
         # denominators are cleared once per row and per column, so each
@@ -366,6 +375,9 @@ class Integers(RingDescriptor):
     def from_int(self, n: int):
         return n
 
+    def canonical_payload(self, value):
+        return _integral(value)
+
     def parse_payload(self, text: str):
         if not _INT_LIT.match(text.strip()):
             raise ElementSyntaxError(f"bad integer literal {text!r}")
@@ -417,7 +429,7 @@ class PrimeField(RingDescriptor):
         return n % self.p
 
     def canonical_payload(self, value):
-        return int(value) % self.p
+        return _integral(value) % self.p
 
     def parse_payload(self, text: str):
         if not _INT_LIT.match(text.strip()):
@@ -505,9 +517,6 @@ class PolyQuotient(RingDescriptor):
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return self.products(((a,),), ((b,),))[0]
@@ -600,18 +609,6 @@ class PolyQuotient(RingDescriptor):
         return Poly.const(len(self.variables), Fraction(value))
 
     def parse_payload(self, text: str):
-        # A rational constant is already in normal form.  Any other
-        # literal, and a constant that fails (past the int-string limit,
-        # a zero denominator, over MAX_COEFF_BITS), goes through the
-        # tokenizer, which owns the error messages.
-        m = _RAT_LIT.match(text.strip())
-        if m:
-            try:
-                num, den = int(m.group(1)), int(m.group(2) or 1)
-                if den and max(num.bit_length(), den.bit_length()) <= MAX_COEFF_BITS:
-                    return Poly.const(len(self.variables), Fraction(num, den))
-            except ValueError:  # past the int-string limit
-                pass
         return self.reduce(_parse_terms(text, self.variables), MAX_REDUCE_COST)
 
     def format_payload(self, a) -> str:

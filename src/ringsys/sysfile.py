@@ -14,13 +14,11 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .equivalence import IsoCertificate
+from .equivalence import WITNESSES as _CERT_FIELDS, IsoCertificate
 from .errors import ElementSyntaxError, SystemFileError
 from .linalg import RingMatrix
 from .rings import RingDescriptor, descriptor_from_dict, descriptor_to_dict
 from .systems import LinearSystem, from_pair
-
-_CERT_FIELDS = ("phi", "psi", "U", "V", "Kw")
 
 
 def _normalize_empty(m: RingMatrix) -> RingMatrix:
@@ -55,14 +53,7 @@ class CertEntry:
     certificate: IsoCertificate
 
     def __post_init__(self):
-        cert = self.certificate
-        normalized = IsoCertificate(
-            _normalize_empty(cert.phi),
-            _normalize_empty(cert.psi),
-            _normalize_empty(cert.U),
-            _normalize_empty(cert.V),
-            _normalize_empty(cert.Kw),
-        )
+        normalized = IsoCertificate(*map(_normalize_empty, self.certificate.witnesses()))
         object.__setattr__(self, "certificate", normalized)
 
 
@@ -172,16 +163,12 @@ def parse_text(text: str) -> SystemFile:
         for key in ("source", "target"):
             if not isinstance(spec.get(key), str) or spec[key] not in systems:
                 raise SystemFileError(f"{where}.{key}: must name a system in this file")
-        mats = {}
+        mats = []
         for key in _CERT_FIELDS:
             if key not in spec:
                 raise SystemFileError(f"{where}.{key}: missing matrix")
-            mats[key] = _parse_matrix(ring, spec[key], f"{where}.{key}", memo)
-        certificates[name] = CertEntry(
-            spec["source"],
-            spec["target"],
-            IsoCertificate(mats["phi"], mats["psi"], mats["U"], mats["V"], mats["Kw"]),
-        )
+            mats.append(_parse_matrix(ring, spec[key], f"{where}.{key}", memo))
+        certificates[name] = CertEntry(spec["source"], spec["target"], IsoCertificate(*mats))
     return SystemFile(ring, systems, certificates)
 
 
@@ -212,11 +199,7 @@ def emit(sf: SystemFile) -> str:
             name: {
                 "source": entry.source,
                 "target": entry.target,
-                "phi": entry.certificate.phi.to_str_rows(),
-                "psi": entry.certificate.psi.to_str_rows(),
-                "U": entry.certificate.U.to_str_rows(),
-                "V": entry.certificate.V.to_str_rows(),
-                "Kw": entry.certificate.Kw.to_str_rows(),
+                **{key: m.to_str_rows() for key, m in zip(_CERT_FIELDS, entry.certificate.witnesses())},
             }
             for name, entry in sf.certificates.items()
         }

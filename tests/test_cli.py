@@ -372,6 +372,37 @@ class TestVerifyCommand:
         assert main(["verify", str(bad), "cert_main"]) == 1
         assert "Reject(inverse)" in capsys.readouterr().out
 
+    # An entryless witness cannot spell its shape in the file format, so
+    # it is read as the (equally empty) matrix of the expected shape.
+    I2 = [["1", "0"], ["0", "1"]]
+    EMPTY_CASES = {
+        "n = 0": ({"n": 0, "endo": [], "input_gens": []}, {"phi": [], "psi": [], "U": [], "V": [], "Kw": []}),
+        "m = 0": ({"n": 2, "endo": [["0", "1"], ["0", "0"]], "input_gens": [[], []]}, {"phi": I2, "psi": I2, "U": [], "V": [], "Kw": []}),
+        "Kw 2x0": ({"n": 2, "endo": [["0", "1"], ["0", "0"]], "input_gens": [[], []]}, {"phi": I2, "psi": I2, "U": [], "V": [], "Kw": [[], []]}),
+    }
+
+    def _verify(self, tmp_path, system, witnesses):
+        doc = {
+            "ring": {"kind": "Q"},
+            "systems": {"S": system},
+            "certificates": {"C": {"source": "S", "target": "S", **witnesses}},
+        }
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return main(["verify", str(path), "C"])
+
+    @pytest.mark.parametrize("case", sorted(EMPTY_CASES))
+    def test_entryless_witnesses_take_the_expected_shape(self, case, tmp_path, capsys):
+        assert self._verify(tmp_path, *self.EMPTY_CASES[case]) == 0
+        assert capsys.readouterr().out == "Accept\n"
+
+    def test_wrong_nonempty_shape_is_error(self, tmp_path, capsys):
+        system, witnesses = self.EMPTY_CASES["m = 0"]
+        assert self._verify(tmp_path, system, {**witnesses, "phi": [["1"]]}) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: phi must be 2x2, got 1x1\n"
+
 
 class TestQuotientRingRefusal:
     @pytest.mark.parametrize(

@@ -21,6 +21,8 @@ from ringsys import (
     PrimeField,
     Rationals,
     RingMatrix,
+    ShapeError,
+    UnsupportedRing,
     canonical_pair,
     certificate_from_action,
     direct_sum,
@@ -214,6 +216,12 @@ class TestVerifyCertificate:
             r = verify_certificate(s, s, IsoCertificate(good.phi, good.psi, good.U, good.V, bad_kw))
             assert not r.accepted and r.reason == "Kw-identity"
 
+    def test_endpoints_over_different_rings_are_refused(self):
+        s_q = from_pair(mat(Q, [[0]]), mat(Q, [[1]]))
+        s_f = from_pair(mat(F2, [[0]]), mat(F2, [[1]]))
+        with pytest.raises(DescriptorMismatch):
+            verify_certificate(s_q, s_f, identity_certificate(s_q))
+
     def test_one_product_matches_reference(self):
         """verify_certificate decides the inverse identity from phi psi
         alone; verdicts and reasons match the two-product reference."""
@@ -355,6 +363,30 @@ class TestBruteForce:
         b = b.hstack(RingMatrix.zeros(F3, 3, 1))
         with pytest.raises(OrbitSizeError):
             feedback_equivalent_pairs_bruteforce(a, b, a, b)
+
+    def test_without_inputs_it_decides_similarity(self):
+        # m = 0: the orbit is the similarity class of A
+        jordan = mat(F2, [[0, 1], [0, 0]])
+        no_inputs = RingMatrix.zeros(F2, 2, 0)
+        assert feedback_equivalent_pairs_bruteforce(jordan, no_inputs, jordan.transpose(), no_inputs)
+        zero, one = RingMatrix.zeros(F2, 2, 2), RingMatrix.identity(F2, 2)
+        assert not feedback_equivalent_pairs_bruteforce(zero, no_inputs, one, no_inputs)
+
+    def test_empty_state_is_one_orbit(self):
+        a, b = RingMatrix.zeros(F2, 0, 0), RingMatrix.zeros(F2, 0, 1)
+        assert feedback_equivalent_pairs_bruteforce(a, b, a, b)
+
+    def test_refusals_are_typed(self):
+        a, b = canonical_pair(F2, (1,))
+        with pytest.raises(UnsupportedRing):
+            feedback_equivalent_pairs_bruteforce(*canonical_pair(Q, (1,)), *canonical_pair(Q, (1,)))
+        with pytest.raises(DescriptorMismatch):
+            feedback_equivalent_pairs_bruteforce(a, b, *canonical_pair(F3, (1,)))
+        with pytest.raises(ShapeError):
+            feedback_equivalent_pairs_bruteforce(a, b, *canonical_pair(F2, (2,)))
+        big = canonical_pair(F2, (4,))
+        with pytest.raises(OrbitSizeError, match="n <= 3"):
+            feedback_equivalent_pairs_bruteforce(*big, *big)
 
     def test_crosscheck_small(self):
         records = orbit_crosscheck(p=2, max_n=2, max_m=2)

@@ -88,6 +88,37 @@ def test_descriptor_mismatch_is_typed():
         Rationals().element("1/2") + Integers().element("1")
 
 
+def test_element_passes_its_own_ring_through():
+    q = Rationals()
+    half = q.element("1/2")
+    assert q.element(half) is half
+    with pytest.raises(DescriptorMismatch):
+        Integers().element(half)
+    with pytest.raises(DescriptorMismatch):
+        PrimeField(5).element(PrimeField(7).element(3))
+
+
+@pytest.mark.parametrize("ring", [Integers(), PrimeField(5)], ids=str)
+def test_integral_values_are_stored_as_plain_ints(ring):
+    for value, payload in ((Fraction(4, 2), 2), (True, 1), (False, 0), (-7, ring.from_int(-7)), (3.0, 3)):
+        got = ring.element(value).value
+        assert type(got) is int and got == payload
+    m = RingMatrix.from_rows(ring, [[True, Fraction(6, 3)]])
+    assert m.to_str_rows() == [["1", "2"]]
+    assert RingMatrix.from_rows(ring, m.to_str_rows()) == m
+
+
+@pytest.mark.parametrize("ring", [Integers(), PrimeField(5)], ids=str)
+@pytest.mark.parametrize(
+    "value", [Fraction(1, 2), 2.5, float("inf"), float("nan"), Poly.zero(3)], ids=["1/2", "2.5", "inf", "nan", "poly"]
+)
+def test_values_outside_the_ring_are_refused(ring, value):
+    with pytest.raises(ValueError):
+        ring.element(value)
+    with pytest.raises(ValueError):
+        RingMatrix.from_rows(ring, [[1, value]])
+
+
 def test_rational_and_residue_arithmetic_examples():
     q = Rationals()
     assert q.element("1/2") + q.element("1/3") == q.element("5/6")
@@ -365,6 +396,18 @@ def test_reduce_matches_reference(ring, p):
     assert ring.reduce(coeffs) == expected
 
 
+# Every ring subtracts through the shared default, add(a, neg(b)).
+@pytest.mark.parametrize("ring", [Rationals(), Integers(), PrimeField(5), REFERENCE_RINGS[0], REFERENCE_RINGS[2]], ids=str)
+def test_sub_is_adding_the_negation(ring):
+    rng = random.Random(18)
+    zero = ring.element(0)
+    for _ in range(200):
+        a, b = rand_element(ring, rng), rand_element(ring, rng)
+        assert a - b == a + (-b)
+        assert (a - b) + b == a
+        assert a - a == zero and b - zero == b
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(fractions, fractions), max_size=8))
 @example([])
@@ -514,8 +557,8 @@ def test_sparse_products_edge_cases(ring):
     assert_products_match_fold(b.transpose(), a.transpose())
 
 
-# Rational constants skip the tokenizer; the result, or the error, must
-# be the tokenizer's.
+# Rational constants take the tokenizer-and-reduce path of every other
+# literal: each gives a constant normal form, or the tokenizer's error.
 CONSTANT_LITERALS = ["0", "-3", "5/10", "+7", " 1 ", "1/0", "-0", "0/4", "\t12/8\n"]
 CONSTANT_LITERALS += ["7" * 5000, "-" + "7" * 5000, "1/" + "7" * 5000, "7" * 5000 + "/0"]
 
