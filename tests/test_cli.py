@@ -174,6 +174,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "nonnegative" in captured.err
 
+    def test_non_integer_p_max_is_usage_error(self, fixture_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["equiv", fixture_file, "S1", "S1", "--mode", "dynamic", "--p-max", "abc"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--p-max: must be a nonnegative integer, got 'abc'" in captured.err
+        assert "_nonnegative_int" not in captured.err
+
     @pytest.mark.parametrize("name", sorted(HOSTILE))
     def test_malformed_file_is_error(self, name, tmp_path, capsys):
         path = tmp_path / "hostile.json"
@@ -352,6 +361,17 @@ class TestFileProducingCommands:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "-p" in captured.err and "nonnegative" in captured.err
+        assert not out.exists()
+
+    def test_enlarge_non_integer_p_is_usage_error(self, fixture_file, tmp_path, capsys):
+        out = tmp_path / "enl.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["enlarge", fixture_file, "S1", "-p", "1.5", "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "-p: must be a nonnegative integer, got '1.5'" in captured.err
+        assert "_nonnegative_int" not in captured.err
         assert not out.exists()
 
 
