@@ -279,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("orbit-oracle", "exhaustive cross-check over a small prime field")
     p.add_argument("--field", type=int, default=2, choices=[2, 3])
-    p.add_argument("--max-n", dest="max_n", type=int, default=3)
-    p.add_argument("--max-m", dest="max_m", type=int, default=2)
-    p.add_argument("--bound", type=int, default=1_000_000)
+    p.add_argument("--max-n", dest="max_n", type=_nonnegative_int, default=3)
+    p.add_argument("--max-m", dest="max_m", type=_nonnegative_int, default=2)
+    p.add_argument("--bound", type=_nonnegative_int, default=1_000_000)
 
     return parser
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import DescriptorMismatch, ShapeError, UnsupportedRing
 from .rings import Integers, PolyQuotient, PrimeField, Rationals, RingDescriptor, RingElement, _cleared_fractions
@@ -136,14 +136,20 @@ class RingMatrix:
         neg = self.ring.neg
         return RingMatrix(self.ring, self.rows, self.cols, tuple(neg(a) for a in self.entries))
 
-    def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
+    def product_entries(self, other: "RingMatrix") -> Iterator:
+        """Row-major entries of self @ other as a stream: each row is
+        multiplied when the stream reaches it, so a comparison that
+        stops at the first differing entry skips the rows after it."""
         self._check_ring(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         k, w = self.cols, other.cols
-        rows = [self.entries[i * k : (i + 1) * k] for i in range(self.rows)]
+        rows = (self.entries[i * k : (i + 1) * k] for i in range(self.rows))
         cols = [other.entries[j::w] for j in range(w)]
-        return RingMatrix(self.ring, self.rows, w, tuple(self.ring.products(rows, cols)))
+        return self.ring.products(rows, cols)
+
+    def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
+        return RingMatrix(self.ring, self.rows, other.cols, tuple(self.product_entries(other)))
 
     def scale(self, scalar) -> "RingMatrix":
         s = self.ring.element(scalar).value
@@ -654,7 +660,7 @@ def _det_berkowitz(m: RingMatrix):
         t = [ring.one(), neg(rows[r][r])]
         for k in range(r):
             if k:
-                col = ring.products(head, (col,))
+                col = list(ring.products(head, (col,)))
             t.append(neg(dot(rows[r][:r], col)))
         poly.append(ring.zero())
         poly = [dot(poly[: i + 1], t[i::-1]) for i in range(r + 2)]

@@ -17,7 +17,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import DescriptorMismatch, ElementSyntaxError
 
@@ -247,11 +247,16 @@ class RingDescriptor:
             acc = add(acc, mul(x, y))
         return acc
 
-    def products(self, rows, cols) -> list:
-        """Row-major entries of a matrix product: the dot product of each
-        row with each column, both given as sequences of payloads."""
+    def products(self, rows, cols) -> Iterator:
+        """Row-major entries of a matrix product, streamed: the dot
+        product of each row with each column, both given as sequences of
+        payloads.  A row is multiplied only when the stream reaches it,
+        so a caller that stops at a differing entry skips the rows after
+        it.  rows may be any iterable; cols is read once per row."""
         dot = self.dot
-        return [dot(r, c) for r in rows for c in cols]
+        for r in rows:
+            for c in cols:
+                yield dot(r, c)
 
     def is_zero(self, a) -> bool:
         return a == self.zero()
@@ -310,12 +315,14 @@ class Rationals(RingDescriptor):
         return a * b
 
     def products(self, rows, cols):
-        # denominators are cleared once per row and per column, so each
-        # entry is an integer dot product and one Fraction
-        rows = [_cleared_fractions(r) for r in rows]
+        # denominators are cleared once per column up front and once per
+        # row as the stream reaches it, so each entry is an integer dot
+        # product and one Fraction
         cols = [_cleared_fractions(c) for c in cols]
         mul = operator.mul
-        return [Fraction(sum(map(mul, rn, cn)), rd * cd) for rn, rd in rows for cn, cd in cols]
+        for rn, rd in map(_cleared_fractions, rows):
+            for cn, cd in cols:
+                yield Fraction(sum(map(mul, rn, cn)), rd * cd)
 
     def neg(self, a):
         return -a
@@ -519,27 +526,26 @@ class PolyQuotient(RingDescriptor):
         return a + b
 
     def mul(self, a, b):
-        return self.products(((a,),), ((b,),))[0]
+        return next(self.products(((a,),), ((b,),)))
 
     def dot(self, xs, ys):
-        return self.products((xs,), (ys,))[0]
+        return next(self.products((xs,), (ys,)))
 
     def products(self, rows, cols):
-        # Denominators are cleared once per row and per column.  Every
-        # term product of an entry goes into one integer coefficient map,
-        # reduced once (reduction is Q-linear and a ring homomorphism, so
-        # the normal form is the same) and divided once.  Only pairs of
-        # nonzero operands are multiplied (Gustavson's sparse product): an
-        # entry with no such pair is zero and is not reduced.
+        # Denominators are cleared once per column up front and once per
+        # row as the stream reaches it.  Every term product of an entry
+        # goes into one integer coefficient map, reduced once (reduction
+        # is Q-linear and a ring homomorphism, so the normal form is the
+        # same) and divided once.  Only pairs of nonzero operands are
+        # multiplied (Gustavson's sparse product): an entry with no such
+        # pair is zero and is not reduced.
         cols = [_cleared(c) for c in cols]
         reduce, zero = self.reduce, self.zero()
-        out = []
         for rn, rd in map(_cleared, rows):
             nonzero = [(k, x) for k, x in enumerate(rn) if x]
             for cn, cd in cols:
                 pairs = [(x, cn[k]) for k, x in nonzero if cn[k]]
-                out.append(_divided(reduce(_product_terms(pairs)), rd * cd) if pairs else zero)
-        return out
+                yield _divided(reduce(_product_terms(pairs)), rd * cd) if pairs else zero
 
     def neg(self, a):
         return -a

@@ -443,6 +443,16 @@ class TestOrbitOracleCommand:
         assert doc["disagreements"] == 0
         assert doc["comparisons"] > 0
 
+    @pytest.mark.parametrize("option", ["--max-n", "--max-m", "--bound"])
+    def test_negative_size_is_usage_error(self, option, capsys):
+        # a negative size would sweep nothing and exit 0, a vacuous pass
+        with pytest.raises(SystemExit) as exc:
+            main(["orbit-oracle", option, "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{option}: must be nonnegative, got -1" in captured.err
+
 
 BASE_DOCUMENTS = fuzz_base_documents()
 

@@ -170,6 +170,60 @@ class TestK0Class:
         assert k0_class(s) + K0Class(()) == k0_class(s)
 
 
+def random_matrices(ring, rng, nonzero=False):
+    """rand(rows, cols): a random matrix over ring; over the sphere ring
+    its entries are rational multiples of monomials, none of them zero
+    when nonzero is set."""
+
+    def rand(rows, cols):
+        if ring != SPHERE:
+            return rand_matrix(ring, rows, cols, rng)
+        entries = []
+        for _ in range(rows * cols):
+            c = rng.choice((-3, -2, -1, 1, 2, 3)) if nonzero else rng.randint(-3, 3)
+            coeffs = {(rng.randint(0, 2), rng.randint(0, 1), rng.randint(0, 2)): c}
+            entries.append(Poly.from_dict(3, coeffs).scale(Fraction(1, rng.randint(1, 3))))
+        return RingMatrix.from_rows(ring, [entries[i * cols : (i + 1) * cols] for i in range(rows)], cols=cols)
+
+    return rand
+
+
+def unit_lower(ring, rand, size):
+    """A unit lower-triangular matrix I + N and its inverse, the finite
+    sum of the powers of -N, which exists over any ring."""
+    nil = RingMatrix.from_rows(
+        ring, [[x if i > j else ring.zero() for j, x in enumerate(r)] for i, r in enumerate(rand(size, size).to_lists())], cols=size
+    )
+    inv, power = RingMatrix.identity(ring, size), RingMatrix.identity(ring, size)
+    for _ in range(size):
+        power = power @ -nil
+        inv = inv + power
+    return RingMatrix.identity(ring, size) + nil, inv
+
+
+def action_certificate(ring, rng, n, m):
+    """Two systems related by a random feedback action (P, K, Q) and the
+    certificate of their isomorphism; over the sphere ring P and Q are
+    unit lower-triangular, since invert needs a field."""
+    rand = random_matrices(ring, rng)
+    a, b, k = rand(n, n), rand(n, m), rand(m, n)
+    if ring != SPHERE:
+        return certificate_from_action(a, b, rand_invertible(ring, n, rng), k, rand_invertible(ring, m, rng))
+    (p, p_inv), (q, q_inv) = unit_lower(ring, rand, n), unit_lower(ring, rand, m)
+    s2 = from_pair(p @ (a + b @ k) @ p_inv, p @ b @ q)
+    return from_pair(a, b), s2, IsoCertificate(p, p_inv, q_inv, q, q_inv @ k)
+
+
+def with_entry_bumped(cert, w, i, j):
+    """cert with 1 added to entry (i, j) of its w-th witness."""
+    witnesses = list(cert.witnesses())
+    m = witnesses[w]
+    entries = list(m.entries)
+    entries[i * m.cols + j] = m.ring.add(entries[i * m.cols + j], m.ring.one())
+    witnesses[w] = RingMatrix(m.ring, m.rows, m.cols, tuple(entries))
+    return IsoCertificate(*witnesses)
+
+
 class TestVerifyCertificate:
     def test_identity_certificate(self):
         rng = random.Random(37)
@@ -236,52 +290,78 @@ class TestVerifyCertificate:
                     checked[got.reason] = checked.get(got.reason, 0) + 1
         assert set(checked) == {None, "inverse", "U-identity", "V-identity", "Kw-identity"}
 
+    def test_streamed_verdicts_match_reference(self):
+        """Each identity stops at its first differing entry: certificates
+        with n up to 6, each witness bumped at its first entry and at its
+        last, so a stream rejects at its first row or runs to its last;
+        verdicts and reasons match the reference's full products."""
+        rng = random.Random(42)
+        checked = Counter()
+        for ring in (Q, PrimeField(101), Z, SPHERE):
+            for n in range(1, 7):
+                s1, s2, cert = action_certificate(ring, rng, n, rng.randint(1, 2))
+                assert verify_certificate(s1, s2, cert).accepted
+                for w, matrix in enumerate(cert.witnesses()):
+                    for i, j in ((0, 0), (matrix.rows - 1, matrix.cols - 1)):
+                        bad = with_entry_bumped(cert, w, i, j)
+                        got = verify_certificate(s1, s2, bad)
+                        assert got == reference_verify(s1, s2, bad)
+                        checked[got.reason] += 1
+        assert set(checked) == {"inverse", "U-identity", "V-identity", "Kw-identity"}
+
+    def test_reject_stops_at_first_differing_row(self, monkeypatch):
+        """Counted in quotient-ring reductions, one per entry of a dense
+        product: a phi psi that differs in row 0 costs at most n before
+        Reject(inverse), one that differs only in its last row runs to
+        it, and an Accept costs what the full products cost."""
+        rng = random.Random(43)
+        n, m = 5, 2
+        rand = random_matrices(SPHERE, rng, nonzero=True)
+        (l1, l1_inv), (l2, l2_inv) = unit_lower(SPHERE, rand, n), unit_lower(SPHERE, rand, n)
+        phi, psi = l1 @ l2.transpose(), l2_inv.transpose() @ l1_inv
+        a, b = rand(n, n), rand(n, m)
+        s1, s2 = from_pair(a, b), from_pair(phi @ a @ psi, phi @ b)
+        one = RingMatrix.identity(SPHERE, m)
+        cert = IsoCertificate(phi, psi, one, one, RingMatrix.zeros(SPHERE, m, n))
+        assert all(map(bool, phi.entries))  # so every entry of phi psi is reduced
+
+        calls = []
+        reduce = PolyQuotient.reduce
+
+        def counted(self, p, max_cost=None):
+            calls.append(p)
+            return reduce(self, p, max_cost)
+
+        monkeypatch.setattr(PolyQuotient, "reduce", counted)
+        assert phi @ psi == RingMatrix.identity(SPHERE, n) and len(calls) == n * n
+        calls.clear()
+        mapped = phi @ s1.input_gens
+        g2 = s2.input_gens
+        for x, y in ((g2, one), (mapped, one), (s2.endo, phi), (phi, s1.endo), (g2, cert.Kw)):
+            x @ y
+        full = n * n + len(calls)
+        calls.clear()
+        assert verify_certificate(s1, s2, cert).accepted and len(calls) == full
+
+        early, late = with_entry_bumped(cert, 0, 0, 0), with_entry_bumped(cert, 0, n - 1, n - 1)
+        calls.clear()
+        assert str(verify_certificate(s1, s2, early)) == "Reject(inverse)" and 1 <= len(calls) <= n
+        calls.clear()
+        assert str(verify_certificate(s1, s2, late)) == "Reject(inverse)" and n * (n - 1) < len(calls) <= n * n
+
     @staticmethod
     def _certificates(ring, rng):
         """A valid certificate, the same with one entry of a witness
         perturbed, and certificates between systems of different state
         ranks, one of them with phi psi = I."""
         n, m = rng.randint(1, 3), rng.randint(1, 2)
-
-        def rand(rows, cols):
-            if ring != SPHERE:
-                return rand_matrix(ring, rows, cols, rng)
-            entries = []
-            for _ in range(rows * cols):
-                coeffs = {(rng.randint(0, 2), rng.randint(0, 1), rng.randint(0, 2)): rng.randint(-3, 3)}
-                entries.append(Poly.from_dict(3, coeffs).scale(Fraction(1, rng.randint(1, 3))))
-            return RingMatrix.from_rows(ring, [entries[i * cols : (i + 1) * cols] for i in range(rows)], cols=cols)
-
-        a, b, k = rand(n, n), rand(n, m), rand(m, n)
-        if ring == SPHERE:
-            # unit lower-triangular P and Q have inverses sum (-N)^i over any ring
-            def unit_lower(size):
-                nil = RingMatrix.from_rows(
-                    ring, [[x if i > j else ring.zero() for j, x in enumerate(r)] for i, r in enumerate(rand(size, size).to_lists())]
-                )
-                inv, power = RingMatrix.identity(ring, size), RingMatrix.identity(ring, size)
-                for _ in range(size):
-                    power = power @ -nil
-                    inv = inv + power
-                return RingMatrix.identity(ring, size) + nil, inv
-
-            (p, p_inv), (q, q_inv) = unit_lower(n), unit_lower(m)
-            s1 = from_pair(a, b)
-            s2 = from_pair(p @ (a + b @ k) @ p_inv, p @ b @ q)
-            cert = IsoCertificate(p, p_inv, q_inv, q, q_inv @ k)
-        else:
-            s1, s2, cert = certificate_from_action(a, b, rand_invertible(ring, n, rng), k, rand_invertible(ring, m, rng))
+        rand = random_matrices(ring, rng)
+        s1, s2, cert = action_certificate(ring, rng, n, m)
         yield s1, s2, cert
-        for name in ("phi", "psi", "U", "V", "Kw"):
-            w = getattr(cert, name)
-            if not w.entries:
-                continue
-            entries = list(w.entries)
-            i = rng.randrange(len(entries))
-            entries[i] = ring.add(entries[i], ring.one())
-            fields = {f: getattr(cert, f) for f in ("phi", "psi", "U", "V", "Kw")}
-            fields[name] = RingMatrix(ring, w.rows, w.cols, tuple(entries))
-            yield s1, s2, IsoCertificate(**fields)
+        for w, matrix in enumerate(cert.witnesses()):
+            if matrix.entries:
+                i = rng.randrange(len(matrix.entries))
+                yield s1, s2, with_entry_bumped(cert, w, *divmod(i, matrix.cols))
         # a smaller target: phi = [I 0] and psi = [I; 0] give phi psi = I
         # but psi phi != I; then the same with random maps
         n2 = rng.randint(0, n - 1)

@@ -415,7 +415,7 @@ def test_sub_is_adding_the_negation(ring):
 def test_rational_dot_matches_fold(pairs):
     ring = Rationals()
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-    got = ring.products([xs], [ys])[0]
+    got = next(ring.products([xs], [ys]))
     assert got == RingDescriptor.dot(ring, xs, ys)
     assert type(got) is Fraction
 
