@@ -4,9 +4,10 @@ For a system (R^n, f, B) the chain N_0 = 0, N_i = B + f(N_{i-1})
 stabilises and carries three derived families: quotients M_i = X/N_i,
 layers I_i = N_i/N_{i-1}, and the kernels Z_i of the f-induced maps
 I_i -> I_{i+1}.  Over a field these are dimensions; over the integers
-they are finitely generated abelian groups, read from split exact
-sequences where a module in them is free and from Smith forms of
-presentation matrices otherwise.  The finite-support sequence of the
+they are finitely generated abelian groups: an exact saturation test
+decides which chain quotients are free, split exact sequences give
+most of the rest, and Smith forms of presentation matrices read only
+modules with torsion.  The finite-support sequence of the
 Z-layers is a complete feedback invariant on the class of systems whose
 invariants are all projective, and over fields it is equivalent to the
 classical controllability partition.
@@ -29,6 +30,7 @@ from .linalg import (
     _back_substitute,
     _hermite_reduce,
     _hnf_int,
+    _saturated,
     cokernel_structure,
     invert,
 )
@@ -278,21 +280,10 @@ def _coordinates(basis: _Level, vectors, message: str) -> list[list[int]]:
     return coords
 
 
-def _unit_pivots(level: _Level) -> bool:
-    """Whether every pivot of a row Hermite basis is 1.
-
-    The pivot columns then hold a unit triangular minor, so the basis
-    extends to a basis of Z^n and Z^n / span is free.  With n rows it
-    is the identity: the system is reachable exactly then.
-    """
-    return all(row[p] == 1 for row, p in zip(*level))
-
-
 def _quotient_structure(level: _Level, n: int) -> AbelianGroupStructure:
-    """Z^n / span for a row Hermite basis: free of rank n - d when its
-    pivots are all 1, and otherwise read from the Smith form."""
-    if _unit_pivots(level):
-        return AbelianGroupStructure(n - len(level[1]), ())
+    """Z^n / span for a row Hermite basis, by ``cokernel_structure``:
+    free of rank n - d when the saturation test says so, and read from
+    the Smith form only when it finds torsion."""
     return cokernel_structure(RingMatrix._of_columns(Integers(), level[0], n), n)
 
 
@@ -301,21 +292,24 @@ def _report_over_integers(sigma: LinearSystem, chain: list[_Level]) -> Invariant
 
     Every chain level is a row Hermite basis, so coordinates over it
     come from back-substitution.  rel[i] writes N_{i-1} in the basis of
-    N_i and presents I_i.  Four exact rules give most of the rest:
+    N_i and presents I_i.  The exact saturation test (``_saturated``)
+    decides once per level whether M_i = Z^n/N_i is free, and four exact
+    rules give most of the rest:
 
     - I_i lies in M_{i-1}, and submodules of free modules are free over
-      a PID, so I_i is free of rank d_i - d_{i-1} when M_{i-1} is.  That
-      is decided by the unit pivots of chain[i - 1] alone (always true
-      for M_0 = Z^n), never by the M rule below, which reads M_{i-1}
-      from I_i; only the other I_i take a Smith form.
+      a PID, so I_i is free of rank d_i - d_{i-1} when M_{i-1} is (always
+      for M_0 = Z^n); only the other I_i take a Smith form.
     - f induces a surjection I_i -> I_{i+1} with kernel Z_i.  When
       I_{i+1} is free it splits, so Z_i has rank I_i - rank I_{i+1}
       and the torsion of I_i.  The chain stops when f(N_s) <= N_s, so
       I_{s+1} = 0 and the rule always gives Z_s = I_s.
+    - A free M_i is Z^(n - d_i) outright.
     - 0 -> I_i -> M_{i-1} -> M_i -> 0 splits when M_i is free, so
-      M_{i-1} then has rank n - d_{i-1} and the torsion of I_i; the M
-      are read top down from M_s.
-    - Any other M_i is a chain-level quotient (``_quotient_structure``).
+      M_{i-1} then has rank n - d_{i-1} and the torsion of I_i.  Any
+      other M_i is a chain-level quotient with torsion, read from its
+      Smith form (``_quotient_structure``).
+
+    Every Smith form is therefore taken on a module with torsion.
 
     When I_{i+1} has torsion, Z_i is L / col(rel[i]) for the lattice L
     of those x with f_mat x in col(rel[i+1]), where f_mat writes f(N_i)
@@ -332,21 +326,25 @@ def _report_over_integers(sigma: LinearSystem, chain: list[_Level]) -> Invariant
     rel = [None] + [
         _coordinates(chain[i], chain[i - 1][0], "chain is not increasing") for i in range(1, s + 1)
     ]
+    # free[i]: whether M_i is free.  Chain levels are independent rows,
+    # so the test always decides.
+    free = [_saturated(rows, n) for rows, _ in chain]
     i_structs = tuple(
         AbelianGroupStructure(dims[i] - dims[i - 1], ())
-        if _unit_pivots(chain[i - 1])
+        if free[i - 1]
         else cokernel_structure(RingMatrix._of_columns(ring, rel[i], dims[i]), dims[i])
         for i in range(1, s + 1)
     )
     # layers[i] is I_i for 1 <= i <= s + 1, with I_{s+1} = 0.
     layers = (None,) + i_structs + (AbelianGroupStructure(0, ()),)
-    m_down: list[AbelianGroupStructure] = []  # M_s, M_{s-1}, ..., M_1
-    for i in range(s, 0, -1):
-        if m_down and m_down[-1].is_free:
-            m_down.append(AbelianGroupStructure(n - dims[i], layers[i + 1].torsion))
-        else:
-            m_down.append(_quotient_structure(chain[i], n))
-    m_structs = tuple(reversed(m_down))
+    m_structs = tuple(
+        AbelianGroupStructure(n - dims[i], ())
+        if free[i]
+        else AbelianGroupStructure(n - dims[i], layers[i + 1].torsion)
+        if i < s and free[i + 1]
+        else _quotient_structure(chain[i], n)
+        for i in range(1, s + 1)
+    )
     a = sigma.endo.to_lists()
     z_structs = []
     for i in range(1, s + 1):
@@ -367,7 +365,7 @@ def _report_over_integers(sigma: LinearSystem, chain: list[_Level]) -> Invariant
         preimage = ([h[k][r:] for k in keep], [pivots[k] - r for k in keep])
         y = _coordinates(preimage, rel[i], "relations escaped their preimage lattice")
         z_structs.append(cokernel_structure(RingMatrix._of_columns(ring, y, len(keep)), len(keep)))
-    reachable = dims[s] == n and _unit_pivots(chain[s])
+    reachable = dims[s] == n and free[s]
     structures = list(m_structs) + list(i_structs) + list(z_structs)
     locally = reachable and all(st.is_free for st in structures)
     return InvariantReport(
@@ -399,20 +397,20 @@ def z_signature(sigma: LinearSystem) -> ZSignature:
     in M_{i-1} and Z_i in I_i, and submodules of free modules are free
     over a PID, so the system is locally Brunovsky exactly when it is
     reachable and every M_i = Z^n/N_i is torsion-free; the ranks of the
-    Z_i are then differences of chain ranks.  A level whose Hermite
-    pivots are all 1 has a free quotient outright, and only the others
-    take a Smith form (``_quotient_structure``).  The I_i and Z_i
-    structures are never built.  Over Q and GF(p) every module is free,
-    so the system is locally Brunovsky exactly when it is reachable, and
-    the ranks come from ``_rank_staircase`` on integer or residue data.
+    Z_i are then differences of chain ranks.  The saturation test
+    (``_saturated``) decides each level's quotient, and with d = n it is
+    the reachability test, so no Smith form is ever taken, and the I_i
+    and Z_i structures are never built.  Over Q and GF(p) every module
+    is free, so the system is locally Brunovsky exactly when it is
+    reachable, and the ranks come from ``_rank_staircase`` on integer or
+    residue data.
     A quotient ring is refused, as ``compute_chain`` refuses it.
     """
     ring, n = sigma.ring, sigma.state_rank
     if isinstance(ring, Integers):
         chain = _hermite_chain(sigma)
         dims = [len(pivots) for _, pivots in chain]
-        reachable = dims[-1] == n and _unit_pivots(chain[-1])
-        if not reachable or not all(_quotient_structure(level, n).is_free for level in chain[1:-1]):
+        if dims[-1] != n or not all(_saturated(rows, n) for rows, _ in chain[1:]):
             raise NotLocallyBrunovsky(_NOT_LOCALLY_BRUNOVSKY)
     elif ring.is_field:
         dims = _field_staircase(sigma.endo, sigma.input_gens)[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from typing import Iterator, Optional, Sequence
 
 from .errors import DescriptorMismatch, ShapeError, UnsupportedRing
@@ -407,11 +407,11 @@ def _snf_int(mat: list[list[int]], nrows: int, ncols: int) -> list[list[int]]:
     ``mat``: returns the reduced rows, whose leading block is diagonal
     with entries forming a divisibility chain.
 
-    The pivot is always a minimal-absolute-value nonzero entry of the
-    remaining submatrix, which keeps intermediate growth low.  Columns
-    past ``ncols`` ride along with the row operations and rows past
-    ``nrows`` with the column operations, so identities appended there
-    become unimodular U and V with U*mat*V = D.
+    The pivot is always the first minimal-absolute-value nonzero entry
+    of the remaining submatrix, which keeps intermediate growth low.
+    Columns past ``ncols`` ride along with the row operations and rows
+    past ``nrows`` with the column operations, so identities appended
+    there become unimodular U and V with U*mat*V = D.
     """
     a = [row[:] for row in mat]
     t = 0
@@ -425,6 +425,11 @@ def _snf_int(mat: list[list[int]], nrows: int, ncols: int) -> list[list[int]]:
                 if x != 0 and (best is None or abs(x) < best):
                     best = abs(x)
                     where = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                # No entry is smaller: the search ends at the first unit.
+                break
         if where is None:
             break
         i0, j0 = where
@@ -607,11 +612,72 @@ def kernel_basis(m: RingMatrix) -> RingMatrix:
     return RingMatrix._of_columns(ring, cols, m.cols)
 
 
+def _saturated(rows: Sequence[Sequence[int]], n: int) -> Optional[bool]:
+    """Whether Z^n / span(rows) is free, for independent integer rows
+    of length n: True when it is free, False when it has torsion, and
+    None when a row depends on those before it (undecided).
+
+    Unimodular column operations, row by row, over the columns not yet
+    used: when the row's entries there have a gcd g other than 1 the
+    quotient has torsion; otherwise extended-gcd merges of two columns
+    at a time make an entry +-1, the other columns are cleared against
+    it, and that column is retired.  Column operations keep the gcd of
+    the maximal minors, and the end form [T | 0] has the one nonzero
+    maximal minor det T = +-prod g, so the quotient is free exactly when
+    every g is 1 (Newman, Integral Matrices, 1972, ch. II).  A row that
+    vanishes on the remaining columns is a combination of the rows
+    before it.  True is exact for any rows, False only for independent
+    ones: a later row may undo the torsion of the earlier ones.
+
+    On a Hermite basis with unit pivots each row finds its 1 at its own
+    pivot, where the rows below are zero, so no column work happens and
+    the test costs O(n d).  The rows are not changed.
+    """
+    a = [list(row) for row in rows]
+    live = list(range(n))
+    for k, row in enumerate(a):
+        nonzero = [j for j in live if row[j]]
+        if not nonzero:
+            return None
+        for p in nonzero:
+            if row[p] in (1, -1):
+                break
+        else:
+            if gcd(*(row[j] for j in nonzero)) != 1:
+                return False
+            p = nonzero[0]
+            for j in nonzero[1:]:
+                g, s, t = _xgcd(row[p], row[j])
+                x, y = row[p] // g, row[j] // g
+                for r in a[k:]:
+                    r[p], r[j] = s * r[p] + t * r[j], x * r[j] - y * r[p]
+                if g == 1:
+                    break
+        live.remove(p)
+        # Clearing the row against column p changes only the rows below
+        # that are nonzero there.
+        below = [r for r in a[k + 1 :] if r[p]]
+        if below:
+            u = row[p]
+            clear = [(j, u * row[j]) for j in live if row[j]]
+            for r in below:
+                c = r[p]
+                for j, f in clear:
+                    r[j] -= f * c
+    return True
+
+
 def cokernel_structure(g: RingMatrix, ambient_rank: int) -> AbelianGroupStructure:
-    """Structure of Z^ambient_rank / col(g) through the Smith form."""
+    """Structure of Z^ambient_rank / col(g).
+
+    The saturation test decides a free quotient without a Smith form;
+    ``_snf_int`` runs only when it finds torsion or dependent columns.
+    """
     _require_integers(g, "cokernel_structure")
     if g.rows != ambient_rank:
         raise ShapeError("generators do not live in the stated ambient module")
+    if _saturated([g.entries[j :: g.cols] for j in range(g.cols)], ambient_rank):
+        return AbelianGroupStructure(ambient_rank - g.cols, ())
     d = _snf_int(g.to_lists(), g.rows, g.cols)
     diag = [d[i][i] for i in range(min(g.rows, g.cols))]
     nonzero = [x for x in diag if x != 0]

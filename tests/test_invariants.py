@@ -41,6 +41,7 @@ from ringsys import (
     solve_right,
     z_signature,
 )
+from ringsys import linalg
 from ringsys.invariants import _field_staircase, _quotient_structure
 from util import (
     combine_structures,
@@ -51,6 +52,7 @@ from util import (
     rand_partition,
     rand_system,
     reference_canonical_certificate,
+    reference_cokernel,
     reference_field_chain,
     reference_field_report,
     reference_integer_chain,
@@ -75,6 +77,12 @@ def _signature_or_error(fn, sigma):
         return f"NotLocallyBrunovsky: {exc}"
 
 
+def _scaled_input(b, j, c):
+    # b over Z with its column j multiplied by c.
+    cols = [[c * x for x in col.entries] if t == j else col.entries for t, col in enumerate(b.columns())]
+    return RingMatrix.from_columns(Z, cols, rows=b.rows)
+
+
 def _rand_integer_pair(rng, k):
     """Pairs over Z for the fast-path cross-checks, cycling through
     locally Brunovsky, torsion (one input generator scaled),
@@ -84,9 +92,7 @@ def _rand_integer_pair(rng, k):
     if kind in (0, 1):
         _, a, b = rand_locally_brunovsky_pair(Z, rng, n, extra_cols=rng.randint(0, 1))
         if kind == 1:
-            j, k = rng.randrange(b.cols), rng.randint(2, 3)
-            cols = [[k * x for x in c.entries] if i == j else c.entries for i, c in enumerate(b.columns())]
-            b = RingMatrix.from_columns(Z, cols, rows=n)
+            b = _scaled_input(b, rng.randrange(b.cols), rng.randint(2, 3))
         return a, b
     if kind == 2:
         return _rand_unreachable_pair(Z, rng, n, rng.randint(0, 2))
@@ -101,19 +107,23 @@ def _unit_pivots(basis):
 
 def _structure_branches(rep):
     """The rule or general path each structure of an integer report
-    takes: I_i is free when the chain level below it has Hermite pivots
-    all 1, Z_i splits off I_i when I_{i+1} is free, M_{i-1} is read
-    from I_i when M_i is free, and a chain level's quotient is free
-    outright when its Hermite pivots are all 1."""
+    takes: the saturation test finds M_i free behind Hermite pivots all
+    1 or behind other pivots; I_i is free when M_{i-1} is; Z_i splits
+    off I_i when I_{i+1} is free; an M_i with torsion is read from
+    I_{i+1} when M_{i+1} is free, and from a Smith form otherwise."""
+    m = (AbelianGroupStructure(rep.state_rank, ()),) + rep.M
     for i in range(1, rep.s + 1):
-        yield "I free by rule" if _unit_pivots(rep.chain[i - 1]) else "I by Smith form"
+        yield "I free by rule" if m[i - 1].is_free else "I by Smith form"
     layers = rep.I + (AbelianGroupStructure(0, ()),)
     for i in range(1, rep.s + 1):
         yield "Z split" if layers[i].is_free else "Z general"
-    for i in range(2, rep.s + 1):
-        yield "M split" if rep.M[i - 1].is_free else "M general"
-    for level in rep.chain[1:]:
-        yield "unit pivots" if _unit_pivots(level) else "other pivots"
+    for i in range(1, rep.s + 1):
+        if m[i].is_free:
+            yield "M free, unit pivots" if _unit_pivots(rep.chain[i]) else "M free, other pivots"
+        elif i < rep.s and m[i + 1].is_free:
+            yield "M split"
+        else:
+            yield "M by Smith form"
 
 
 def _rand_unreachable_pair(ring, rng, n, m):
@@ -391,9 +401,7 @@ class TestChainProperties:
         rng = random.Random(28)
         for _ in range(60):
             _, a, b = rand_locally_brunovsky_pair(Z, rng, rng.randint(1, 5), extra_cols=rng.randint(0, 1))
-            j, c = rng.randrange(b.cols), rng.randint(2, 6)
-            cols = [[c * x for x in col.entries] if t == j else col.entries for t, col in enumerate(b.columns())]
-            pairs.append((a, RingMatrix.from_columns(Z, cols, rows=b.rows)))
+            pairs.append((a, _scaled_input(b, rng.randrange(b.cols), rng.randint(2, 6))))
         torsion = Counter()
         branches = Counter()
         for a, b in pairs:
@@ -405,8 +413,8 @@ class TestChainProperties:
             branches.update(_structure_branches(rep))
         assert min(torsion.values()) > 0
         # Every split rule and every general path is exercised.
-        kinds = {"I free by rule", "I by Smith form", "Z split", "Z general", "M split", "M general"}
-        kinds |= {"unit pivots", "other pivots"}
+        kinds = {"I free by rule", "I by Smith form", "Z split", "Z general"}
+        kinds |= {"M free, unit pivots", "M free, other pivots", "M split", "M by Smith form"}
         assert set(branches) == kinds, branches
 
     @pytest.mark.parametrize("ring", [Q, F2], ids=str)
@@ -437,16 +445,18 @@ class TestQuotientStructure:
         "columns, n, unit, expected",
         [
             ([[2, 1]], 2, False, AbelianGroupStructure(1, ())),
+            ([[2, 3]], 2, False, AbelianGroupStructure(1, ())),
             ([[2, 0]], 2, False, AbelianGroupStructure(1, (2,))),
             ([], 3, True, AbelianGroupStructure(3, ())),
             ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3, True, AbelianGroupStructure(0, ())),
         ],
-        ids=["non-unit-pivot-free", "torsion", "no-columns", "identity"],
+        ids=["non-unit-pivot-free", "no-unit-entry-free", "torsion", "no-columns", "identity"],
     )
     def test_hand_built_bases(self, columns, n, unit, expected):
         basis = column_canonical(RingMatrix.from_columns(Z, columns, rows=n))
         assert basis.cols == len(columns) and _unit_pivots(basis) == unit
-        assert _quotient_structure(_level(basis), n) == expected == cokernel_structure(basis, n)
+        assert _quotient_structure(_level(basis), n) == cokernel_structure(basis, n) == expected
+        assert reference_cokernel(basis, n) == expected
 
     def test_random_hermite_bases_match_smith_form(self):
         rng = random.Random(31)
@@ -454,10 +464,59 @@ class TestQuotientStructure:
         for _ in range(400):
             n, k = rng.randint(0, 5), rng.randint(0, 4)
             basis = column_canonical(rand_matrix(Z, n, k, rng, span=rng.randint(1, 4)))
-            expected = cokernel_structure(basis, n)
-            assert _quotient_structure(_level(basis), n) == expected
+            expected = reference_cokernel(basis, n)
+            assert _quotient_structure(_level(basis), n) == cokernel_structure(basis, n) == expected
             kinds["unit" if _unit_pivots(basis) else "free" if expected.is_free else "torsion"] += 1
         assert set(kinds) == {"unit", "free", "torsion"}, kinds
+
+
+class TestSmithFormCount:
+    """Smith forms are left to modules with torsion: counted on locally
+    Brunovsky systems built as the benchmark builds them (a unimodular
+    (P, K, Q) acting on a Brunovsky pair), and on the same systems with
+    one input column scaled."""
+
+    @pytest.fixture
+    def smith_calls(self, monkeypatch):
+        # The diagonal of every Smith form taken.
+        calls = []
+        smith = linalg._snf_int
+
+        def counted(mat, nrows, ncols):
+            d = smith(mat, nrows, ncols)
+            calls.append([d[i][i] for i in range(min(nrows, ncols))])
+            return d
+
+        monkeypatch.setattr(linalg, "_snf_int", counted)
+        return calls
+
+    @staticmethod
+    def _brunovsky_pairs(rng):
+        for _ in range(40):
+            yield rand_locally_brunovsky_pair(Z, rng, rng.randint(1, 6), extra_cols=rng.randint(0, 1))
+
+    def test_z_signature_takes_no_smith_form(self, smith_calls):
+        other_pivots = 0
+        for parts, a, b in self._brunovsky_pairs(random.Random(61)):
+            sigma = from_pair(a, b)
+            assert z_signature(sigma) == ZSignature(tuple(parts.count(i) for i in range(1, parts[0] + 1)))
+            other_pivots += sum(not _unit_pivots(level) for level in reference_integer_chain(sigma)[1:])
+        assert smith_calls == []
+        # Free levels behind other pivots than 1 are there to be decided.
+        assert other_pivots > 0
+
+    def test_invariants_takes_smith_forms_only_for_torsion(self, smith_calls):
+        rng = random.Random(62)
+        torsion_seen = 0
+        for _, a, b0 in self._brunovsky_pairs(rng):
+            for b in (b0, _scaled_input(b0, rng.randrange(b0.cols), rng.randint(2, 4))):
+                smith_calls.clear()
+                rep = compute_chain(from_pair(a, b))
+                with_torsion = sum(not x.is_free for x in rep.M + rep.I + rep.Z)
+                assert all(any(abs(x) > 1 for x in d) for d in smith_calls), smith_calls
+                assert len(smith_calls) <= with_torsion
+                torsion_seen += with_torsion
+        assert torsion_seen > 0
 
 
 class TestBrunovsky:

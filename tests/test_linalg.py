@@ -32,9 +32,16 @@ from ringsys import (
     solve_right,
 )
 from ringsys import linalg
-from ringsys.linalg import _det_berkowitz
+from ringsys.linalg import _det_berkowitz, _hnf_int, _saturated, _snf_int
 from ringsys.rings import PRIME_BOUND
-from util import minors_gcd_invariants, rand_matrix, reference_det_expansion, reference_gauss_jordan
+from util import (
+    minors_gcd_invariants,
+    rand_matrix,
+    reference_cokernel,
+    reference_det_expansion,
+    reference_gauss_jordan,
+    reference_snf_int,
+)
 
 Q = Rationals()
 Z = Integers()
@@ -302,12 +309,29 @@ class TestSnf:
             assert got == expected
 
 
+    def test_unit_pivot_search_keeps_transforms(self):
+        # The pivot search stops at the first entry +-1, which is the
+        # first entry of least absolute value, so D and both riders (U
+        # beside the rows, V below them) match the full scan's.
+        rng = random.Random(37)
+        units = 0
+        for _ in range(300):
+            r, c = rng.randint(0, 6), rng.randint(0, 6)
+            span = rng.choice([1, 2, 6])
+            rows = [[rng.randint(-span, span) for _ in range(c)] for _ in range(r)]
+            riders = [row + [1 if i == j else 0 for j in range(r)] for i, row in enumerate(rows)]
+            riders += [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+            assert _snf_int(riders, r, c) == reference_snf_int(riders, r, c)
+            units += any(abs(x) == 1 for row in rows for x in row)
+        assert units > 100
+
+
 class TestTransformFree:
     def test_same_forms_as_transformed(self):
         # H, D, the echelon form and the pivots do not depend on what
         # rides along: identity columns for U (and the field transform),
         # identity rows below for V.
-        from ringsys.linalg import _gauss_jordan, _hnf_int, _snf_int
+        from ringsys.linalg import _gauss_jordan
 
         rng = random.Random(31)
         for k in range(200):
@@ -458,6 +482,76 @@ class TestCokernel:
         with pytest.raises(ValueError):
             AbelianGroupStructure(free_rank, torsion)
         assert AbelianGroupStructure(0, (2, 4, 12)).torsion == (2, 4, 12)
+
+
+def _saturation_oracle(rows, n):
+    # (independent, free) for the rows as generators of Z^n, from the
+    # Smith form alone.
+    expected = reference_cokernel(RingMatrix.from_columns(Z, rows, rows=n), n)
+    return n - expected.free_rank == len(rows), expected.is_free
+
+
+class TestSaturated:
+    @pytest.mark.parametrize(
+        "rows, n, expected",
+        [
+            ([[2, 1]], 2, True),
+            ([[2, 3]], 2, True),
+            ([[2, 0]], 2, False),
+            ([[0, 0]], 2, None),
+            ([[1, 0], [0, 0]], 2, None),
+            ([[2, 0], [1, 0]], 2, False),
+            ([], 3, True),
+            ([[1, 2, 3], [0, 4, 6]], 3, False),
+            ([[1, 2, 3], [0, 4, 7]], 3, True),
+        ],
+        ids=[
+            "free-behind-non-unit-pivot",
+            "gcd-1-without-unit-entry",
+            "torsion",
+            "zero-row",
+            "zero-row-after-unit",
+            "dependent-torsion-reading",
+            "no-rows",
+            "torsion-after-clearing",
+            "free-after-merges",
+        ],
+    )
+    def test_hand_cases(self, rows, n, expected):
+        before = [row[:] for row in rows]
+        assert _saturated(rows, n) is expected
+        assert rows == before
+        # None only on dependent rows, and False on dependent rows is no
+        # verdict: (1, 0) undoes the torsion that (2, 0) shows alone.
+        independent, free = _saturation_oracle(rows, n)
+        assert free is expected if independent else expected is not True
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 7), st.integers(0, 8), st.booleans(), st.data())
+    def test_matches_smith_form(self, k, n, hermite, data):
+        # Free exactly when the Smith form says so on independent rows;
+        # dependent rows never read as free.  Hermite bases are the
+        # chain levels' shape, arbitrary rows what cokernel_structure
+        # passes.
+        rows = [[data.draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(k)]
+        if hermite:
+            h, pivots = _hnf_int(rows, n)
+            rows = h[: len(pivots)]
+        before = [row[:] for row in rows]
+        got = _saturated(rows, n)
+        assert rows == before
+        independent, free = _saturation_oracle(rows, n)
+        if independent:
+            assert got is free
+        else:
+            assert got is not True
+
+    def test_cokernel_structure_matches_smith_form(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            n, k = rng.randint(0, 6), rng.randint(0, 6)
+            g = rand_matrix(Z, n, k, rng, span=rng.randint(1, 6))
+            assert cokernel_structure(g, n) == reference_cokernel(g, n)
 
 
 class TestDet:

@@ -29,7 +29,6 @@ from ringsys import (
     VerifyResult,
     canonical_pair,
     certificate_from_action,
-    cokernel_structure,
     column_canonical,
     column_space_sum,
     from_pair,
@@ -40,6 +39,7 @@ from ringsys import (
     rref,
     solve_right,
 )
+from ringsys.linalg import _snf_int
 from ringsys.rings import MAX_COEFF_BITS, MAX_DEGREE, descriptor_from_dict, grlex_key
 from ringsys.sysfile import CertEntry, PairEntry, SystemFile, emit
 
@@ -102,6 +102,75 @@ def rand_locally_brunovsky_pair(ring, rng, n, extra_cols=0):
     return parts, a, b
 
 
+def reference_snf_int(mat, nrows, ncols):
+    """``_snf_int`` with a pivot search that always scans the whole
+    remaining block for its first entry of least absolute value, the
+    oracle for the search that stops at the first unit: D and every
+    rider must come out the same."""
+    a = [row[:] for row in mat]
+    t = 0
+    while t < min(nrows, ncols):
+        best = None
+        where = None
+        for i in range(t, nrows):
+            row = a[i]
+            for j in range(t, ncols):
+                x = row[j]
+                if x != 0 and (best is None or abs(x) < best):
+                    best = abs(x)
+                    where = (i, j)
+        if where is None:
+            break
+        i0, j0 = where
+        if i0 != t:
+            a[t], a[i0] = a[i0], a[t]
+        if j0 != t:
+            for row in a:
+                row[t], row[j0] = row[j0], row[t]
+        piv = a[t][t]
+        dirty = False
+        for i in range(t + 1, nrows):
+            if a[i][t] == 0:
+                continue
+            q = a[i][t] // piv
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            if a[i][t] != 0:
+                dirty = True
+        for j in range(t + 1, ncols):
+            if a[t][j] == 0:
+                continue
+            q = a[t][j] // piv
+            if q:
+                for row in a:
+                    row[j] -= q * row[t]
+            if a[t][j] != 0:
+                dirty = True
+        if dirty:
+            continue
+        offender = None
+        for i in range(t + 1, nrows):
+            if any(x % piv for x in a[i][t + 1 : ncols]):
+                offender = i
+                break
+        if offender is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+            continue
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+        t += 1
+    return a
+
+
+def reference_cokernel(g, n):
+    """Z^n / col(g) from the Smith form alone, the oracle for
+    ``cokernel_structure`` and every freeness decision taken without a
+    Smith form."""
+    d = _snf_int(g.to_lists(), g.rows, g.cols)
+    nonzero = [x for x in (d[i][i] for i in range(min(g.rows, g.cols))) if x]
+    return AbelianGroupStructure(n - len(nonzero), tuple(x for x in nonzero if x > 1))
+
+
 def reference_integer_chain(sigma):
     """From-scratch chain, the reference for compute_chain over Z.
 
@@ -123,19 +192,20 @@ def reference_integer_report(sigma):
     structure through the general solvers: relations and induced maps
     by solve_right, the lattice of generators mapping into the next
     layer's relations as the top of a kernel_basis, canonicalised by
-    column_canonical.  The last layer maps to I_{s+1} = 0, written as
-    N_s modulo itself.
+    column_canonical, and every structure by reference_cokernel (a
+    Smith form, never the saturation test).  The last layer maps to
+    I_{s+1} = 0, written as N_s modulo itself.
     """
     ring, n = sigma.ring, sigma.state_rank
     chain = list(reference_integer_chain(sigma))
     s = len(chain) - 1
-    m_structs = tuple(cokernel_structure(chain[i], n) for i in range(1, s + 1))
+    m_structs = tuple(reference_cokernel(chain[i], n) for i in range(1, s + 1))
     rel = [None]
     for i in range(1, s + 1):
         x = solve_right(chain[i], chain[i - 1])
         assert x is not None, "chain is not increasing"
         rel.append(x)
-    i_structs = tuple(cokernel_structure(rel[i], chain[i].cols) for i in range(1, s + 1))
+    i_structs = tuple(reference_cokernel(rel[i], chain[i].cols) for i in range(1, s + 1))
     z_structs = []
     for i in range(1, s + 1):
         nxt = chain[i + 1] if i < s else chain[s]
@@ -148,7 +218,7 @@ def reference_integer_report(sigma):
         preimage = column_canonical(top)
         y = solve_right(preimage, rel[i])
         assert y is not None, "relations escaped their preimage lattice"
-        z_structs.append(cokernel_structure(y, preimage.cols))
+        z_structs.append(reference_cokernel(y, preimage.cols))
     reachable = chain[s] == RingMatrix.identity(ring, n)
     structures = m_structs + i_structs + tuple(z_structs)
     return InvariantReport(
