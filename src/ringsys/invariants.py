@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
 from operator import mul
@@ -44,26 +43,22 @@ _Level = tuple[list[list[int]], list[int]]
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Stabilised chain data of one system.
+    """Stabilised chain data of one system, as ``invariants`` prints it.
 
-    ``chain`` holds canonical generator matrices for N_0 through N_s.
-    Over a field the module entries are dimensions; over the integers
-    they are AbelianGroupStructure values.
+    ``chain_dims`` holds the ranks of N_0 through N_s.  Over a field the
+    module entries are dimensions; over the integers they are
+    AbelianGroupStructure values.
     """
 
     ring: RingDescriptor
     state_rank: int
-    chain: tuple[RingMatrix, ...]
+    chain_dims: tuple[int, ...]
     s: int
     M: tuple[ModuleStructure, ...]
     I: tuple[ModuleStructure, ...]
     Z: tuple[ModuleStructure, ...]
     reachable: bool
     locally_brunovsky: bool
-
-    @property
-    def chain_dims(self) -> tuple[int, ...]:
-        return tuple(m.cols for m in self.chain)
 
 
 @dataclass(frozen=True)
@@ -113,7 +108,10 @@ def _structure_rank(structure: ModuleStructure) -> int:
 
 
 def compute_chain(sigma: LinearSystem) -> InvariantReport:
-    """Full invariant report of a system over Q, GF(p), or Z."""
+    """Full invariant report of a system over Q, GF(p), or Z, read from
+    one Krylov staircase: the ranks of ``_field_staircase`` over a field,
+    the levels of ``_hermite_chain`` over Z.  No matrix of N_i is built.
+    """
     if isinstance(sigma.ring, PolyQuotient):
         raise UnsupportedRing("invariant chains need decidable submodule arithmetic")
     if sigma.ring.is_field:
@@ -233,34 +231,16 @@ def _layer_ranks(dims: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _report_over_field(sigma: LinearSystem) -> InvariantReport:
-    ring, n = sigma.ring, sigma.state_rank
-    dims, basis, _ = _field_staircase(sigma.endo, sigma.input_gens)
-    # basis[k] vanishes at the pivots of basis[:k].  Made monic and
-    # cleared from the vectors kept before it, the first dims[i] vectors
-    # sorted by pivot are the reduced echelon basis of N_i, which is what
-    # column_canonical gives for any generators of N_i.
-    p = 0 if isinstance(ring, Rationals) else ring.p
-    reduced: dict[int, list] = {}
-    chain = [RingMatrix.zeros(ring, n, 0)]
-    for lo, hi in zip(dims, dims[1:]):
-        for v in basis[lo:hi]:
-            q = next(i for i, x in enumerate(v) if x)
-            if not p:
-                v = [Fraction(x, v[q]) for x in v]
-            for r, u in reduced.items():
-                g = u[q]
-                if g:
-                    u = [x - g * y for x, y in zip(u, v)]
-                    reduced[r] = [x % p for x in u] if p else u
-            reduced[q] = v
-        chain.append(RingMatrix._of_columns(ring, [reduced[q] for q in sorted(reduced)], n))
+    # Over a field every module is free: the report is the staircase ranks.
+    n = sigma.state_rank
+    dims = _field_staircase(sigma.endo, sigma.input_gens)[0]
     i_dims, z_dims = _layer_ranks(dims)
     reachable = dims[-1] == n
     return InvariantReport(
-        ring=ring,
+        ring=sigma.ring,
         state_rank=n,
-        chain=tuple(chain),
-        s=len(chain) - 1,
+        chain_dims=tuple(dims),
+        s=len(dims) - 1,
         M=tuple(n - d for d in dims[1:]),
         I=i_dims,
         Z=z_dims,
@@ -280,15 +260,9 @@ def _coordinates(basis: _Level, vectors, message: str) -> list[list[int]]:
     return coords
 
 
-def _quotient_structure(level: _Level, n: int) -> AbelianGroupStructure:
-    """Z^n / span for a row Hermite basis, by ``cokernel_structure``:
-    free of rank n - d when the saturation test says so, and read from
-    the Smith form only when it finds torsion."""
-    return cokernel_structure(RingMatrix._of_columns(Integers(), level[0], n), n)
-
-
 def _report_over_integers(sigma: LinearSystem, chain: list[_Level]) -> InvariantReport:
-    """M, I and Z structures over Z, read off the Hermite chain.
+    """M, I and Z structures over Z, read off the Hermite chain; the
+    report keeps only the ranks of its levels.
 
     Every chain level is a row Hermite basis, so coordinates over it
     come from back-substitution.  rel[i] writes N_{i-1} in the basis of
@@ -307,7 +281,7 @@ def _report_over_integers(sigma: LinearSystem, chain: list[_Level]) -> Invariant
     - 0 -> I_i -> M_{i-1} -> M_i -> 0 splits when M_i is free, so
       M_{i-1} then has rank n - d_{i-1} and the torsion of I_i.  Any
       other M_i is a chain-level quotient with torsion, read from its
-      Smith form (``_quotient_structure``).
+      Smith form by ``cokernel_structure`` on the level's rows.
 
     Every Smith form is therefore taken on a module with torsion.
 
@@ -342,7 +316,7 @@ def _report_over_integers(sigma: LinearSystem, chain: list[_Level]) -> Invariant
         if free[i]
         else AbelianGroupStructure(n - dims[i], layers[i + 1].torsion)
         if i < s and free[i + 1]
-        else _quotient_structure(chain[i], n)
+        else cokernel_structure(RingMatrix._of_columns(ring, chain[i][0], n), n)
         for i in range(1, s + 1)
     )
     a = sigma.endo.to_lists()
@@ -371,7 +345,7 @@ def _report_over_integers(sigma: LinearSystem, chain: list[_Level]) -> Invariant
     return InvariantReport(
         ring=ring,
         state_rank=n,
-        chain=tuple(RingMatrix._of_columns(ring, rows, n) for rows, _ in chain),
+        chain_dims=tuple(dims),
         s=s,
         M=m_structs,
         I=i_structs,

@@ -113,6 +113,76 @@ INVARIANTS_DOCS = {
     },
 }
 
+
+def _brunovsky_q_pair():
+    """The Brunovsky pair of indices (5, 4, 2, 1), state rank 12, with a
+    rational feedback added to the rows at each block start, written in
+    the coordinates of a diagonal D and with its inputs scaled by a
+    diagonal E.  Their entries have denominators 2, 3, 4, 5 and 7, and
+    none of the three changes the chain ranks."""
+    indices = (5, 4, 2, 1)
+    n, m = sum(indices), len(indices)
+    a = [[Fraction(0)] * n for _ in range(n)]
+    b = [[Fraction(0)] * m for _ in range(n)]
+    start = 0
+    for j, k in enumerate(indices):
+        for l in range(k - 1):
+            a[start + l + 1][start + l] = Fraction(1)
+        b[start][j] = Fraction(1)
+        for c in range(n):
+            a[start][c] += Fraction((3 * j + 2 * c) % 7 - 3, (j + c) % 4 + 1)
+        start += k
+    d = [Fraction(i % 5 + 1, (2, 3, 5, 7)[i % 4]) for i in range(n)]
+    e = [Fraction(j + 2, j + 1) for j in range(m)]
+    a = [[str(d[i] * a[i][c] / d[c]) for c in range(n)] for i in range(n)]
+    b = [[str(d[i] * b[i][j] * e[j]) for j in range(m)] for i in range(n)]
+    return n, a, b
+
+
+# invariants --json over fields, pinned byte for byte.  R is reachable
+# over Q with Brunovsky indices (5, 4, 2, 1); U over GF(101) keeps the
+# span of its first three coordinates and stalls there.
+FIELD_SYSTEMS = {
+    "R": ({"kind": "Q"}, *_brunovsky_q_pair()),
+    "U": (
+        {"kind": "GF", "p": 101},
+        5,
+        [["3", "0", "1", "0", "0"], ["1", "0", "0", "0", "7"], ["0", "100", "0", "0", "2"], ["0", "0", "0", "5", "1"], ["0", "0", "0", "1", "50"]],
+        [["1", "0"], ["0", "0"], ["0", "51"], ["0", "0"], ["0", "0"]],
+    ),
+}
+FIELD_INVARIANTS_DOCS = {
+    "R": {
+        "I": [4, 3, 2, 2, 1],
+        "M": [8, 5, 3, 1, 0],
+        "Z": [1, 1, 0, 1, 1],
+        "chain_dims": [0, 4, 7, 9, 11, 12],
+        "command": "invariants",
+        "locally_brunovsky": True,
+        "reachable": True,
+        "ring": "Q",
+        "s": 5,
+        "state_rank": 12,
+        "system": "R",
+        "z_signature": [1, 1, 0, 1, 1],
+    },
+    "U": {
+        "I": [2, 1],
+        "M": [3, 2],
+        "Z": [1, 1],
+        "chain_dims": [0, 2, 3],
+        "command": "invariants",
+        "locally_brunovsky": False,
+        "reachable": False,
+        "ring": "GF(101)",
+        "s": 2,
+        "state_rank": 5,
+        "system": "U",
+        "z_signature": None,
+    },
+}
+
+
 # Malformed files: each must exit 2 with one error line, quickly.
 HOSTILE = {
     "systems-list": {"ring": {"kind": "Z"}, "systems": []},
@@ -324,6 +394,15 @@ class TestReports:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["invariants", str(path), name, "--json"]) == 0
         assert capsys.readouterr().out == json.dumps(INVARIANTS_DOCS[name], indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("name", sorted(FIELD_SYSTEMS))
+    def test_field_invariants_json_pinned(self, name, tmp_path, capsys):
+        ring, n, a, b = FIELD_SYSTEMS[name]
+        doc = {"ring": ring, "systems": {name: {"n": n, "endo": a, "input_gens": b}}}
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["invariants", str(path), name, "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps(FIELD_INVARIANTS_DOCS[name], indent=2, sort_keys=True) + "\n"
 
     def test_equiv_reports_both_signatures(self, fixture_file, capsys):
         main(["equiv", fixture_file, "S1", "S2", "--json"])

@@ -42,7 +42,7 @@ from ringsys import (
     z_signature,
 )
 from ringsys import linalg
-from ringsys.invariants import _field_staircase, _quotient_structure
+from ringsys.invariants import _field_staircase, _hermite_chain
 from util import (
     combine_structures,
     pad_family,
@@ -105,12 +105,19 @@ def _unit_pivots(basis):
     return all(next(x for x in basis.entries[k :: basis.cols] if x) == 1 for k in range(basis.cols))
 
 
-def _structure_branches(rep):
+def _hermite_levels(sigma):
+    # _hermite_chain's levels as column Hermite bases, the form of
+    # reference_integer_chain.
+    return tuple(RingMatrix.from_columns(Z, rows, rows=sigma.state_rank) for rows, _ in _hermite_chain(sigma))
+
+
+def _structure_branches(rep, levels):
     """The rule or general path each structure of an integer report
     takes: the saturation test finds M_i free behind Hermite pivots all
-    1 or behind other pivots; I_i is free when M_{i-1} is; Z_i splits
-    off I_i when I_{i+1} is free; an M_i with torsion is read from
-    I_{i+1} when M_{i+1} is free, and from a Smith form otherwise."""
+    1 or behind other pivots (read from ``levels``, the chain as column
+    Hermite bases); I_i is free when M_{i-1} is; Z_i splits off I_i when
+    I_{i+1} is free; an M_i with torsion is read from I_{i+1} when
+    M_{i+1} is free, and from a Smith form otherwise."""
     m = (AbelianGroupStructure(rep.state_rank, ()),) + rep.M
     for i in range(1, rep.s + 1):
         yield "I free by rule" if m[i - 1].is_free else "I by Smith form"
@@ -119,7 +126,7 @@ def _structure_branches(rep):
         yield "Z split" if layers[i].is_free else "Z general"
     for i in range(1, rep.s + 1):
         if m[i].is_free:
-            yield "M free, unit pivots" if _unit_pivots(rep.chain[i]) else "M free, other pivots"
+            yield "M free, unit pivots" if _unit_pivots(levels[i]) else "M free, other pivots"
         elif i < rep.s and m[i + 1].is_free:
             yield "M split"
         else:
@@ -177,6 +184,20 @@ def _rand_field_pair(ring, rng, k):
     if ring == Q:
         a, b = _rational_twist(a, b, rng)
     return a, b
+
+
+def _check_field_chain(sigma):
+    """compute_chain over a field against the from-scratch chain: the
+    reduced echelon form of each staircase prefix is the reference
+    N_i, and the report's ranks and layers are the reference's."""
+    rep = compute_chain(sigma)
+    chain, s, i_dims, z_dims, reachable = reference_field_chain(sigma)
+    dims, basis, _ = _field_staircase(sigma.endo, sigma.input_gens)
+    n = sigma.state_rank
+    assert tuple(column_canonical(RingMatrix.from_columns(sigma.ring, basis[:d], rows=n)) for d in dims) == chain
+    assert rep.chain_dims == tuple(c.cols for c in chain)
+    assert (rep.s, rep.I, rep.Z, rep.reachable) == (s, i_dims, z_dims, reachable)
+    return rep
 
 
 class TestChainExamples:
@@ -325,8 +346,7 @@ class TestChainProperties:
             else:
                 a, b = rand_matrix(ring, n, n, rng), rand_matrix(ring, n, m, rng)
             sigma = from_pair(a, b)
-            rep = compute_chain(sigma)
-            assert (rep.chain, rep.s, rep.I, rep.Z, rep.reachable) == reference_field_chain(sigma)
+            rep = _check_field_chain(sigma)
             seen.add(rep.reachable)
         assert seen == {True, False}
         # State rank 12-16, over Q with several denominators, where the
@@ -334,9 +354,7 @@ class TestChainProperties:
         for _ in range(3):
             n = rng.randint(12, 16)
             a, b = rand_matrix(ring, n, n, rng), rand_matrix(ring, n, rng.randint(1, 3), rng)
-            sigma = from_pair(*(_rational_twist(a, b, rng) if ring == Q else (a, b)))
-            rep = compute_chain(sigma)
-            assert (rep.chain, rep.s, rep.I, rep.Z, rep.reachable) == reference_field_chain(sigma)
+            _check_field_chain(from_pair(*(_rational_twist(a, b, rng) if ring == Q else (a, b))))
 
     @pytest.mark.parametrize("ring", [Q, F2, F3, F101], ids=str)
     def test_field_signature_matches_reference(self, ring):
@@ -384,7 +402,9 @@ class TestChainProperties:
         for a, b in pairs:
             sigma = from_pair(a, b)
             rep = compute_chain(sigma)
-            assert rep.chain == reference_integer_chain(sigma)
+            chain = reference_integer_chain(sigma)
+            assert _hermite_levels(sigma) == chain
+            assert rep.chain_dims == tuple(c.cols for c in chain)
             expected = _signature_or_error(lambda s: signature_from_report(reference_integer_report(s)), sigma)
             assert _signature_or_error(z_signature, sigma) == expected
             seen.add((sigma.state_rank == 0, rep.reachable, rep.locally_brunovsky))
@@ -408,9 +428,11 @@ class TestChainProperties:
             sigma = from_pair(a, b)
             rep = compute_chain(sigma)
             assert rep == reference_integer_report(sigma)
+            levels = reference_integer_chain(sigma)
+            assert _hermite_levels(sigma) == levels
             for family in "MIZ":
                 torsion[family] += sum(not x.is_free for x in getattr(rep, family))
-            branches.update(_structure_branches(rep))
+            branches.update(_structure_branches(rep, levels))
         assert min(torsion.values()) > 0
         # Every split rule and every general path is exercised.
         kinds = {"I free by rule", "I by Smith form", "Z split", "Z general"}
@@ -433,13 +455,6 @@ class TestChainProperties:
             assert r1.reachable == r2.reachable
 
 
-def _level(basis):
-    # A column Hermite basis as a chain level: its columns as rows, with
-    # their pivots.
-    rows = [list(basis.entries[k :: basis.cols]) for k in range(basis.cols)]
-    return rows, [next(p for p, x in enumerate(r) if x) for r in rows]
-
-
 class TestQuotientStructure:
     @pytest.mark.parametrize(
         "columns, n, unit, expected",
@@ -455,8 +470,7 @@ class TestQuotientStructure:
     def test_hand_built_bases(self, columns, n, unit, expected):
         basis = column_canonical(RingMatrix.from_columns(Z, columns, rows=n))
         assert basis.cols == len(columns) and _unit_pivots(basis) == unit
-        assert _quotient_structure(_level(basis), n) == cokernel_structure(basis, n) == expected
-        assert reference_cokernel(basis, n) == expected
+        assert cokernel_structure(basis, n) == reference_cokernel(basis, n) == expected
 
     def test_random_hermite_bases_match_smith_form(self):
         rng = random.Random(31)
@@ -465,7 +479,7 @@ class TestQuotientStructure:
             n, k = rng.randint(0, 5), rng.randint(0, 4)
             basis = column_canonical(rand_matrix(Z, n, k, rng, span=rng.randint(1, 4)))
             expected = reference_cokernel(basis, n)
-            assert _quotient_structure(_level(basis), n) == cokernel_structure(basis, n) == expected
+            assert cokernel_structure(basis, n) == expected
             kinds["unit" if _unit_pivots(basis) else "free" if expected.is_free else "torsion"] += 1
         assert set(kinds) == {"unit", "free", "torsion"}, kinds
 
@@ -760,3 +774,39 @@ class TestCanonicalCertificate:
                     patch.setattr("ringsys.invariants.canonical_pair", perturbed)
                     with pytest.raises(RuntimeError, match="^canonical certificate failed internal verification$"):
                         canonical_certificate(a, b)
+
+
+class TestReportBuildsNoMatrix:
+    """The report holds what ``invariants`` prints, read from the
+    staircase: ``compute_chain`` builds no RingMatrix over a field, nor
+    over Z on locally Brunovsky systems, where the saturation test and
+    the split rules give every structure.  Systems are built before
+    counting starts."""
+
+    @staticmethod
+    def _count_matrices(monkeypatch):
+        built = []
+        check = RingMatrix.__post_init__
+
+        def counted(self):
+            built.append((self.rows, self.cols))
+            check(self)
+
+        monkeypatch.setattr(RingMatrix, "__post_init__", counted)
+        return built
+
+    @pytest.mark.parametrize("ring", [Q, F2, F101], ids=str)
+    def test_over_fields(self, ring, monkeypatch):
+        rng = random.Random(63)
+        systems = [from_pair(*_rand_field_pair(ring, rng, k)) for k in range(30)]
+        built = self._count_matrices(monkeypatch)
+        reports = [compute_chain(sigma) for sigma in systems]
+        assert built == []
+        assert {rep.reachable for rep in reports} == {True, False}
+
+    def test_over_integers(self, monkeypatch):
+        systems = [from_pair(a, b) for _, a, b in TestSmithFormCount._brunovsky_pairs(random.Random(64))]
+        built = self._count_matrices(monkeypatch)
+        reports = [compute_chain(sigma) for sigma in systems]
+        assert built == []
+        assert all(rep.locally_brunovsky for rep in reports)

@@ -224,7 +224,7 @@ def reference_integer_report(sigma):
     return InvariantReport(
         ring=ring,
         state_rank=n,
-        chain=tuple(chain),
+        chain_dims=tuple(c.cols for c in chain),
         s=s,
         M=m_structs,
         I=i_structs,
@@ -280,7 +280,7 @@ def reference_field_report(sigma):
     return InvariantReport(
         ring=sigma.ring,
         state_rank=n,
-        chain=chain,
+        chain_dims=tuple(c.cols for c in chain),
         s=s,
         M=tuple(n - c.cols for c in chain[1:]),
         I=i_dims,
