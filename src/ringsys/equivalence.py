@@ -113,8 +113,8 @@ def verify_certificate(s1: LinearSystem, s2: LinearSystem, cert: IsoCertificate)
         return VerifyResult(False, "U-identity")
     if not agree(mapped.product_entries(v), g2.entries):
         return VerifyResult(False, "V-identity")
-    defect = map(s1.ring.sub, s2.endo.product_entries(phi), phi.product_entries(s1.endo))
-    if not agree(defect, g2.product_entries(kw)):
+    # A2 phi - phi A1 = g2 Kw, as the block product A2 phi = [phi | g2][A1; Kw]
+    if not agree(s2.endo.product_entries(phi), phi.hstack(g2).product_entries(s1.endo.vstack(kw))):
         return VerifyResult(False, "Kw-identity")
     return VerifyResult(True)
 

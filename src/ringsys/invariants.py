@@ -537,8 +537,9 @@ def canonical_certificate(a: RingMatrix, b: RingMatrix) -> CanonicalCertificate:
     a_c, b_c = canonical_pair(ring, indices)
     b_c_padded = b_c.hstack(RingMatrix.zeros(ring, n, m - b_c.cols))
 
-    # P(A + BK) expanded as PA + (PB)K: A's entries stay small where A + BK takes K's large ones.
+    # P(A + BK) expanded as PA + (PB)K, one block product [P | PB][A; K]:
+    # A's entries stay small where A + BK takes K's large ones.
     pb = p @ b
-    if p @ a + pb @ k != a_c @ p or pb @ q != b_c_padded:
+    if p.hstack(pb) @ a.vstack(k) != a_c @ p or pb @ q != b_c_padded:
         raise RuntimeError("canonical certificate failed internal verification")
     return CanonicalCertificate(p, k, q, a_c, b_c_padded, indices)

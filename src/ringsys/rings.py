@@ -6,11 +6,13 @@ rational polynomial ring by a single relation.  Values are immutable
 and kept canonical, so equality of elements is equality of payloads:
 fractions are reduced with positive denominator, residues lie in
 [0, p), and quotient-ring polynomials carry no monomial divisible by
-the relation's leading monomial.
+the relation's leading monomial, with each coefficient an int when
+integral and a Fraction otherwise.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
@@ -22,6 +24,7 @@ from typing import Iterator, Optional
 from .errors import DescriptorMismatch, ElementSyntaxError
 
 Monomial = tuple[int, ...]
+Coeff = int | Fraction
 
 
 def grlex_key(monomial: Monomial) -> tuple:
@@ -35,10 +38,14 @@ def grlex_key(monomial: Monomial) -> tuple:
     return (sum(monomial), monomial[::-1])
 
 
-def _descending_key(monomial: Monomial) -> tuple:
-    # grlex_key with every component negated: the smallest key belongs
-    # to the largest monomial, as a min-heap needs.
-    return (-sum(monomial), tuple(map(operator.neg, monomial[::-1])))
+def _coeff(c) -> Coeff:
+    """c as a polynomial coefficient: an int when integral, otherwise a
+    Fraction (with denominator above 1)."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 @dataclass(frozen=True)
@@ -46,20 +53,21 @@ class Poly:
     """Multivariate polynomial with rational coefficients.
 
     Terms are stored sorted in descending graded-lex order with zero
-    coefficients dropped, which makes structural equality semantic
+    coefficients dropped, and each coefficient is an int when integral
+    and a Fraction otherwise, which makes structural equality semantic
     equality.
     """
 
     nvars: int
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    terms: tuple[tuple[Monomial, Coeff], ...]
 
     @staticmethod
-    def from_dict(nvars: int, coeffs: dict[Monomial, Fraction]) -> "Poly":
+    def from_dict(nvars: int, coeffs: dict[Monomial, Coeff]) -> "Poly":
         terms = []
         for m in sorted(coeffs, key=grlex_key, reverse=True):
             c = coeffs[m]
             if c:
-                terms.append((m, c if type(c) is Fraction else Fraction(c)))
+                terms.append((m, _coeff(c)))
         return Poly(nvars, tuple(terms))
 
     @staticmethod
@@ -68,7 +76,7 @@ class Poly:
 
     @staticmethod
     def const(nvars: int, c) -> "Poly":
-        c = c if type(c) is Fraction else Fraction(c)
+        c = _coeff(c)
         return Poly(nvars, (((0,) * nvars, c),) if c else ())
 
     @staticmethod
@@ -84,14 +92,19 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m, _ in self.terms)
 
-    def constant_value(self) -> Fraction:
+    @functools.cached_property
+    def degree(self) -> int:
+        """Total degree; 0 for the zero polynomial."""
+        return max((sum(m) for m, _ in self.terms), default=0)
+
+    def constant_value(self) -> Coeff:
         if self.is_zero:
-            return Fraction(0)
+            return 0
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
         return self.terms[0][1]
 
-    def leading(self) -> tuple[Monomial, Fraction]:
+    def leading(self) -> tuple[Monomial, Coeff]:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0]
@@ -110,42 +123,145 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        (x,), xd = _cleared((self,))
-        (y,), yd = _cleared((other,))
-        return _divided(Poly.from_dict(self.nvars, _product_terms([(x, y)])), xd * yd)
+        pk = _Packing(self.nvars, self.degree + other.degree)
+        (x,), xd = _cleared((self,), pk.codes)
+        (y,), yd = _cleared((other,), pk.codes)
+        return _unpacked(self.nvars, _product_terms([(x, y)]), pk, xd * yd)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = _coeff(c)
         if c == 0:
             return Poly.zero(self.nvars)
-        return Poly(self.nvars, tuple((m, coef * c) for m, coef in self.terms))
+        return Poly(self.nvars, tuple((m, _coeff(coef * c)) for m, coef in self.terms))
 
 
-def _cleared(polys) -> tuple[list[list[tuple[Monomial, int]]], int]:
-    """The polynomials as integer term lists over one denominator, the
-    lcm of all their coefficients' denominators."""
+class _Packing:
+    """Monomials in nvars variables, of total degree up to the `degree`
+    given and at most `self.degree`, each packed into one int.
+
+    Every exponent and the total degree get a field of `width` bits; the
+    total degree is the top field and the last variable the next one
+    down, so integer order is graded-lex order and a product of
+    monomials is a sum.  Values stay below 2^(width-1), so the top bit
+    of every field (the guard) is clear: d divides m exactly when
+    m - d borrows into no guard bit, that is (m - d) & guard == 0.
+    `codes` packs a monomial and `monos` unpacks one, each computed once
+    and then looked up.
+    """
+
+    __slots__ = ("degree", "guard", "codes", "monos")
+
+    def __init__(self, nvars: int, degree: int):
+        width = degree.bit_length() + 1
+        self.degree = (1 << (width - 1)) - 1
+        self.guard = sum(1 << (i * width + width - 1) for i in range(nvars + 1))
+        shifts = tuple(i * width for i in range(nvars))
+        mask = (1 << width) - 1
+        # the total degree is the sum of the exponents, so each exponent
+        # adds into its own field and into the top one
+        weights = tuple((1 << s) | (1 << (nvars * width)) for s in shifts)
+        self.codes = _Memo(lambda m: sum(map(operator.mul, m, weights)))
+        self.monos = _Memo(lambda k: tuple([(k >> s) & mask for s in shifts]))
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key); cleared once it
+    holds _MEMO_MAX entries, so a long run keeps it small."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        if len(self) >= _MEMO_MAX:
+            self.clear()
+        value = self[key] = self.fn(key)
+        return value
+
+
+_MEMO_MAX = 1 << 12
+
+
+def _cleared(polys, codes) -> tuple[list[list[tuple[int, int]]], int]:
+    """The polynomials as integer term lists with packed monomials (codes
+    of a _Packing), over one denominator: the lcm of all their
+    coefficients' denominators."""
     den = math.lcm(*[c.denominator for p in polys for _, c in p.terms])
-    return [[(m, c.numerator * (den // c.denominator)) for m, c in p.terms] for p in polys], den
+    if den == 1:  # every coefficient is an int
+        return [[(codes[m], c) for m, c in p.terms] for p in polys], 1
+    return [[(codes[m], c.numerator * (den // c.denominator)) for m, c in p.terms] for p in polys], den
 
 
-def _product_terms(pairs) -> dict[Monomial, int]:
+def _product_terms(pairs) -> dict[int, int]:
     """Coefficients of the sum of the products of paired integer term
-    lists, unsorted and unreduced; cancelled monomials keep a zero."""
-    coeffs: dict[Monomial, int] = {}
-    get, add = coeffs.get, operator.add
+    lists with packed monomials, unsorted and unreduced; cancelled
+    monomials keep a zero."""
+    coeffs: dict[int, int] = {}
+    get = coeffs.get
     for x, y in pairs:
         for m1, c1 in x:
             for m2, c2 in y:
-                m = tuple(map(add, m1, m2))
+                m = m1 + m2
                 coeffs[m] = get(m, 0) + c1 * c2
     return coeffs
 
 
-def _divided(p: Poly, den: int) -> Poly:
-    """p with every coefficient divided by the positive integer den."""
-    if den == 1:
-        return p
-    return Poly(p.nvars, tuple((m, Fraction(c.numerator, c.denominator * den)) for m, c in p.terms))
+def _reduce_packed(coeffs: dict, lead: int, rule, guard: int, max_cost: int | None = None, rule_bits: int = 0) -> None:
+    """Rewrite the packed coefficient map in place to its normal form
+    modulo lead -> rule (packed monomials and coefficients, guard as in
+    _Packing), the one reduction core behind PolyQuotient.reduce and
+    PolyQuotient.products.  Zeros may be left in the map.
+
+    The pending multiples of the leading monomial are rewritten largest
+    first, so each is rewritten once: a rewrite only produces smaller
+    monomials.  With max_cost, a reduction that would cost more (counted
+    as for MAX_REDUCE_COST) raises ElementSyntaxError instead.
+    """
+    heap = [-m for m in coeffs if not (m - lead) & guard]
+    if not heap:
+        return
+    heapq.heapify(heap)
+    heappop, heappush, get = heapq.heappop, heapq.heappush, coeffs.get
+    cost = 0
+    while heap:
+        m = -heappop(heap)
+        c = coeffs.pop(m)
+        if not c:
+            continue
+        if max_cost is not None:
+            b = (c.numerator.bit_length() + c.denominator.bit_length() + rule_bits) >> 12
+            cost += len(rule) * (1 + b * b)
+            if cost > max_cost:
+                raise ElementSyntaxError(f"literal costs over MAX_REDUCE_COST = {max_cost} to reduce")
+        shift = m - lead
+        for rm, rc in rule:
+            mm = rm + shift
+            old = get(mm)
+            if old is not None:
+                coeffs[mm] = old + c * rc
+            else:
+                coeffs[mm] = c * rc
+                if not (mm - lead) & guard:
+                    heappush(heap, -mm)
+
+
+def _unpacked(nvars: int, coeffs: dict, pk: _Packing, den: int = 1) -> Poly:
+    """The Poly of a packed coefficient map (zeros allowed) with every
+    coefficient divided by the positive integer den."""
+    monos = pk.monos
+    terms = []
+    for k in sorted(coeffs, reverse=True):
+        c = coeffs[k]
+        if not c:
+            continue
+        if den != 1:
+            c = Fraction(c, den) if type(c) is int else Fraction(c.numerator, c.denominator * den)
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        terms.append((monos[k], c))
+    return Poly(nvars, tuple(terms))
 
 
 def _cleared_fractions(xs) -> tuple[list[int], int]:
@@ -511,10 +627,25 @@ class PolyQuotient(RingDescriptor):
         # An integral rule is kept as ints, so reducing an integer
         # coefficient map stays in integer arithmetic.
         (lead_m, lead_c), *tail = self.relation.terms
-        rule = tuple((m, -c / lead_c) for m, c in tail)
-        rule = tuple((m, c.numerator if c.denominator == 1 else c) for m, c in rule)
+        rule = tuple((m, _coeff(Fraction(-c) / lead_c)) for m, c in tail)
         rule_bits = max((c.numerator.bit_length() + c.denominator.bit_length() for _, c in rule), default=0)
         object.__setattr__(self, "_rewrite", (lead_m, rule, rule_bits))
+        object.__setattr__(self, "_packed_rewrites", {})
+
+    def _packed_rewrite(self, degree: int) -> tuple[_Packing, int, tuple]:
+        """A packing that holds monomials of total degree `degree` and
+        the relation's, with the leading monomial and the rule packed in
+        it.  Reduction never raises the total degree, so the packing
+        holds every monomial a reduction of such input meets."""
+        lead_m, rule, _ = self._rewrite
+        degree = max(degree, sum(lead_m))
+        # packings are cached by field width, which the bit length fixes
+        packed = self._packed_rewrites.get(degree.bit_length())
+        if packed is None:
+            pk = _Packing(len(self.variables), degree)
+            packed = (pk, pk.codes[lead_m], tuple((pk.codes[m], c) for m, c in rule))
+            self._packed_rewrites[degree.bit_length()] = packed
+        return packed
 
     def zero(self):
         return Poly.zero(len(self.variables))
@@ -538,14 +669,28 @@ class PolyQuotient(RingDescriptor):
         # is Q-linear and a ring homomorphism, so the normal form is the
         # same) and divided once.  Only pairs of nonzero operands are
         # multiplied (Gustavson's sparse product): an entry with no such
-        # pair is zero and is not reduced.
-        cols = [_cleared(c) for c in cols]
-        reduce, zero = self.reduce, self.zero()
-        for rn, rd in map(_cleared, rows):
+        # pair is zero and is not reduced.  Monomials are packed for the
+        # largest degree of a term product seen so far; a row of larger
+        # degree packs the columns again, wider.
+        cols = list(cols)
+        col_degree = max((x.degree for c in cols for x in c), default=0)
+        nvars, zero, reduce = len(self.variables), self.zero(), _reduce_packed
+        pk = None
+        for row in rows:
+            degree = col_degree + max((x.degree for x in row), default=0)
+            if pk is None or degree > pk.degree:
+                pk, lead, rule = self._packed_rewrite(degree)
+                packed_cols = [_cleared(c, pk.codes) for c in cols]
+            rn, rd = _cleared(row, pk.codes)
             nonzero = [(k, x) for k, x in enumerate(rn) if x]
-            for cn, cd in cols:
+            for cn, cd in packed_cols:
                 pairs = [(x, cn[k]) for k, x in nonzero if cn[k]]
-                yield _divided(reduce(_product_terms(pairs)), rd * cd) if pairs else zero
+                if pairs:
+                    coeffs = _product_terms(pairs)
+                    reduce(coeffs, lead, rule, pk.guard)
+                    yield _unpacked(nvars, coeffs, pk, rd * cd)
+                else:
+                    yield zero
 
     def neg(self, a):
         return -a
@@ -553,7 +698,7 @@ class PolyQuotient(RingDescriptor):
     def is_zero(self, a) -> bool:
         return a.is_zero
 
-    def reduce(self, p: Poly | dict[Monomial, Fraction | int], max_cost: int | None = None) -> Poly:
+    def reduce(self, p: Poly | dict[Monomial, Coeff], max_cost: int | None = None) -> Poly:
         """Normal form modulo the relation of p, a polynomial or a map
         from monomials to rational or integer coefficients (in any
         order, zeros allowed).
@@ -562,48 +707,25 @@ class PolyQuotient(RingDescriptor):
 
         Division by a single polynomial is confluent, so the result
         does not depend on the reduction strategy; reduce is idempotent
-        and a ring homomorphism.  The pending multiples of the leading
-        monomial are rewritten largest first, so each is rewritten once:
-        a rewrite only produces smaller monomials.
+        and a ring homomorphism.  The work is _reduce_packed's.
         """
         if isinstance(p, Poly):
             if p.nvars != len(self.variables):
                 raise ValueError("polynomial arity does not match the ring")
-            coeffs = dict(p.terms)
+            items = p.terms
         else:
-            coeffs = dict(p)
-        lead_m, rule, rule_bits = self._rewrite
-        ge, add, sub = operator.ge, operator.add, operator.sub
-        heap = [(_descending_key(m), m) for m in coeffs if all(map(ge, m, lead_m))]
-        heapq.heapify(heap)
-        cost = 0
-        while heap:
-            m = heapq.heappop(heap)[1]
-            c = coeffs.pop(m)
-            if not c:
-                continue
-            if max_cost is not None:
-                b = (c.numerator.bit_length() + c.denominator.bit_length() + rule_bits) >> 12
-                cost += len(rule) * (1 + b * b)
-                if cost > max_cost:
-                    raise ElementSyntaxError(f"literal costs over MAX_REDUCE_COST = {max_cost} to reduce")
-            shift = tuple(map(sub, m, lead_m))
-            for rm, rc in rule:
-                mm = tuple(map(add, rm, shift))
-                old = coeffs.get(mm)
-                if old is not None:
-                    coeffs[mm] = old + c * rc
-                else:
-                    coeffs[mm] = c * rc
-                    if all(map(ge, mm, lead_m)):
-                        heapq.heappush(heap, (_descending_key(mm), mm))
-        return Poly.from_dict(len(self.variables), coeffs)
+            items = p.items()
+        pk, lead, rule = self._packed_rewrite(max((sum(m) for m, _ in items), default=0))
+        codes = pk.codes
+        coeffs = {codes[m]: c for m, c in items}
+        _reduce_packed(coeffs, lead, rule, pk.guard, max_cost, self._rewrite[2])
+        return _unpacked(len(self.variables), coeffs, pk)
 
     def try_invert_payload(self, a):
         if a.is_zero:
             return None
         if a.is_constant:
-            return Poly.const(a.nvars, 1 / a.constant_value())
+            return Poly.const(a.nvars, Fraction(1) / a.constant_value())
         return None
 
     def from_int(self, n: int):
@@ -612,7 +734,7 @@ class PolyQuotient(RingDescriptor):
     def canonical_payload(self, value):
         if isinstance(value, Poly):
             return self.reduce(value)
-        return Poly.const(len(self.variables), Fraction(value))
+        return Poly.const(len(self.variables), value)
 
     def parse_payload(self, text: str):
         return self.reduce(_parse_terms(text, self.variables), MAX_REDUCE_COST)
@@ -683,8 +805,9 @@ def parse_polynomial(text: str, variables: tuple[str, ...]) -> Poly:
     return Poly.from_dict(len(variables), _parse_terms(text, variables))
 
 
-def _parse_terms(text: str, variables: tuple[str, ...]) -> dict[Monomial, Fraction]:
-    """Coefficient map of a polynomial literal, unsorted, zeros allowed."""
+def _parse_terms(text: str, variables: tuple[str, ...]) -> dict[Monomial, Coeff]:
+    """Coefficient map of a polynomial literal, unsorted, zeros allowed,
+    with coefficients normalised as in Poly."""
     nvars = len(variables)
     index = {name: i for i, name in enumerate(variables)}
     tokens = _TOKEN.findall(text)
@@ -696,7 +819,7 @@ def _parse_terms(text: str, variables: tuple[str, ...]) -> dict[Monomial, Fracti
     end = len(tokens)
     tokens.append(("", "", "", ""))
 
-    coeffs: dict[Monomial, Fraction] = {}
+    coeffs: dict[Monomial, Coeff] = {}
     i = 0
     while i < end:
         num, den = 1, 1
@@ -745,10 +868,10 @@ def _parse_terms(text: str, variables: tuple[str, ...]) -> dict[Monomial, Fracti
         if sum(expo) > MAX_DEGREE:
             raise ElementSyntaxError(f"monomial of total degree over MAX_DEGREE = {MAX_DEGREE}")
         mono = tuple(expo)
-        coeff = Fraction(num) if den == 1 else Fraction(num, den)
+        coeff = num if den == 1 else _coeff(Fraction(num, den))
         old = coeffs.get(mono)
         if old is not None:
-            coeff = old + coeff
+            coeff = _coeff(old + coeff)
             _check_coeff_bits(coeff.numerator, coeff.denominator)
         coeffs[mono] = coeff
     return coeffs

@@ -45,6 +45,7 @@ from ringsys import (
     z_signature,
     zero_system,
 )
+from ringsys import rings
 from util import rand_invertible, rand_locally_brunovsky_pair, rand_matrix, rand_system, reference_verify
 
 Q = Rationals()
@@ -310,10 +311,11 @@ class TestVerifyCertificate:
         assert set(checked) == {"inverse", "U-identity", "V-identity", "Kw-identity"}
 
     def test_reject_stops_at_first_differing_row(self, monkeypatch):
-        """Counted in quotient-ring reductions, one per entry of a dense
-        product: a phi psi that differs in row 0 costs at most n before
-        Reject(inverse), one that differs only in its last row runs to
-        it, and an Accept costs what the full products cost."""
+        """Counted in quotient-ring reductions at the core that reduce
+        and products share, one per entry of a dense product: a phi psi
+        that differs in row 0 costs at most n before Reject(inverse),
+        one that differs only in its last row runs to it, and an Accept
+        costs what its six full products cost."""
         rng = random.Random(43)
         n, m = 5, 2
         rand = random_matrices(SPHERE, rng, nonzero=True)
@@ -326,18 +328,19 @@ class TestVerifyCertificate:
         assert all(map(bool, phi.entries))  # so every entry of phi psi is reduced
 
         calls = []
-        reduce = PolyQuotient.reduce
+        reduce = rings._reduce_packed
 
-        def counted(self, p, max_cost=None):
-            calls.append(p)
-            return reduce(self, p, max_cost)
+        def counted(coeffs, *args):
+            calls.append(coeffs)
+            return reduce(coeffs, *args)
 
-        monkeypatch.setattr(PolyQuotient, "reduce", counted)
+        monkeypatch.setattr(rings, "_reduce_packed", counted)
         assert phi @ psi == RingMatrix.identity(SPHERE, n) and len(calls) == n * n
         calls.clear()
         mapped = phi @ s1.input_gens
         g2 = s2.input_gens
-        for x, y in ((g2, one), (mapped, one), (s2.endo, phi), (phi, s1.endo), (g2, cert.Kw)):
+        # U, V, and Kw as A2 phi = [phi | g2][A1; Kw]
+        for x, y in ((g2, one), (mapped, one), (s2.endo, phi), (phi.hstack(g2), s1.endo.vstack(cert.Kw))):
             x @ y
         full = n * n + len(calls)
         calls.clear()

@@ -378,15 +378,60 @@ REFERENCE_RINGS = [
     for order in (VARS, ("z", "y", "x"))
 ]
 
+# A relation whose leading monomial x*y has two variables, so
+# divisibility by it is decided in two exponent fields of the packing.
+XY_RING = PolyQuotient(VARS, parse_polynomial("x*y - z - 1", VARS))
+
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 polys = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)), fractions, max_size=6
 ).map(lambda coeffs: Poly.from_dict(3, coeffs))
 
 
+def assert_coefficient_rule(p):
+    """Every coefficient is an int when integral and otherwise a
+    Fraction with denominator above 1, never a float."""
+    for _, c in p.terms:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
 @pytest.mark.parametrize("ring", REFERENCE_RINGS, ids=str)
+def test_coefficients_are_ints_when_integral(ring):
+    nvars = len(ring.variables)
+    x = Poly.variable(ring.variables.index("x"), nvars)
+    twice_half = ring.parse_payload("1/2*x + 1/2*x")
+    assert twice_half == x and type(twice_half.terms[0][1]) is int
+    rng = random.Random(23)
+    values = [ring.parse_payload(t) for t in ("0", "4/2", "-3/6*x*y + 2*z^3 - 1/3", "6/4*x^2*y^2*z^2 + 8/4", "z^9")]
+    for _ in range(40):
+        monos = [tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(4)]
+        coeffs = {m: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for m in monos}
+        values.append(ring.reduce(coeffs))
+        values.append(ring.reduce(Poly.from_dict(nvars, coeffs)))
+    values += [ring.from_int(-4), ring.element(Fraction(6, 3)).value, ring.element(Fraction(1, 3)).value, ring.one()]
+    for a in values:
+        assert_coefficient_rule(a)
+        for c in (2, Fraction(2, 3), Fraction(3, 2), -1):
+            assert_coefficient_rule(a.scale(c))
+        inv = ring.try_invert_payload(a)
+        if inv is not None:
+            assert_coefficient_rule(inv)
+            assert ring.mul(a, inv) == ring.one()
+    for a, b in zip(values, reversed(values)):
+        for got in (ring.mul(a, b), ring.dot([a, b], [b, a]), a * b, a + b, -a):
+            assert_coefficient_rule(got)
+        assert_coefficient_rule(ring.reduce(a * b))
+    for c in (Fraction(2), Fraction(1, 2), Fraction(-3, 1), 5):
+        (_, inv), = ring.try_invert_payload(Poly.const(nvars, c)).terms
+        assert inv == 1 / Fraction(c)
+        assert (type(inv) is int) == ((1 / Fraction(c)).denominator == 1)
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS + [XY_RING], ids=str)
 @settings(max_examples=150, deadline=None)
 @given(p=polys)
+# past the relation's degree, so the packing is wider than the rule's own
+@example(p=Poly.from_dict(3, {(3, 30, 9): Fraction(2, 3), (20, 1, 0): Fraction(-1), (0, 0, 0): Fraction(5)}))
 def test_reduce_matches_reference(ring, p):
     expected = reference_reduce(ring, p)
     assert ring.reduce(p) == expected
@@ -436,7 +481,8 @@ def test_quotient_dot_matches_fold(ring, pairs):
 # Rings for the matrix-product kernels: the default fold (Z, GF(p)), the
 # cleared-denominator kernels over Q and over quotient rings, whose
 # rewrite rule is integral (sphere) or not (the non-monic relation).
-PRODUCT_RINGS = [Rationals(), Integers(), PrimeField(101), sphere_ring(), REFERENCE_RINGS[2]]
+# XY_RING's leading monomial has two variables.
+PRODUCT_RINGS = [Rationals(), Integers(), PrimeField(101), sphere_ring(), REFERENCE_RINGS[2], XY_RING]
 
 
 def product_elements(ring):
@@ -466,7 +512,7 @@ def assert_products_match_fold(a, b):
                 for x, y in zip(a.row_list(i), c):
                     total = total + reference_product(x, y)
                 assert v == reference_reduce(ring, total)
-                assert all(type(coeff) is Fraction for _, coeff in v.terms)
+                assert_coefficient_rule(v)
             elif isinstance(ring, Rationals):
                 assert type(v) is Fraction
             else:
@@ -482,6 +528,34 @@ def test_products_match_fold(ring, data):
     a = data.draw(st.lists(elems, min_size=rows * inner, max_size=rows * inner))
     b = data.draw(st.lists(elems, min_size=inner * cols, max_size=inner * cols))
     assert_products_match_fold(RingMatrix(ring, rows, inner, tuple(a)), RingMatrix(ring, inner, cols, tuple(b)))
+
+
+@pytest.mark.parametrize("ring", [sphere_ring(), REFERENCE_RINGS[2], XY_RING], ids=str)
+def test_products_match_fold_when_the_packing_grows(ring, monkeypatch):
+    """Monomials are packed for the degree of the rows seen so far: a
+    last row of much larger degree packs the columns again, wider, and
+    its entries still match the fold."""
+    low = [ring.reduce(Poly.from_dict(3, {(1, 0, 0): Fraction(1, 2), (0, 0, 1): 3})), ring.one()]
+    high = [
+        ring.reduce(Poly.from_dict(3, {(0, 17, 1): 2, (5, 0, 0): Fraction(-4, 3)})),
+        ring.reduce(Poly.from_dict(3, {(9, 9, 9): 1})),
+    ]
+    cols = [ring.reduce(Poly.from_dict(3, {(0, 1, 1): -1, (0, 0, 0): Fraction(2, 5)})), ring.zero(), low[0], ring.one()]
+    a, b = RingMatrix(ring, 3, 2, tuple(low + low + high)), RingMatrix(ring, 2, 2, tuple(cols))
+
+    packings = []
+    packed_rewrite = PolyQuotient._packed_rewrite
+
+    def spy(self, degree):
+        got = packed_rewrite(self, degree)
+        packings.append(got[0].degree)
+        return got
+
+    monkeypatch.setattr(PolyQuotient, "_packed_rewrite", spy)
+    a @ b
+    monkeypatch.undo()
+    assert len(packings) == 2 and packings[0] < packings[1]
+    assert_products_match_fold(a, b)
 
 
 @pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=str)
@@ -581,7 +655,8 @@ def test_constant_literals_match_tokenizer(ring, text):
     elif len(text) >= 5000:
         assert "5000 digits is too long" in error
     else:
-        assert error is None and value.is_constant and all(type(c) is Fraction for _, c in value.terms)
+        assert error is None and value.is_constant
+        assert_coefficient_rule(value)
 
 
 # Past the default int-string limit a constant's digits convert, and the

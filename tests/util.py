@@ -355,7 +355,8 @@ def reference_reduce(ring, p):
     """Normal form of p modulo ring.relation by plain long division, the
     reference for PolyQuotient.reduce: after every rewrite it re-sorts
     all monomials and rewrites the largest multiple of the leading
-    monomial, until none is left."""
+    monomial, until none is left.  Every division goes through Fraction,
+    so int coefficients stay exact."""
     lead_m, lead_c = ring.relation.leading()
     tail = ring.relation.terms[1:]
     coeffs = dict(p.terms)
@@ -372,7 +373,7 @@ def reference_reduce(ring, p):
         # target  ->  -(tail / lead_c) shifted by the quotient monomial
         for m, tc in tail:
             mm = tuple(a + b for a, b in zip(m, shift))
-            s = coeffs.get(mm, Fraction(0)) - c * tc / lead_c
+            s = coeffs.get(mm, Fraction(0)) - Fraction(c * tc) / lead_c
             if s:
                 coeffs[mm] = s
             else:
