@@ -409,6 +409,8 @@ def canonical_pair(ring: RingDescriptor, indices: tuple[int, ...]) -> tuple[Ring
     index; the input matrix has one column per block carrying the unit
     vector at the block's first coordinate.
     """
+    if any(k <= 0 for k in indices):
+        raise ValueError("indices must be positive")
     n = sum(indices)
     zero, one = ring.zero(), ring.one()
     a = [[zero] * n for _ in range(n)]

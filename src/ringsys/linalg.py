@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .errors import DescriptorMismatch, ShapeError, UnsupportedRing
-from .rings import Integers, PolyQuotient, PrimeField, Rationals, RingDescriptor, RingElement, _cleared_fractions
+from .rings import Integers, Rationals, RingDescriptor, RingElement, _cleared_fractions
 
 
 @dataclass(frozen=True)
@@ -687,34 +687,16 @@ def cokernel_structure(g: RingMatrix, ambient_rank: int) -> AbelianGroupStructur
     )
 
 
-def _det_int(mat: list[list[int]]) -> int:
-    # Bareiss fraction-free elimination; divisions are exact.
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def det(m: RingMatrix) -> RingElement:
+    """Exact determinant of a square matrix over any supported ring.
 
-
-def _det_berkowitz(m: RingMatrix):
-    # Division-free Berkowitz: the characteristic polynomial of each
-    # leading principal block follows from the previous one by a
-    # Toeplitz product, O(n^4) ring operations, exact in any commutative
-    # ring, zero divisors included.
+    Division-free Berkowitz (1984): the characteristic polynomial of
+    each leading principal block follows from the previous one by a
+    Toeplitz product, O(n^4) ring operations, exact in any commutative
+    ring, zero divisors included.
+    """
+    if m.rows != m.cols:
+        raise ShapeError("determinant needs a square matrix")
     ring = m.ring
     rows = m.to_lists()
     neg, dot = ring.neg, ring.dot
@@ -730,26 +712,7 @@ def _det_berkowitz(m: RingMatrix):
             t.append(neg(dot(rows[r][:r], col)))
         poly.append(ring.zero())
         poly = [dot(poly[: i + 1], t[i::-1]) for i in range(r + 2)]
-    return poly[-1] if m.rows % 2 == 0 else neg(poly[-1])
-
-
-def det(m: RingMatrix) -> RingElement:
-    """Exact determinant of a square matrix."""
-    if m.rows != m.cols:
-        raise ShapeError("determinant needs a square matrix")
-    ring = m.ring
-    if isinstance(ring, Rationals):
-        # Clearing row i's denominators scales the determinant by den_i.
-        cleared = [_cleared_fractions(row) for row in m.to_lists()]
-        num = _det_int([row for row, _ in cleared])
-        return RingElement(ring, Fraction(num, prod(den for _, den in cleared)))
-    if isinstance(ring, (Integers, PrimeField)):
-        # Over GF(p) the residues are integers; the determinant commutes
-        # with reduction mod p.
-        return RingElement(ring, ring.from_int(_det_int(m.to_lists())))
-    if isinstance(ring, PolyQuotient):
-        return RingElement(ring, _det_berkowitz(m))
-    raise UnsupportedRing(f"det not implemented over {ring}")
+    return RingElement(ring, poly[-1] if m.rows % 2 == 0 else neg(poly[-1]))
 
 
 def invert(m: RingMatrix) -> Optional[RingMatrix]:

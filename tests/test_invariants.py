@@ -573,6 +573,11 @@ class TestBrunovsky:
             data = brunovsky(s)
             assert z_signature(s) == z_signature(from_pair(data.canonical_endo, data.canonical_input))
 
+    @pytest.mark.parametrize("indices", [(2, 0), (0,), (-1,), (3, -2, 1)])
+    def test_canonical_pair_refuses_nonpositive_indices(self, indices):
+        with pytest.raises(ValueError, match="indices must be positive"):
+            canonical_pair(Q, indices)
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(1, 6), min_size=0, max_size=6))

@@ -32,7 +32,7 @@ from ringsys import (
     solve_right,
 )
 from ringsys import linalg
-from ringsys.linalg import _det_berkowitz, _hnf_int, _saturated, _snf_int
+from ringsys.linalg import _hnf_int, _saturated, _snf_int
 from ringsys.rings import PRIME_BOUND
 from util import (
     minors_gcd_invariants,
@@ -247,14 +247,12 @@ class TestHnf:
         assert h == m and u == RingMatrix.identity(Z, 2)
 
     def test_axioms_random(self):
-        from ringsys.linalg import _det_int
-
         rng = random.Random(77)
         for _ in range(200):
             m = rand_matrix(Z, rng.randint(0, 5), rng.randint(0, 5), rng, span=9)
             h, u = hnf(m)
             assert u @ m == h
-            assert abs(_det_int(u.to_lists())) == 1
+            assert det(u).value in (1, -1)
             # echelon with positive pivots, reduced entries above
             last = -1
             for i in range(h.rows):
@@ -282,15 +280,13 @@ class TestSnf:
         assert snf(mat(Z, [[0]])).invariant_factors == (0,)
 
     def test_axioms_random(self):
-        from ringsys.linalg import _det_int
-
         rng = random.Random(11)
         for _ in range(250):
             m = rand_matrix(Z, rng.randint(0, 6), rng.randint(0, 6), rng, span=9)
             dec = snf(m)
             assert dec.U @ m @ dec.V == dec.D
-            assert abs(_det_int(dec.U.to_lists())) == 1
-            assert abs(_det_int(dec.V.to_lists())) == 1
+            assert det(dec.U).value in (1, -1)
+            assert det(dec.V).value in (1, -1)
             facs = dec.invariant_factors
             for a, b in zip(facs, facs[1:]):
                 assert a >= 0 and b >= 0
@@ -603,9 +599,10 @@ class TestDet:
                 m = RingMatrix.from_rows(sphere, [[rng.choice(lits) for _ in range(n)] for _ in range(n)], cols=n)
                 assert det(m).value == reference_det_expansion(m)
                 m7 = rand_matrix(gf7, n, n, rng)
-                assert _det_berkowitz(m7) == reference_det_expansion(m7) == det(m7).value
-        # Bareiss on cleared rows over Q and on residues over GF(p), up to
-        # the largest prime below PRIME_BOUND; singular inputs included.
+                assert det(m7).value == reference_det_expansion(m7)
+        # The same recurrence over Q, Z and GF(p), up to the largest prime
+        # below PRIME_BOUND; singular inputs included.  Over Z a singular
+        # input repeats a row (or zeroes one) so entries stay in [-9, 9].
         big = PrimeField(3_317_044_064_679_887_385_961_813)
         assert 0 < PRIME_BOUND - big.p < 200
         rng = random.Random(17)
@@ -614,6 +611,14 @@ class TestDet:
                 rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)] for _ in range(n)]
                 m = RingMatrix.from_rows(Q, rows, cols=n)
                 assert det(m).value == reference_det_expansion(m)
+                m = rand_matrix(Z, n, n, rng, span=9)
+                assert det(m).value == reference_det_expansion(m)
+                if n:
+                    rows = m.to_lists()
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    rows[i] = rows[j] if i != j else [0] * n
+                    singular = RingMatrix.from_rows(Z, rows, cols=n)
+                    assert det(singular).value == reference_det_expansion(singular) == 0
                 for ring in (F2, PrimeField(101), big):
                     m = RingMatrix.from_rows(ring, [[rng.randrange(ring.p) for _ in range(n)] for _ in range(n)], cols=n)
                     singular = rank_deficient(ring, n, n, rng)
