@@ -3,7 +3,8 @@
 Exit codes: 0 for success / Accept / true, 1 for false / Reject, 2 for
 errors.  Human-readable output goes to stdout; ``--json`` switches to
 a single machine-readable document with stable key order.  Diagnostics
-go to stderr.
+go to stderr.  A command reads from its system file only the entries it
+names.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _emit(doc, human_lines, as_json: bool) -> None:
 
 
 def _cmd_invariants(args) -> int:
-    sf = parse(args.file)
+    sf = parse(args.file, systems=(args.system,))
     sigma = sf.system(args.system)
     report = compute_chain(sigma)
     signature = None
@@ -78,7 +79,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    sf = parse(args.file)
+    sf = parse(args.file, systems=(args.system,))
     a, b = sf.raw_pair(args.system)
     cert = canonical_certificate(a, b)
     doc = {
@@ -104,7 +105,7 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    sf = parse(args.file)
+    sf = parse(args.file, systems=(args.left, args.right))
     s1 = sf.system(args.left)
     s2 = sf.system(args.right)
     sig1, sig2 = z_signature(s1), z_signature(s2)
@@ -128,7 +129,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    sf = parse(args.file)
+    sf = parse(args.file, certificates=(args.certificate,))
     entry = sf.certificate(args.certificate)
     result = verify_certificate(
         sf.system(entry.source), sf.system(entry.target), entry.certificate
@@ -146,7 +147,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sum(args) -> int:
-    sf = parse(args.file)
+    sf = parse(args.file, systems=(args.left, args.right))
     a1, b1 = sf.raw_pair(args.left)
     a2, b2 = sf.raw_pair(args.right)
     name = f"{args.left}+{args.right}"
@@ -159,7 +160,7 @@ def _cmd_sum(args) -> int:
 
 
 def _cmd_enlarge(args) -> int:
-    sf = parse(args.file)
+    sf = parse(args.file, systems=(args.system,))
     a, b = sf.raw_pair(args.system)
     ea, eb = enlarged_pair(a, b, args.p)
     name = f"G{args.p}+{args.system}"
@@ -171,7 +172,7 @@ def _cmd_enlarge(args) -> int:
 
 
 def _cmd_k0(args) -> int:
-    sf = parse(args.file)
+    sf = parse(args.file, systems=(args.system,))
     cls = k0_class(sf.system(args.system))
     doc = {"command": "k0", "system": args.system, "k0_class": list(cls.entries)}
     _emit(doc, [str(cls)], args.json)

@@ -5,7 +5,8 @@ systems in pair form, and an optional map of named certificates whose
 matrices are written over the declared ring.  Element literals follow
 the scalar grammar of the ring (``5/6``, ``3``, ``x^2*y - 3/2*z + 1``).
 Emission is deterministic, so parse and emit are mutually inverse down
-to the byte level.
+to the byte level.  ``parse`` builds and validates every entry, or
+only the entries a caller names, for commands that read no more.
 """
 
 from __future__ import annotations
@@ -72,16 +73,18 @@ class SystemFile:
         return entry.endo, entry.input_gens
 
     def _entry(self, name: str) -> PairEntry:
-        if name not in self.systems:
-            known = ", ".join(sorted(self.systems)) or "none"
-            raise SystemFileError(f"unknown system {name!r} (known: {known})")
+        _check_known(self.systems, "system", name)
         return self.systems[name]
 
     def certificate(self, name: str) -> CertEntry:
-        if name not in self.certificates:
-            known = ", ".join(sorted(self.certificates)) or "none"
-            raise SystemFileError(f"unknown certificate {name!r} (known: {known})")
+        _check_known(self.certificates, "certificate", name)
         return self.certificates[name]
+
+
+def _check_known(names, kind: str, name: str) -> None:
+    if name not in names:
+        known = ", ".join(sorted(names)) or "none"
+        raise SystemFileError(f"unknown {kind} {name!r} (known: {known})")
 
 
 def _reject_duplicates(pairs):
@@ -129,8 +132,10 @@ def _named_map(data: dict, key: str) -> dict:
     return value
 
 
-def parse_text(text: str) -> SystemFile:
-    """Parse and validate a system file from its JSON text."""
+def _decode(text: str) -> tuple[RingDescriptor, dict, dict]:
+    """The ring and the raw system and certificate maps of a file's JSON
+    text: the whole document decoded once, the ring block validated and
+    both maps checked to be objects.  No entry is looked at."""
     try:
         data = json.loads(text, object_pairs_hook=_reject_duplicates)
     except json.JSONDecodeError as exc:
@@ -143,42 +148,83 @@ def parse_text(text: str) -> SystemFile:
         ring = descriptor_from_dict(data["ring"])
     except (KeyError, ValueError, TypeError, ElementSyntaxError) as exc:
         raise SystemFileError(f"ring: {exc}") from exc
-    memo: dict = {}
-    systems: dict[str, PairEntry] = {}
-    for name, spec in _named_map(data, "systems").items():
-        where = f"systems.{name}"
-        if not isinstance(spec, dict):
-            raise SystemFileError(f"{where}: expected an object")
-        n = spec.get("n")
-        if type(n) is not int or n < 0:
-            raise SystemFileError(f"{where}.n: missing or not a nonnegative integer")
-        endo = _parse_matrix(ring, spec.get("endo"), f"{where}.endo", memo, rows=n, cols=n)
-        gens = _parse_matrix(ring, spec.get("input_gens"), f"{where}.input_gens", memo, rows=n)
-        systems[name] = PairEntry(n, endo, gens)
-    certificates: dict[str, CertEntry] = {}
-    for name, spec in _named_map(data, "certificates").items():
-        where = f"certificates.{name}"
-        if not isinstance(spec, dict):
-            raise SystemFileError(f"{where}: expected an object")
-        for key in ("source", "target"):
-            if not isinstance(spec.get(key), str) or spec[key] not in systems:
-                raise SystemFileError(f"{where}.{key}: must name a system in this file")
-        mats = []
-        for key in _CERT_FIELDS:
-            if key not in spec:
-                raise SystemFileError(f"{where}.{key}: missing matrix")
-            mats.append(_parse_matrix(ring, spec[key], f"{where}.{key}", memo))
-        certificates[name] = CertEntry(spec["source"], spec["target"], IsoCertificate(*mats))
-    return SystemFile(ring, systems, certificates)
+    return ring, _named_map(data, "systems"), _named_map(data, "certificates")
 
 
-def parse(path) -> SystemFile:
-    """Parse a system file from disk (UTF-8)."""
+def _system_entry(ring: RingDescriptor, name: str, spec, memo: dict) -> PairEntry:
+    where = f"systems.{name}"
+    if not isinstance(spec, dict):
+        raise SystemFileError(f"{where}: expected an object")
+    n = spec.get("n")
+    if type(n) is not int or n < 0:
+        raise SystemFileError(f"{where}.n: missing or not a nonnegative integer")
+    endo = _parse_matrix(ring, spec.get("endo"), f"{where}.endo", memo, rows=n, cols=n)
+    gens = _parse_matrix(ring, spec.get("input_gens"), f"{where}.input_gens", memo, rows=n)
+    return PairEntry(n, endo, gens)
+
+
+def _cert_entry(ring: RingDescriptor, name: str, spec, memo: dict, system_names) -> CertEntry:
+    where = f"certificates.{name}"
+    if not isinstance(spec, dict):
+        raise SystemFileError(f"{where}: expected an object")
+    for key in ("source", "target"):
+        if not isinstance(spec.get(key), str) or spec[key] not in system_names:
+            raise SystemFileError(f"{where}.{key}: must name a system in this file")
+    mats = []
+    for key in _CERT_FIELDS:
+        if key not in spec:
+            raise SystemFileError(f"{where}.{key}: missing matrix")
+        mats.append(_parse_matrix(ring, spec[key], f"{where}.{key}", memo))
+    return CertEntry(spec["source"], spec["target"], IsoCertificate(*mats))
+
+
+def parse_text(text: str) -> SystemFile:
+    """Parse and validate a system file from its JSON text."""
+    return _build(text, None, None)
+
+
+def parse(path, systems=None, certificates=None) -> SystemFile:
+    """Parse a system file from disk (UTF-8).
+
+    With no names, every entry is built and validated, as by parse_text.
+    Given names of systems, of certificates or of both, the JSON text,
+    the ring block and both entry maps are checked as by parse_text, and
+    then only the named systems, the named certificates and the systems
+    those certificates name are built and validated; an entry that no
+    name reaches is never looked at.  So the first error reported is the one
+    parse_text reports on the file cut down to the named entries, and a
+    name the file lacks is reported after that.  The result then holds
+    the named entries only.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SystemFileError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    return parse_text(text)
+    return _build(text, systems, certificates)
+
+
+def _build(text: str, systems, certificates) -> SystemFile:
+    """The named entries of a file's JSON text (every entry when no name
+    is given), built in document order, systems first, through one
+    literal memo."""
+    ring, system_specs, cert_specs = _decode(text)
+    if systems is None and certificates is None:
+        systems, certificates = system_specs, cert_specs
+    systems, certificates = systems or (), certificates or ()
+    named_certs = [name for name in cert_specs if name in certificates]
+    wanted = set(systems)
+    for name in named_certs:
+        spec = cert_specs[name]
+        if isinstance(spec, dict):
+            wanted.update(spec.get(key) for key in ("source", "target") if isinstance(spec.get(key), str))
+    memo: dict = {}
+    built = {name: _system_entry(ring, name, spec, memo) for name, spec in system_specs.items() if name in wanted}
+    certs = {name: _cert_entry(ring, name, cert_specs[name], memo, system_specs) for name in named_certs}
+    for name in systems:
+        _check_known(system_specs, "system", name)
+    for name in certificates:
+        _check_known(cert_specs, "certificate", name)
+    return SystemFile(ring, built, certs)
 
 
 def emit(sf: SystemFile) -> str:

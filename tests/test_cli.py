@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringsys import PrimeField, Rationals, RingMatrix
+from ringsys import PrimeField, Rationals, RingMatrix, SystemFileError
 from ringsys.cli import build_parser, main
 from ringsys.fixtures import sphere_fixture_path
 from ringsys.equivalence import MODES
-from ringsys.sysfile import PairEntry, SystemFile, parse, write
+from ringsys.sysfile import PairEntry, SystemFile, _parse_matrix, parse, parse_text, write
 from util import SPHERE_RING, fuzz_base_documents, mutated_document
 
 Q = Rationals()
@@ -211,6 +211,23 @@ HOSTILE = {
     "wide-factor-product": {
         "ring": SPHERE_RING,
         "systems": {"S": {"n": 1, "endo": [["*".join(str(10**3999 + k) for k in range(200)) + "*x"]], "input_gens": [["1"]]}},
+    },
+    # terms past MAX_TERMS in normal form: every sphere monomial of
+    # degree at most 40, 1 681 terms whose square takes about 0.5 s
+    # unbounded, and four written terms that reduce to 1 035
+    "many-terms": {
+        "ring": SPHERE_RING,
+        "systems": {
+            "S": {
+                "n": 1,
+                "endo": [[" + ".join(f"x^{a}*y^{d - a - c}*z^{c}" for d in range(41) for c in (0, 1) for a in range(d - c + 1))]],
+                "input_gens": [["1"]],
+            }
+        },
+    },
+    "expanding-literal": {
+        "ring": SPHERE_RING,
+        "systems": {"S": {"n": 1, "endo": [["z^44 + x*z^43 + y*z^43 + x*y*z^42"]], "input_gens": [["1"]]}},
     },
 }
 
@@ -420,6 +437,18 @@ class TestFileProducingCommands:
         assert "S1+G1" in sf.systems
         assert sf.systems["S1+G1"].n == 3
 
+    def test_outputs_read_back_with_reduced_literals(self, tmp_path, capsys):
+        # z^64 is written back as its 561-term normal form, which parses
+        doc = {"ring": SPHERE_RING, "systems": {"S": {"n": 1, "endo": [["z^64"]], "input_gens": [["x*z"]]}}}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        z64 = parse(path).systems["S"].endo.entry(0, 0)
+        assert main(["sum", str(path), "S", "S", "--out", str(tmp_path / "sum.json")]) == 0
+        assert main(["enlarge", str(path), "S", "-p", "1", "--out", str(tmp_path / "enl.json")]) == 0
+        summed = parse(tmp_path / "sum.json").systems["S+S"].endo
+        assert summed.entry(0, 0) == summed.entry(1, 1) == z64
+        assert parse(tmp_path / "enl.json").systems["G1+S"].endo.entry(1, 1) == z64
+
     def test_enlarge_adds_leading_block(self, fixture_file, tmp_path, capsys):
         out = tmp_path / "enl.json"
         assert main(["enlarge", fixture_file, "S1", "-p", "2", "--out", str(out)]) == 0
@@ -565,3 +594,210 @@ def test_mutated_files_exit_with_a_code(data):
             if code == 2:
                 assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
                 assert "internal failure" not in err.getvalue(), (argv, err.getvalue())
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _parse_error(doc):
+    with pytest.raises(SystemFileError) as exc:
+        parse_text(json.dumps(doc))
+    return str(exc.value)
+
+
+# HOSTILE cases whose fault sits in the entry of system S
+ENTRY_FAULTS = sorted(name for name, doc in HOSTILE.items() if isinstance(doc["systems"], dict) and "S" in doc["systems"])
+ONE = [["1"]]
+IDENTITY = {"phi": ONE, "psi": ONE, "U": ONE, "V": ONE, "Kw": [["0"]]}
+
+
+def _clean_document(ring):
+    """A valid file over ring: system S and its identity certificate C."""
+    return {
+        "ring": ring,
+        "systems": {"S": {"n": 1, "endo": ONE, "input_gens": ONE}},
+        "certificates": {"C": {"source": "S", "target": "S", **IDENTITY}},
+    }
+
+
+class TestNamedEntriesOnly:
+    """A command builds and validates only the entries it names: a
+    malformed entry beside them changes nothing until it is named."""
+
+    def _write(self, tmp_path, doc, name="f.json"):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def _faulty_documents(self, case):
+        """The clean file plus the faulty entry of HOSTILE[case], once as
+        a system X and once as the phi witness of a certificate X."""
+        hostile = HOSTILE[case]
+        clean = _clean_document(hostile["ring"])
+        with_system = json.loads(json.dumps(clean))
+        with_system["systems"]["X"] = hostile["systems"]["S"]
+        with_cert = json.loads(json.dumps(clean))
+        with_cert["certificates"]["X"] = {"source": "S", "target": "S", **IDENTITY, "phi": hostile["systems"]["S"]["endo"]}
+        return clean, with_system, with_cert
+
+    @pytest.mark.parametrize("case", ENTRY_FAULTS)
+    def test_unnamed_faulty_entry_changes_nothing(self, case, tmp_path):
+        clean, with_system, with_cert = self._faulty_documents(case)
+        clean_path = self._write(tmp_path, clean, "clean.json")
+        assert _run(["verify", clean_path, "C"]) == (0, "Accept\n", "")
+        for doc in (with_system, with_cert):
+            path = self._write(tmp_path, doc)
+            for argv in (["k0", "S"], ["equiv", "S", "S"], ["verify", "C"], ["invariants", "S", "--json"]):
+                assert _run([argv[0], path, *argv[1:]]) == _run([argv[0], clean_path, *argv[1:]]), (case, argv)
+
+    @pytest.mark.parametrize("case", ENTRY_FAULTS)
+    def test_named_faulty_entry_reports_the_parse_error(self, case, tmp_path):
+        _, with_system, with_cert = self._faulty_documents(case)
+        for doc, argv in ((with_system, ["k0", "X"]), (with_system, ["equiv", "S", "X"]), (with_cert, ["verify", "X"])):
+            path = self._write(tmp_path, doc)
+            start = time.perf_counter()
+            assert _run([argv[0], path, *argv[1:]]) == (2, "", f"error: {_parse_error(doc)}\n"), (case, argv)
+            assert time.perf_counter() - start < 1.0
+
+    def test_first_faulty_entry_in_document_order_is_reported(self, tmp_path):
+        ok = {"n": 1, "endo": ONE, "input_gens": ONE}
+        doc = {
+            "ring": {"kind": "Z"},
+            "systems": {"A": {"n": 1, "endo": [["a"]], "input_gens": ONE}, "S": ok, "B": {"n": -1}},
+            "certificates": {
+                "C": {"source": "S", "target": "B", **IDENTITY, "phi": [["b"]]},
+                "D": {"source": "S", "target": "S", **IDENTITY, "Kw": [["c"]]},
+            },
+        }
+        path = self._write(tmp_path, doc)
+        a_error = "error: systems.A.endo[0][0]: bad integer literal 'a'\n"
+        b_error = "error: systems.B.n: missing or not a nonnegative integer\n"
+        cases = [
+            (["equiv", path, "B", "A"], a_error),
+            (["equiv", path, "A", "B"], a_error),
+            (["sum", path, "B", "A", "--out", str(tmp_path / "sum.json")], a_error),
+            (["equiv", path, "S", "B"], b_error),
+            (["equiv", path, "missing", "B"], b_error),
+            # a certificate's systems are built before its witnesses
+            (["verify", path, "C"], b_error),
+            (["verify", path, "D"], "error: certificates.D.Kw[0][0]: bad integer literal 'c'\n"),
+            (["equiv", path, "S", "missing"], "error: unknown system 'missing' (known: A, B, S)\n"),
+            (["verify", path, "E"], "error: unknown certificate 'E' (known: C, D)\n"),
+        ]
+        for argv, err in cases:
+            assert _run(argv) == (2, "", err), argv
+        # and the file as a whole fails at A
+        assert f"error: {_parse_error(doc)}\n" == a_error
+        assert not (tmp_path / "sum.json").exists()
+
+
+class TestMatricesBuilt:
+    """Entry matrices built per command, on a file of two systems and
+    four certificates (24 matrices in all)."""
+
+    COUNTS = [
+        (["verify", "C3"], 9),
+        (["k0", "S"], 2),
+        (["invariants", "T"], 2),
+        (["canon", "S"], 2),
+        (["equiv", "S", "T"], 4),
+        (["equiv", "S", "S"], 2),
+        (["enlarge", "T", "--out", "out.json"], 2),
+        (["sum", "T", "S", "--out", "out.json"], 4),
+    ]
+
+    @pytest.mark.parametrize("argv, built", COUNTS, ids=[" ".join(a[:3]) for a, _ in COUNTS])
+    def test_only_named_entries_are_built(self, argv, built, tmp_path, monkeypatch):
+        doc = json.loads(json.dumps(BASE_DOCUMENTS[0]))  # over Q
+        assert doc["ring"] == {"kind": "Q"}
+        del doc["systems"]["U"]
+        doc["certificates"] = {f"C{k}": doc["certificates"]["C"] for k in range(1, 5)}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return _parse_matrix(*args, **kwargs)
+
+        monkeypatch.setattr("ringsys.sysfile._parse_matrix", counting)
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], str(path), *argv[1:]]) in (0, 1)
+        assert len(calls) == built, calls
+        parse_text(json.dumps(doc))
+        assert len(calls) == built + 24
+
+
+# The names each command reads: (systems, certificates).
+COMMAND_NAMES = [
+    (("S",), ()),
+    (("U",), ()),
+    (("S", "T"), ()),
+    (("T", "S"), ()),
+    (("T", "T"), ()),
+    (("S", "missing"), ()),
+    ((), ("C",)),
+    ((), ("missing",)),
+]
+
+
+def _reduced(doc, systems, certificates):
+    """doc with its entry maps cut down to the named entries: the named
+    systems, the named certificates and the systems those name."""
+    out = dict(doc)
+    named = set(systems)
+    if isinstance(doc.get("certificates"), dict):
+        out["certificates"] = {k: v for k, v in doc["certificates"].items() if k in certificates}
+        for spec in out["certificates"].values():
+            if isinstance(spec, dict):
+                named.update(spec.get(key) for key in ("source", "target") if isinstance(spec.get(key), str))
+    if isinstance(doc.get("systems"), dict):
+        out["systems"] = {k: v for k, v in doc["systems"].items() if k in named}
+    return out
+
+
+def _unknown_name(doc, systems, certificates):
+    for kind, key, names in (("system", "systems", systems), ("certificate", "certificates", certificates)):
+        known = doc.get(key, {})
+        for name in names:
+            if name not in known:
+                return f"unknown {kind} {name!r} (known: {', '.join(sorted(known)) or 'none'})"
+    return None
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_named_parse_matches_parse_text_on_the_named_entries(data):
+    """sysfile.parse given names, on a mutated valid file: when parse_text
+    succeeds, the entries built equal its entries; when a named entry fails, the
+    message is the one parse_text raises on the file cut down to the
+    named entries; a missing name is reported after those."""
+    doc = mutated_document(data, data.draw(st.sampled_from(BASE_DOCUMENTS)))
+    try:
+        whole = parse_text(json.dumps(doc))
+    except SystemFileError:
+        whole = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for systems, certificates in COMMAND_NAMES:
+            try:
+                expected = parse_text(json.dumps(_reduced(doc, systems, certificates)))
+                message = _unknown_name(doc, systems, certificates)
+            except SystemFileError as exc:
+                expected, message = None, str(exc)
+            try:
+                got = parse(path, systems, certificates)
+            except SystemFileError as exc:
+                assert str(exc) == message, (systems, certificates)
+                continue
+            assert message is None, (systems, certificates)
+            assert got == expected
+            if whole is not None:
+                assert all(whole.systems[k] == v for k, v in got.systems.items())
+                assert all(whole.certificates[k] == v for k, v in got.certificates.items())

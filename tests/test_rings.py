@@ -25,7 +25,7 @@ from ringsys import (
     solve_right,
     try_invert,
 )
-from ringsys.rings import MAX_COEFF_BITS, MAX_DEGREE, MAX_REDUCE_COST, _parse_terms
+from ringsys.rings import MAX_COEFF_BITS, MAX_DEGREE, MAX_REDUCE_COST, MAX_TERMS, _parse_terms
 from util import reference_parse_terms, reference_product, reference_reduce
 
 VARS = ("x", "y", "z")
@@ -313,6 +313,31 @@ class TestGrammar:
                 ring.parse_payload(text)
             with pytest.raises(ElementSyntaxError, match="MAX_DEGREE"):
                 parse_polynomial(text, VARS)
+
+    def test_term_bound(self):
+        # terms are counted in normal form, after reduction
+        ring = sphere_ring()
+        normal = [f"x^{a}*y^{b}*z^{c}" for d in range(41) for c in (0, 1) for a in range(d - c + 1) for b in [d - a - c]]
+        text = " + ".join(normal[:MAX_TERMS])
+        at_bound = ring.parse_payload(text)
+        assert len(at_bound.terms) == MAX_TERMS
+        # a product of two literals at the bound stays cheap
+        other = ring.parse_payload(" - ".join(f"{k % 7 + 2}*{m}" for k, m in enumerate(normal[-MAX_TERMS:])))
+        start = time.perf_counter()
+        ring.mul(at_bound, other)
+        assert time.perf_counter() - start < 1.0
+        # written terms that merge or cancel do not count
+        assert ring.parse_payload(" + ".join(["x"] * 1000)) == ring.reduce({(1, 0, 0): 1000})
+        assert ring.parse_payload(text + " - " + " - ".join(normal[:MAX_TERMS]) + " + z") == ring.reduce({(0, 0, 1): 1})
+        # four written terms that reduce to 1 035
+        expanding = "z^44 + x*z^43 + y*z^43 + x*y*z^42"
+        assert len(ring.reduce(_parse_terms(expanding, VARS), MAX_REDUCE_COST).terms) == 1035
+        for text in (" + ".join(normal[: MAX_TERMS + 1]), expanding):
+            with pytest.raises(ElementSyntaxError) as err:
+                ring.parse_payload(text)
+            assert str(err.value) == f"literal of more than MAX_TERMS = {MAX_TERMS} terms in normal form"
+        # a ring relation is not a literal of the ring: no term bound
+        assert len(parse_polynomial(" + ".join(normal[: MAX_TERMS + 1]), VARS).terms) == MAX_TERMS + 1
 
     def test_reduce_cost_bound(self):
         ring = sphere_ring()

@@ -19,7 +19,7 @@ from ringsys import (
     SystemFileError,
 )
 from ringsys.equivalence import IsoCertificate
-from ringsys.rings import MAX_REDUCE_COST, _parse_terms, descriptor_from_dict
+from ringsys.rings import MAX_REDUCE_COST, _parse_terms, descriptor_from_dict, parse_polynomial
 from ringsys.sysfile import _CERT_FIELDS, CertEntry, PairEntry, SystemFile, emit, parse, parse_text, write
 from util import fuzz_base_documents, mutated_document, rand_matrix
 
@@ -64,6 +64,15 @@ class TestRoundTrip:
             )
         sf = SystemFile(ring, systems)
         assert parse_text(emit(sf)) == sf
+
+    def test_reduced_literals_round_trip(self):
+        # emit writes normal forms: z^64 comes back as 561 terms, which
+        # parse again to the same payload
+        doc = {"ring": SPHERE, "systems": {"S": {"n": 1, "endo": [["z^64"]], "input_gens": [["x*z^33 - 1/2"]]}}}
+        sf = parse_text(json.dumps(doc))
+        text = emit(sf)
+        assert len(parse_polynomial(json.loads(text)["systems"]["S"]["endo"][0][0], ("x", "y", "z")).terms) == 561
+        assert parse_text(text) == sf
 
 
 class TestValidation:
