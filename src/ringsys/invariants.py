@@ -340,8 +340,6 @@ def _report_over_integers(sigma: LinearSystem, chain: list[_Level]) -> Invariant
         y = _coordinates(preimage, rel[i], "relations escaped their preimage lattice")
         z_structs.append(cokernel_structure(RingMatrix._of_columns(ring, y, len(keep)), len(keep)))
     reachable = dims[s] == n and free[s]
-    structures = list(m_structs) + list(i_structs) + list(z_structs)
-    locally = reachable and all(st.is_free for st in structures)
     return InvariantReport(
         ring=ring,
         state_rank=n,
@@ -351,7 +349,8 @@ def _report_over_integers(sigma: LinearSystem, chain: list[_Level]) -> Invariant
         I=i_structs,
         Z=tuple(z_structs),
         reachable=reachable,
-        locally_brunovsky=locally,
+        # reachable with every M_i free, as z_signature proves
+        locally_brunovsky=reachable and all(free),
     )
 
 

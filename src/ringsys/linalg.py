@@ -93,9 +93,6 @@ class RingMatrix:
     def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
-    def element(self, i: int, j: int) -> RingElement:
-        return RingElement(self.ring, self.entry(i, j))
-
     def row_list(self, i: int) -> list:
         return list(self.entries[i * self.cols : (i + 1) * self.cols])
 
@@ -699,7 +696,11 @@ def det(m: RingMatrix) -> RingElement:
         raise ShapeError("determinant needs a square matrix")
     ring = m.ring
     rows = m.to_lists()
-    neg, dot = ring.neg, ring.dot
+    neg, products = ring.neg, ring.products
+
+    def dot(xs, ys):
+        return next(products((xs,), (ys,)))
+
     poly = [ring.one()]  # det(x I - A_r), leading coefficient first
     for r in range(m.rows):
         head = [row[:r] for row in rows[:r]]
@@ -708,7 +709,7 @@ def det(m: RingMatrix) -> RingElement:
         t = [ring.one(), neg(rows[r][r])]
         for k in range(r):
             if k:
-                col = list(ring.products(head, (col,)))
+                col = list(products(head, (col,)))
             t.append(neg(dot(rows[r][:r], col)))
         poly.append(ring.zero())
         poly = [dot(poly[: i + 1], t[i::-1]) for i in range(r + 2)]

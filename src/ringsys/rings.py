@@ -19,7 +19,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import ClassVar, Iterator, Optional
 
 from .errors import DescriptorMismatch, ElementSyntaxError
 
@@ -329,13 +329,11 @@ class RingDescriptor:
     Payloads are plain Python values (Fraction, int, or Poly); the
     descriptor supplies the operations.  All methods are pure and
     descriptors are immutable, so instances may be shared freely.
+    ``kind`` and ``is_field`` are constants of each ring class.
     """
 
-    kind: str
-
-    @property
-    def is_field(self) -> bool:
-        return False
+    kind: ClassVar[str]
+    is_field: ClassVar[bool] = False
 
     def zero(self):
         raise NotImplementedError
@@ -346,22 +344,11 @@ class RingDescriptor:
     def add(self, a, b):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         raise NotImplementedError
 
     def neg(self, a):
         raise NotImplementedError
-
-    def dot(self, xs, ys):
-        """Sum of the products of paired payloads."""
-        add, mul = self.add, self.mul
-        acc = self.zero()
-        for x, y in zip(xs, ys):
-            acc = add(acc, mul(x, y))
-        return acc
 
     def products(self, rows, cols) -> Iterator:
         """Row-major entries of a matrix product, streamed: the dot
@@ -369,10 +356,7 @@ class RingDescriptor:
         payloads.  A row is multiplied only when the stream reaches it,
         so a caller that stops at a differing entry skips the rows after
         it.  rows may be any iterable; cols is read once per row."""
-        dot = self.dot
-        for r in rows:
-            for c in cols:
-                yield dot(r, c)
+        raise NotImplementedError
 
     def is_zero(self, a) -> bool:
         return a == self.zero()
@@ -381,7 +365,8 @@ class RingDescriptor:
         """Inverse payload, or None when no inverse is certified."""
         raise NotImplementedError
 
-    def from_int(self, n: int):
+    def canonical_payload(self, value):
+        """The payload a number (or, over a quotient ring, a Poly) stands for."""
         raise NotImplementedError
 
     def parse_payload(self, text: str):
@@ -399,12 +384,7 @@ class RingDescriptor:
             return value
         if isinstance(value, str):
             return RingElement(self, self.parse_payload(value))
-        if type(value) is int:
-            return RingElement(self, self.from_int(value))
         return RingElement(self, self.canonical_payload(value))
-
-    def canonical_payload(self, value):
-        return value
 
     def __str__(self) -> str:
         return self.kind
@@ -412,11 +392,8 @@ class RingDescriptor:
 
 @dataclass(frozen=True)
 class Rationals(RingDescriptor):
-    kind: str = "Q"
-
-    @property
-    def is_field(self) -> bool:
-        return True
+    kind = "Q"
+    is_field = True
 
     def zero(self):
         return Fraction(0)
@@ -448,9 +425,6 @@ class Rationals(RingDescriptor):
             return None
         return 1 / Fraction(a)
 
-    def from_int(self, n: int):
-        return Fraction(n)
-
     def canonical_payload(self, value):
         return Fraction(value)
 
@@ -470,7 +444,7 @@ class Rationals(RingDescriptor):
 
 @dataclass(frozen=True)
 class Integers(RingDescriptor):
-    kind: str = "Z"
+    kind = "Z"
 
     def zero(self):
         return 0
@@ -484,8 +458,11 @@ class Integers(RingDescriptor):
     def mul(self, a, b):
         return a * b
 
-    def dot(self, xs, ys):
-        return sum(map(operator.mul, xs, ys))
+    def products(self, rows, cols):
+        mul = operator.mul
+        for r in rows:
+            for c in cols:
+                yield sum(map(mul, r, c))
 
     def neg(self, a):
         return -a
@@ -494,9 +471,6 @@ class Integers(RingDescriptor):
         if a in (1, -1):
             return a
         return None
-
-    def from_int(self, n: int):
-        return n
 
     def canonical_payload(self, value):
         return _integral(value)
@@ -513,17 +487,14 @@ class Integers(RingDescriptor):
 @dataclass(frozen=True)
 class PrimeField(RingDescriptor):
     p: int
-    kind: str = "GF"
+    kind = "GF"
+    is_field = True
 
     def __post_init__(self):
         if self.p >= PRIME_BOUND:
             raise ValueError(f"GF(p) needs p below {PRIME_BOUND}")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-
-    @property
-    def is_field(self) -> bool:
-        return True
 
     def zero(self):
         return 0
@@ -537,8 +508,11 @@ class PrimeField(RingDescriptor):
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def dot(self, xs, ys):
-        return sum(map(operator.mul, xs, ys)) % self.p
+    def products(self, rows, cols):
+        mul, p = operator.mul, self.p
+        for r in rows:
+            for c in cols:
+                yield sum(map(mul, r, c)) % p
 
     def neg(self, a):
         return (-a) % self.p
@@ -547,9 +521,6 @@ class PrimeField(RingDescriptor):
         if a % self.p == 0:
             return None
         return pow(a, self.p - 2, self.p)
-
-    def from_int(self, n: int):
-        return n % self.p
 
     def canonical_payload(self, value):
         return _integral(value) % self.p
@@ -619,7 +590,7 @@ class PolyQuotient(RingDescriptor):
 
     variables: tuple[str, ...]
     relation: Poly
-    kind: str = "poly_quotient"
+    kind = "poly_quotient"
 
     def __post_init__(self):
         if not self.variables:
@@ -669,9 +640,6 @@ class PolyQuotient(RingDescriptor):
 
     def mul(self, a, b):
         return next(self.products(((a,),), ((b,),)))
-
-    def dot(self, xs, ys):
-        return next(self.products((xs,), (ys,)))
 
     def products(self, rows, cols):
         # Denominators are cleared once per column up front and once per
@@ -739,9 +707,6 @@ class PolyQuotient(RingDescriptor):
             return Poly.const(a.nvars, Fraction(1) / a.constant_value())
         return None
 
-    def from_int(self, n: int):
-        return Poly.const(len(self.variables), n)
-
     def canonical_payload(self, value):
         if isinstance(value, Poly):
             return self.reduce(value)
@@ -784,7 +749,7 @@ class RingElement:
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        return RingElement(self.ring, self.ring.sub(self.value, other.value))
+        return RingElement(self.ring, self.ring.add(self.value, self.ring.neg(other.value)))
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check(other)

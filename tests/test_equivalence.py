@@ -60,7 +60,7 @@ def mat(ring, rows):
 
 
 def reduce_mod(m, field):
-    rows = [[field.from_int(x) for x in m.row_list(i)] for i in range(m.rows)]
+    rows = [[field.canonical_payload(x) for x in m.row_list(i)] for i in range(m.rows)]
     return RingMatrix.from_rows(field, rows, cols=m.cols)
 
 

@@ -815,3 +815,37 @@ class TestReportBuildsNoMatrix:
         reports = [compute_chain(sigma) for sigma in systems]
         assert built == []
         assert all(rep.locally_brunovsky for rep in reports)
+
+
+@st.composite
+def _torsion_probe_pairs(draw):
+    # Integer pairs, n = 2-7, m = 1-2, entries in [-3, 3]; in half of
+    # them one input column is scaled by 2-6, which makes torsion likely.
+    n, m = draw(st.integers(2, 7)), draw(st.integers(1, 2))
+    entries = st.integers(-3, 3)
+    a = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        j, c = draw(st.integers(0, m - 1)), draw(st.integers(2, 6))
+        b = [[c * x if k == j else x for k, x in enumerate(row)] for row in b]
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_torsion_probe_pairs())
+def test_integer_torsion_matches_mod_p_chain_ranks(pair):
+    """An oracle for the M_i over Z that needs no Hermite or Smith code.
+    The Krylov columns reduced mod p span (N_i + pZ^n) / pZ^n, and
+    Z^n / (N_i + pZ^n) is M_i / p M_i.  So level i of the GF(p) chain
+    has rank d_i - t_p(M_i), where t_p counts the torsion factors of M_i
+    that p divides.  Both chains stay constant past their last level."""
+    a, b = pair
+    rep = compute_chain(from_pair(mat(Z, a), mat(Z, b)))
+    m = (AbelianGroupStructure(rep.state_rank, ()),) + rep.M
+    for p in (2, 3, 5, 7):
+        field = PrimeField(p)
+        dims = compute_chain(from_pair(mat(field, a), mat(field, b))).chain_dims
+        for i in range(max(len(dims), len(rep.chain_dims))):
+            k = min(i, rep.s)
+            t_p = sum(1 for t in m[k].torsion if t % p == 0)
+            assert dims[min(i, len(dims) - 1)] == rep.chain_dims[k] - t_p, (p, i)

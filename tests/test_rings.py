@@ -19,14 +19,21 @@ from ringsys import (
     PolyQuotient,
     PrimeField,
     Rationals,
-    RingDescriptor,
     RingMatrix,
     parse_polynomial,
     solve_right,
     try_invert,
 )
-from ringsys.rings import MAX_COEFF_BITS, MAX_DEGREE, MAX_REDUCE_COST, MAX_TERMS, _parse_terms
-from util import reference_parse_terms, reference_product, reference_reduce
+from ringsys.rings import (
+    MAX_COEFF_BITS,
+    MAX_DEGREE,
+    MAX_REDUCE_COST,
+    MAX_TERMS,
+    _parse_terms,
+    descriptor_from_dict,
+    descriptor_to_dict,
+)
+from util import fold_dot, reference_parse_terms, reference_product, reference_reduce
 
 VARS = ("x", "y", "z")
 SPHERE_REL = parse_polynomial("x^2+y^2+z^2-1", VARS)
@@ -100,7 +107,7 @@ def test_element_passes_its_own_ring_through():
 
 @pytest.mark.parametrize("ring", [Integers(), PrimeField(5)], ids=str)
 def test_integral_values_are_stored_as_plain_ints(ring):
-    for value, payload in ((Fraction(4, 2), 2), (True, 1), (False, 0), (-7, ring.from_int(-7)), (3.0, 3)):
+    for value, payload in ((Fraction(4, 2), 2), (True, 1), (False, 0), (-7, ring.canonical_payload(-7)), (3.0, 3)):
         got = ring.element(value).value
         assert type(got) is int and got == payload
     m = RingMatrix.from_rows(ring, [[True, Fraction(6, 3)]])
@@ -117,6 +124,32 @@ def test_values_outside_the_ring_are_refused(ring, value):
         ring.element(value)
     with pytest.raises(ValueError):
         RingMatrix.from_rows(ring, [[1, value]])
+
+
+def test_kind_is_a_class_constant():
+    """A ring's kind is fixed by its class: no descriptor takes it as a
+    constructor argument, and each ring reads back from its dict form
+    as an equal ring with the same name."""
+    for make in (
+        lambda: Rationals("Z"),
+        lambda: Integers("Q"),
+        lambda: Integers(kind="Q"),
+        lambda: PrimeField(5, "Q"),
+        lambda: PolyQuotient(VARS, SPHERE_REL, "x"),
+    ):
+        with pytest.raises(TypeError):
+            make()
+    for ring, name in (
+        (Rationals(), "Q"),
+        (Integers(), "Z"),
+        (PrimeField(2), "GF(2)"),
+        (PrimeField(101), "GF(101)"),
+        (sphere_ring(), "Q[x,y,z]/(z^2 + y^2 + x^2 - 1)"),
+    ):
+        assert descriptor_from_dict(descriptor_to_dict(ring)) == ring
+        assert str(ring) == name
+    assert Rationals.is_field and PrimeField.is_field
+    assert not Integers.is_field and not PolyQuotient.is_field
 
 
 def test_rational_and_residue_arithmetic_examples():
@@ -433,7 +466,7 @@ def test_coefficients_are_ints_when_integral(ring):
         coeffs = {m: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for m in monos}
         values.append(ring.reduce(coeffs))
         values.append(ring.reduce(Poly.from_dict(nvars, coeffs)))
-    values += [ring.from_int(-4), ring.element(Fraction(6, 3)).value, ring.element(Fraction(1, 3)).value, ring.one()]
+    values += [ring.canonical_payload(-4), ring.element(Fraction(6, 3)).value, ring.element(Fraction(1, 3)).value, ring.one()]
     for a in values:
         assert_coefficient_rule(a)
         for c in (2, Fraction(2, 3), Fraction(3, 2), -1):
@@ -443,7 +476,7 @@ def test_coefficients_are_ints_when_integral(ring):
             assert_coefficient_rule(inv)
             assert ring.mul(a, inv) == ring.one()
     for a, b in zip(values, reversed(values)):
-        for got in (ring.mul(a, b), ring.dot([a, b], [b, a]), a * b, a + b, -a):
+        for got in (ring.mul(a, b), next(ring.products([[a, b]], [[b, a]])), a * b, a + b, -a):
             assert_coefficient_rule(got)
         assert_coefficient_rule(ring.reduce(a * b))
     for c in (Fraction(2), Fraction(1, 2), Fraction(-3, 1), 5):
@@ -466,7 +499,7 @@ def test_reduce_matches_reference(ring, p):
     assert ring.reduce(coeffs) == expected
 
 
-# Every ring subtracts through the shared default, add(a, neg(b)).
+# Every ring subtracts by adding the negation, add(a, neg(b)).
 @pytest.mark.parametrize("ring", [Rationals(), Integers(), PrimeField(5), REFERENCE_RINGS[0], REFERENCE_RINGS[2]], ids=str)
 def test_sub_is_adding_the_negation(ring):
     rng = random.Random(18)
@@ -486,7 +519,7 @@ def test_rational_dot_matches_fold(pairs):
     ring = Rationals()
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     got = next(ring.products([xs], [ys]))
-    assert got == RingDescriptor.dot(ring, xs, ys)
+    assert got == fold_dot(ring, xs, ys)
     assert type(got) is Fraction
 
 
@@ -498,16 +531,17 @@ def test_rational_dot_matches_fold(pairs):
 def test_quotient_dot_matches_fold(ring, pairs):
     xs = [ring.reduce(x) for x, _ in pairs]
     ys = [ring.reduce(y) for _, y in pairs]
-    assert ring.dot(xs, ys) == RingDescriptor.dot(ring, xs, ys)
+    assert next(ring.products([xs], [ys])) == fold_dot(ring, xs, ys)
     if xs:
         assert ring.mul(xs[0], ys[0]) == reference_reduce(ring, xs[0] * ys[0])
 
 
-# Rings for the matrix-product kernels: the default fold (Z, GF(p)), the
-# cleared-denominator kernels over Q and over quotient rings, whose
-# rewrite rule is integral (sphere) or not (the non-monic relation).
-# XY_RING's leading monomial has two variables.
-PRODUCT_RINGS = [Rationals(), Integers(), PrimeField(101), sphere_ring(), REFERENCE_RINGS[2], XY_RING]
+# Rings for the matrix-product kernels: the integer dot products over Z
+# and GF(p) (the smallest modulus too), the cleared-denominator kernels
+# over Q and over quotient rings, whose rewrite rule is integral
+# (sphere) or not (the non-monic relation).  XY_RING's leading monomial
+# has two variables.
+PRODUCT_RINGS = [Rationals(), Integers(), PrimeField(2), PrimeField(101), sphere_ring(), REFERENCE_RINGS[2], XY_RING]
 
 
 def product_elements(ring):
@@ -526,7 +560,7 @@ def assert_products_match_fold(a, b):
     ring = a.ring
     got = a @ b
     cols = [b.column(j).entries for j in range(b.cols)]
-    expected = [RingDescriptor.dot(ring, a.row_list(i), c) for i in range(a.rows) for c in cols]
+    expected = [fold_dot(ring, a.row_list(i), c) for i in range(a.rows) for c in cols]
     assert got == RingMatrix(ring, a.rows, b.cols, tuple(expected))
     for i in range(a.rows):
         for j, c in enumerate(cols):
@@ -593,7 +627,7 @@ def test_products_edge_cases(ring):
         if isinstance(ring, PolyQuotient):
             coeffs = {tuple(rng.randint(0, 2) for _ in VARS): Fraction(rng.randint(-4, 4), rng.randint(1, 6))}
             return ring.reduce(Poly.from_dict(3, coeffs))
-        return ring.from_int(rng.randint(-9, 9))
+        return ring.canonical_payload(rng.randint(-9, 9))
 
     def matrix(rows, cols, zero_rows=()):
         entries = [ring.zero() if i in zero_rows else element() for i in range(rows) for _ in range(cols)]

@@ -45,7 +45,7 @@ from ringsys.sysfile import CertEntry, PairEntry, SystemFile, emit
 
 
 def rand_matrix(ring, rows, cols, rng, span=3):
-    data = [[ring.from_int(rng.randint(-span, span)) for _ in range(cols)] for _ in range(rows)]
+    data = [[ring.canonical_payload(rng.randint(-span, span)) for _ in range(cols)] for _ in range(rows)]
     return RingMatrix.from_rows(ring, data, cols=cols)
 
 
@@ -53,11 +53,11 @@ def rand_invertible(ring, n, rng, span=2):
     """Unit triangular factors times a permutation: invertible over any
     of the supported rings, integers included."""
     low = [
-        [ring.one() if i == j else (ring.from_int(rng.randint(-span, span)) if i > j else ring.zero()) for j in range(n)]
+        [ring.one() if i == j else (ring.canonical_payload(rng.randint(-span, span)) if i > j else ring.zero()) for j in range(n)]
         for i in range(n)
     ]
     up = [
-        [ring.one() if i == j else (ring.from_int(rng.randint(-span, span)) if i < j else ring.zero()) for j in range(n)]
+        [ring.one() if i == j else (ring.canonical_payload(rng.randint(-span, span)) if i < j else ring.zero()) for j in range(n)]
         for i in range(n)
     ]
     perm = list(range(n))
@@ -381,6 +381,15 @@ def reference_reduce(ring, p):
     return Poly.from_dict(p.nvars, coeffs)
 
 
+def fold_dot(ring, xs, ys):
+    """Sum of the products of paired payloads, folded through ring.add
+    and ring.mul: the reference for every ring's products kernel."""
+    acc = ring.zero()
+    for x, y in zip(xs, ys):
+        acc = ring.add(acc, ring.mul(x, y))
+    return acc
+
+
 def reference_product(p, q):
     """Product of two polynomials term by term in Fraction arithmetic,
     the reference for the integer kernels of Poly and PolyQuotient."""
@@ -694,8 +703,8 @@ def reference_det_expansion(m):
 def reference_gauss_jordan(ring, a, ncols):
     """Gauss-Jordan through the ring's own operations, the reference for
     linalg._gauss_jordan: same contract (rows reduced in place, pivots
-    among the first ncols columns, riders follow), one ring.mul and
-    ring.sub per entry and step."""
+    among the first ncols columns, riders follow), one ring.mul, ring.neg
+    and ring.add per entry and step."""
     piv_row = 0
     pivots = []
     for col in range(ncols):
@@ -713,7 +722,7 @@ def reference_gauss_jordan(ring, a, ncols):
             if i == piv_row or ring.is_zero(a[i][col]):
                 continue
             f = a[i][col]
-            a[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(a[i], a[piv_row])]
+            a[i] = [ring.add(x, ring.neg(ring.mul(f, y))) for x, y in zip(a[i], a[piv_row])]
         pivots.append(col)
         piv_row += 1
     return pivots
@@ -732,7 +741,7 @@ def fuzz_base_documents():
     """
     docs = []
     for ring in (Rationals(), Integers(), PrimeField(7), descriptor_from_dict(SPHERE_RING)):
-        m = lambda rows: RingMatrix.from_rows(ring, [[ring.from_int(x) for x in r] for r in rows])
+        m = lambda rows: RingMatrix.from_rows(ring, [[ring.canonical_payload(x) for x in r] for r in rows])
         a, b = m([[1, 2], [0, 1]]), m([[0], [1]])
         if isinstance(ring, PolyQuotient):
             s = t = from_pair(a, b)
