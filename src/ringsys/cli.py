@@ -2,8 +2,8 @@
 
 Exit codes: 0 for success / Accept / true, 1 for false / Reject, 2 for
 errors.  Human-readable output goes to stdout; ``--json`` switches to
-a single machine-readable document with stable key order.  Diagnostics
-go to stderr.  A command reads from its system file only the entries it
+a single machine-readable document with stable key order, and a command
+formats only the form it prints.  Diagnostics go to stderr.  A command reads from its system file only the entries it
 names.
 """
 
@@ -34,12 +34,8 @@ def _structure_doc(structure):
     return structure
 
 
-def _emit(doc, human_lines, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
+def _print_json(doc) -> None:
+    print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def _cmd_invariants(args) -> int:
@@ -49,21 +45,25 @@ def _cmd_invariants(args) -> int:
     signature = None
     if report.locally_brunovsky:
         signature = list(signature_from_report(report).entries)
-    doc = {
-        "command": "invariants",
-        "system": args.system,
-        "ring": str(sf.ring),
-        "state_rank": report.state_rank,
-        "chain_dims": list(report.chain_dims),
-        "s": report.s,
-        "M": [_structure_doc(x) for x in report.M],
-        "I": [_structure_doc(x) for x in report.I],
-        "Z": [_structure_doc(x) for x in report.Z],
-        "reachable": report.reachable,
-        "locally_brunovsky": report.locally_brunovsky,
-        "z_signature": signature,
-    }
-    lines = [
+    if args.json:
+        _print_json(
+            {
+                "command": "invariants",
+                "system": args.system,
+                "ring": str(sf.ring),
+                "state_rank": report.state_rank,
+                "chain_dims": list(report.chain_dims),
+                "s": report.s,
+                "M": [_structure_doc(x) for x in report.M],
+                "I": [_structure_doc(x) for x in report.I],
+                "Z": [_structure_doc(x) for x in report.Z],
+                "reachable": report.reachable,
+                "locally_brunovsky": report.locally_brunovsky,
+                "z_signature": signature,
+            }
+        )
+        return 0
+    print(
         f"system {args.system} over {sf.ring}: state rank {report.state_rank}",
         "chain dims: " + " -> ".join(map(str, report.chain_dims)) + f"  (s = {report.s})",
         "M: " + (", ".join(str(x) for x in report.M) or "-"),
@@ -71,10 +71,10 @@ def _cmd_invariants(args) -> int:
         "Z: " + (", ".join(str(x) for x in report.Z) or "-"),
         f"reachable: {'yes' if report.reachable else 'no'}; "
         f"locally Brunovsky: {'yes' if report.locally_brunovsky else 'no'}",
-    ]
+        sep="\n",
+    )
     if signature is not None:
-        lines.append("z-signature: (" + ", ".join(map(str, signature)) + ")")
-    _emit(doc, lines, args.json)
+        print("z-signature: (" + ", ".join(map(str, signature)) + ")")
     return 0
 
 
@@ -82,25 +82,29 @@ def _cmd_canon(args) -> int:
     sf = parse(args.file, systems=(args.system,))
     a, b = sf.raw_pair(args.system)
     cert = canonical_certificate(a, b)
-    doc = {
-        "command": "canon",
-        "system": args.system,
-        "indices": list(cert.indices),
-        "canonical_endo": cert.canonical_endo.to_str_rows(),
-        "canonical_input": cert.canonical_input.to_str_rows(),
-        "P": cert.P.to_str_rows(),
-        "K": cert.K.to_str_rows(),
-        "Q": cert.Q.to_str_rows(),
-    }
-    lines = [
-        f"indices: ({', '.join(map(str, cert.indices))})",
-        f"canonical endo: {cert.canonical_endo}",
-        f"canonical input: {cert.canonical_input}",
-        f"P: {cert.P}",
-        f"K: {cert.K}",
-        f"Q: {cert.Q}",
-    ]
-    _emit(doc, lines, args.json)
+    if args.json:
+        _print_json(
+            {
+                "command": "canon",
+                "system": args.system,
+                "indices": list(cert.indices),
+                "canonical_endo": cert.canonical_endo.to_str_rows(),
+                "canonical_input": cert.canonical_input.to_str_rows(),
+                "P": cert.P.to_str_rows(),
+                "K": cert.K.to_str_rows(),
+                "Q": cert.Q.to_str_rows(),
+            }
+        )
+    else:
+        print(
+            f"indices: ({', '.join(map(str, cert.indices))})",
+            f"canonical endo: {cert.canonical_endo}",
+            f"canonical input: {cert.canonical_input}",
+            f"P: {cert.P}",
+            f"K: {cert.K}",
+            f"Q: {cert.Q}",
+            sep="\n",
+        )
     return 0
 
 
@@ -110,21 +114,25 @@ def _cmd_equiv(args) -> int:
     s2 = sf.system(args.right)
     sig1, sig2 = z_signature(s1), z_signature(s2)
     verdict = signatures_equivalent(args.mode, sig1, sig2, args.p_max)
-    doc = {
-        "command": "equiv",
-        "mode": args.mode,
-        "left": args.left,
-        "right": args.right,
-        "equivalent": verdict,
-        "left_signature": list(sig1.entries),
-        "right_signature": list(sig2.entries),
-    }
-    lines = [
-        f"{args.mode} equivalent: {'true' if verdict else 'false'}",
-        f"signature {args.left}: {sig1}",
-        f"signature {args.right}: {sig2}",
-    ]
-    _emit(doc, lines, args.json)
+    if args.json:
+        _print_json(
+            {
+                "command": "equiv",
+                "mode": args.mode,
+                "left": args.left,
+                "right": args.right,
+                "equivalent": verdict,
+                "left_signature": list(sig1.entries),
+                "right_signature": list(sig2.entries),
+            }
+        )
+    else:
+        print(
+            f"{args.mode} equivalent: {'true' if verdict else 'false'}",
+            f"signature {args.left}: {sig1}",
+            f"signature {args.right}: {sig2}",
+            sep="\n",
+        )
     return 0 if verdict else 1
 
 
@@ -134,15 +142,19 @@ def _cmd_verify(args) -> int:
     result = verify_certificate(
         sf.system(entry.source), sf.system(entry.target), entry.certificate
     )
-    doc = {
-        "command": "verify",
-        "certificate": args.certificate,
-        "source": entry.source,
-        "target": entry.target,
-        "verdict": "Accept" if result.accepted else "Reject",
-        "reason": result.reason,
-    }
-    _emit(doc, [str(result)], args.json)
+    if args.json:
+        _print_json(
+            {
+                "command": "verify",
+                "certificate": args.certificate,
+                "source": entry.source,
+                "target": entry.target,
+                "verdict": "Accept" if result.accepted else "Reject",
+                "reason": result.reason,
+            }
+        )
+    else:
+        print(result)
     return 0 if result.accepted else 1
 
 
@@ -154,8 +166,10 @@ def _cmd_sum(args) -> int:
     entry = PairEntry(a1.rows + a2.rows, a1.block_diag(a2), b1.block_diag(b2))
     out = SystemFile(sf.ring, {name: entry})
     write(out, args.out)
-    doc = {"command": "sum", "written": str(args.out), "system": name}
-    _emit(doc, [f"wrote {name} to {args.out}"], args.json)
+    if args.json:
+        _print_json({"command": "sum", "written": str(args.out), "system": name})
+    else:
+        print(f"wrote {name} to {args.out}")
     return 0
 
 
@@ -166,16 +180,20 @@ def _cmd_enlarge(args) -> int:
     name = f"G{args.p}+{args.system}"
     out = SystemFile(sf.ring, {name: PairEntry(ea.rows, ea, eb)})
     write(out, args.out)
-    doc = {"command": "enlarge", "written": str(args.out), "system": name, "p": args.p}
-    _emit(doc, [f"wrote {name} to {args.out}"], args.json)
+    if args.json:
+        _print_json({"command": "enlarge", "written": str(args.out), "system": name, "p": args.p})
+    else:
+        print(f"wrote {name} to {args.out}")
     return 0
 
 
 def _cmd_k0(args) -> int:
     sf = parse(args.file, systems=(args.system,))
     cls = k0_class(sf.system(args.system))
-    doc = {"command": "k0", "system": args.system, "k0_class": list(cls.entries)}
-    _emit(doc, [str(cls)], args.json)
+    if args.json:
+        _print_json({"command": "k0", "system": args.system, "k0_class": list(cls.entries)})
+    else:
+        print(cls)
     return 0
 
 
@@ -184,32 +202,34 @@ def _cmd_orbit_oracle(args) -> int:
         p=args.field, max_n=args.max_n, max_m=args.max_m, bound=args.bound
     )
     disagreements = [r for r in records if not r.agree]
-    doc = {
-        "command": "orbit-oracle",
-        "field": args.field,
-        "comparisons": len(records),
-        "disagreements": len(disagreements),
-        "records": [
+    if args.json:
+        _print_json(
             {
-                "n": r.n,
-                "m": r.m,
-                "left": list(r.left),
-                "right": list(r.right),
-                "classifier": r.classifier,
-                "oracle": r.oracle,
+                "command": "orbit-oracle",
+                "field": args.field,
+                "comparisons": len(records),
+                "disagreements": len(disagreements),
+                "records": [
+                    {
+                        "n": r.n,
+                        "m": r.m,
+                        "left": list(r.left),
+                        "right": list(r.right),
+                        "classifier": r.classifier,
+                        "oracle": r.oracle,
+                    }
+                    for r in records
+                ],
             }
-            for r in records
-        ],
-    }
-    lines = []
-    for r in records:
-        mark = "ok " if r.agree else "DISAGREE"
-        lines.append(
-            f"n={r.n} m={r.m} {r.left} vs {r.right}: "
-            f"classifier={r.classifier} oracle={r.oracle} [{mark}]"
         )
-    lines.append(f"{len(records)} comparisons, {len(disagreements)} disagreements")
-    _emit(doc, lines, args.json)
+    else:
+        for r in records:
+            mark = "ok " if r.agree else "DISAGREE"
+            print(
+                f"n={r.n} m={r.m} {r.left} vs {r.right}: "
+                f"classifier={r.classifier} oracle={r.oracle} [{mark}]"
+            )
+        print(f"{len(records)} comparisons, {len(disagreements)} disagreements")
     return 0 if not disagreements else 1
 
 
@@ -227,19 +247,21 @@ def _nonnegative_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it.
 
-    Parsing keeps no state in the parser, so calls cannot leak into each
-    other.  main finds the handler of a subcommand by its name when it
-    runs, so a handler rebound in this module (by a test or a tracer)
-    takes effect whenever it is rebound.
+    Its ``subcommands`` attribute maps each subcommand name to that
+    subcommand's parser.  Parsing keeps no state in the parser, so calls
+    cannot leak into each other.  main finds the handler of a subcommand
+    by its name when it runs, so a handler rebound in this module (by a
+    test or a tracer) takes effect whenever it is rebound.
     """
     parser = argparse.ArgumentParser(
         prog="ringsys",
         description="Classify linear systems over exact rings and verify feedback certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = {}
 
     def add(name, help):
-        p = sub.add_parser(name, help=help)
+        p = parser.subcommands[name] = sub.add_parser(name, help=help)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
@@ -287,9 +309,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv) -> argparse.Namespace:
+    """The namespace of ``build_parser().parse_args(argv)``, with the same
+    output and exit on a usage error.
+
+    When the first argument names a subcommand, that subcommand's parser
+    alone reads the rest, and the top-level parser reports leftovers in
+    the words parse_args uses; this skips a second parse of the whole
+    line.  Every other argument list takes the full parse.
+    """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
+def main(argv=None) -> int:
+    args = _parse(argv)
     try:
         return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (RingsysError, OSError) as exc:

@@ -30,6 +30,7 @@ from .linalg import (
     _hermite_reduce,
     _hnf_int,
     _saturated,
+    _smith_cokernel,
     cokernel_structure,
     invert,
 )
@@ -133,7 +134,7 @@ def _hermite_chain(sigma: LinearSystem) -> list[_Level]:
     """
     n = sigma.state_rank
     a = sigma.endo.to_lists()
-    b = sigma.input_gens
+    b = sigma.generators
     chain: list[_Level] = [([], [])]
     offers = [list(b.entries[j :: b.cols]) for j in range(b.cols)]
     while True:
@@ -233,7 +234,7 @@ def _layer_ranks(dims: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _report_over_field(sigma: LinearSystem) -> InvariantReport:
     # Over a field every module is free: the report is the staircase ranks.
     n = sigma.state_rank
-    dims = _field_staircase(sigma.endo, sigma.input_gens)[0]
+    dims = _field_staircase(sigma.endo, sigma.generators)[0]
     i_dims, z_dims = _layer_ranks(dims)
     reachable = dims[-1] == n
     return InvariantReport(
@@ -280,8 +281,9 @@ def _report_over_integers(sigma: LinearSystem, chain: list[_Level]) -> Invariant
     - A free M_i is Z^(n - d_i) outright.
     - 0 -> I_i -> M_{i-1} -> M_i -> 0 splits when M_i is free, so
       M_{i-1} then has rank n - d_{i-1} and the torsion of I_i.  Any
-      other M_i is a chain-level quotient with torsion, read from its
-      Smith form by ``cokernel_structure`` on the level's rows.
+      other M_i is a chain-level quotient with torsion, read from the
+      Smith form of the level's rows (``_smith_cokernel``): the
+      saturation test has already found the torsion.
 
     Every Smith form is therefore taken on a module with torsion.
 
@@ -316,7 +318,7 @@ def _report_over_integers(sigma: LinearSystem, chain: list[_Level]) -> Invariant
         if free[i]
         else AbelianGroupStructure(n - dims[i], layers[i + 1].torsion)
         if i < s and free[i + 1]
-        else cokernel_structure(RingMatrix._of_columns(ring, chain[i][0], n), n)
+        else _smith_cokernel(chain[i][0], n)
         for i in range(1, s + 1)
     )
     a = sigma.endo.to_lists()
@@ -386,7 +388,7 @@ def z_signature(sigma: LinearSystem) -> ZSignature:
         if dims[-1] != n or not all(_saturated(rows, n) for rows, _ in chain[1:]):
             raise NotLocallyBrunovsky(_NOT_LOCALLY_BRUNOVSKY)
     elif ring.is_field:
-        dims = _field_staircase(sigma.endo, sigma.input_gens)[0]
+        dims = _field_staircase(sigma.endo, sigma.generators)[0]
         if dims[-1] != n:
             raise NotLocallyBrunovsky(_NOT_LOCALLY_BRUNOVSKY)
     else:
@@ -430,7 +432,7 @@ def brunovsky(sigma: LinearSystem) -> BrunovskyData:
     """Index partition and canonical pair of a reachable field system."""
     if not sigma.ring.is_field:
         raise UnsupportedRing("canonical form needs a field")
-    dims = _field_staircase(sigma.endo, sigma.input_gens)[0]
+    dims = _field_staircase(sigma.endo, sigma.generators)[0]
     if dims[-1] != sigma.state_rank:
         raise NotReachable("chain stabilised below the full state module")
     indices = conjugate_partition(_layer_ranks(dims)[0])

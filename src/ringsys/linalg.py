@@ -673,15 +673,18 @@ def cokernel_structure(g: RingMatrix, ambient_rank: int) -> AbelianGroupStructur
     _require_integers(g, "cokernel_structure")
     if g.rows != ambient_rank:
         raise ShapeError("generators do not live in the stated ambient module")
-    if _saturated([g.entries[j :: g.cols] for j in range(g.cols)], ambient_rank):
+    columns = [g.entries[j :: g.cols] for j in range(g.cols)]
+    if _saturated(columns, ambient_rank):
         return AbelianGroupStructure(ambient_rank - g.cols, ())
-    d = _snf_int(g.to_lists(), g.rows, g.cols)
-    diag = [d[i][i] for i in range(min(g.rows, g.cols))]
-    nonzero = [x for x in diag if x != 0]
-    return AbelianGroupStructure(
-        ambient_rank - len(nonzero),
-        tuple(x for x in nonzero if x > 1),
-    )
+    return _smith_cokernel(columns, ambient_rank)
+
+
+def _smith_cokernel(rows: Sequence[Sequence[int]], n: int) -> AbelianGroupStructure:
+    """Structure of Z^n / span(rows), for integer rows of length n, read
+    from the Smith form of the n x len(rows) matrix whose columns they are."""
+    d = _snf_int([list(col) for col in zip(*rows)], n, len(rows))
+    nonzero = [x for x in (d[i][i] for i in range(min(n, len(rows)))) if x != 0]
+    return AbelianGroupStructure(n - len(nonzero), tuple(x for x in nonzero if x > 1))
 
 
 def det(m: RingMatrix) -> RingElement:

@@ -1,7 +1,10 @@
 """Linear systems over a commutative ring and their morphisms.
 
 A system is a state module R^n, an endomorphism, and an input
-submodule given by a generator matrix.  Systems form a symmetric
+submodule given by a generator matrix.  The matrix is kept as given;
+its canonical form is built only where two generator matrices are
+compared (system equality, morphism and certificate checks), since the
+invariants depend on the submodule alone.  Systems form a symmetric
 monoidal category under direct sum, with the zero system as unit; the
 constructions here (direct sum, trivial systems, dynamic enlargement,
 projections/injections of the biproduct) are all matrix-level and
@@ -10,6 +13,7 @@ exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import DescriptorMismatch, ShapeError, UnsupportedRing
@@ -17,32 +21,50 @@ from .linalg import RingMatrix, column_canonical
 from .rings import PolyQuotient, RingDescriptor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
     """State rank, endomorphism, and input-submodule generators.
 
-    Over the rationals, prime fields, and the integers the generator
-    matrix is canonicalised on construction, so two systems with the
-    same input submodule compare equal.  Over polynomial quotient
-    rings submodule equality is undecidable here and the generators
-    are kept verbatim.
+    ``generators`` is the generator matrix as given; the chain, the
+    signature and the K_0 class read it, as they depend on its span
+    alone.  ``input_gens`` is the canonical generator matrix of that
+    span over the rationals, prime fields, and the integers, built on
+    first use, and systems compare by it, so two systems with the same
+    input submodule are equal.  Over polynomial quotient rings
+    submodule equality is undecidable here and ``input_gens`` is the
+    generator matrix verbatim.
     """
 
     ring: RingDescriptor
     state_rank: int
     endo: RingMatrix
-    input_gens: RingMatrix
+    generators: RingMatrix
 
     def __post_init__(self):
         n = self.state_rank
         if self.endo.rows != n or self.endo.cols != n:
             raise ShapeError(f"endomorphism must be {n}x{n}")
-        if self.input_gens.rows != n:
+        if self.generators.rows != n:
             raise ShapeError("input generators must have state_rank rows")
-        if self.endo.ring != self.ring or self.input_gens.ring != self.ring:
+        if self.endo.ring != self.ring or self.generators.ring != self.ring:
             raise DescriptorMismatch("system parts live in different rings")
-        if not isinstance(self.ring, PolyQuotient):
-            object.__setattr__(self, "input_gens", column_canonical(self.input_gens))
+
+    @functools.cached_property
+    def input_gens(self) -> RingMatrix:
+        if isinstance(self.ring, PolyQuotient):
+            return self.generators
+        return column_canonical(self.generators)
+
+    def _key(self) -> tuple:
+        return (self.ring, self.state_rank, self.endo, self.input_gens)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def from_pair(a: RingMatrix, b: RingMatrix) -> LinearSystem:
@@ -80,7 +102,7 @@ def direct_sum(s1: LinearSystem, s2: LinearSystem) -> LinearSystem:
         s1.ring,
         s1.state_rank + s2.state_rank,
         s1.endo.block_diag(s2.endo),
-        s1.input_gens.block_diag(s2.input_gens),
+        s1.generators.block_diag(s2.generators),
     )
 
 
@@ -106,11 +128,11 @@ def enlarged_pair(a: RingMatrix, b: RingMatrix, p: int) -> tuple[RingMatrix, Rin
 def is_morphism(phi: RingMatrix, source: LinearSystem, target: LinearSystem) -> bool:
     """Whether phi maps source into target compatibly.
 
-    Checks phi(B1) inside B2 and Im(f2 phi - phi f1) inside B2.  The
-    target's generators are already canonical, so both hold exactly
-    when appending those columns leaves the canonical generators of B2
-    unchanged.  Needs decidable membership, so quotient rings are
-    rejected; use certificate verification there instead.
+    Checks phi(B1) inside B2 and Im(f2 phi - phi f1) inside B2.  Both
+    hold exactly when appending those columns leaves the canonical
+    generators of B2 (the target's ``input_gens``) unchanged.  Needs
+    decidable membership, so quotient rings are rejected; use
+    certificate verification there instead.
     """
     if source.ring != target.ring:
         raise DescriptorMismatch("morphism endpoints live in different rings")

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringsys import PrimeField, Rationals, RingMatrix, SystemFileError
-from ringsys.cli import build_parser, main
+from ringsys.cli import _parse, build_parser, main
 from ringsys.fixtures import sphere_fixture_path
 from ringsys.equivalence import MODES
 from ringsys.sysfile import PairEntry, SystemFile, _parse_matrix, parse, parse_text, write
@@ -731,6 +731,120 @@ class TestMatricesBuilt:
         assert len(calls) == built, calls
         parse_text(json.dumps(doc))
         assert len(calls) == built + 24
+
+
+# Systems whose input_gens are not canonical: S repeats a column at
+# twice its size, and the two columns of T span a lattice that is not
+# saturated over Z (M_1 = Z + Z/2).
+NONCANONICAL = {
+    "S": {"n": 3, "endo": [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]], "input_gens": [["1", "2"], ["1", "2"], ["0", "0"]]},
+    "T": {"n": 3, "endo": [["1", "2", "0"], ["0", "1", "3"], ["2", "0", "1"]], "input_gens": [["3", "1"], ["0", "2"], ["1", "1"]]},
+}
+
+
+class TestGeneratorsAsGiven:
+    """The signature commands read the input generators as written; only
+    comparisons of generator matrices build their canonical form."""
+
+    RINGS = [{"kind": "Q"}, {"kind": "GF", "p": 101}, {"kind": "Z"}]
+
+    def _write(self, tmp_path, ring, certificates=None):
+        path = tmp_path / "f.json"
+        doc = {"ring": ring, "systems": NONCANONICAL}
+        if certificates:
+            doc["certificates"] = certificates
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r["kind"])
+    def test_signature_commands_build_no_canonical_generators(self, ring, tmp_path, monkeypatch):
+        path = self._write(tmp_path, ring)
+        argvs = [
+            ["equiv", path, "S", "T"],
+            ["equiv", path, "T", "T", "--mode", "stable", "--json"],
+            ["k0", path, "S"],
+            ["k0", path, "T", "--json"],
+            ["invariants", path, "S", "--json"],
+            ["invariants", path, "T", "--json"],
+        ]
+        expected = [_run(argv) for argv in argvs]
+        assert [code for code, _, _ in expected].count(2) < len(argvs)
+
+        def refused(m):
+            raise RuntimeError("canonical generators built")
+
+        monkeypatch.setattr("ringsys.systems.column_canonical", refused)
+        assert [_run(argv) for argv in argvs] == expected
+
+    @pytest.mark.parametrize("ring", [{"kind": "Q"}, {"kind": "Z"}], ids=lambda r: r["kind"])
+    def test_verify_reads_canonical_generators(self, ring, tmp_path):
+        # S spans the line of (1, 1, 0), one canonical column: a
+        # certificate with 1x1 U and V is written against that column
+        identity = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        cert = {"source": "S", "target": "S", "phi": identity, "psi": identity, "U": ONE, "V": ONE, "Kw": [["0", "0", "0"]]}
+        path = self._write(tmp_path, ring, {"C": cert})
+        assert _run(["verify", path, "C"]) == (0, "Accept\n", "")
+
+
+def _outcome(parse, argv):
+    """(namespace, SystemExit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    args = code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return args, code, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    """main parses with the named subcommand's parser alone, and that
+    parse is indistinguishable from the full parse_args."""
+
+    CORPUS = [
+        ["equiv", "f.json", "S", "T"],
+        ["equiv", "f.json", "S", "T", "--json"],
+        ["equiv", "f.json", "S", "T", "--mode", "stable", "--p-max", "0", "--json"],
+        # the call after one with options gets the defaults again
+        ["equiv", "f.json", "S", "T"],
+        ["equiv", "f.json", "S", "T", "--mode=dyn"],
+        ["equiv", "f.json", "S", "T", "--mode=dynamic"],
+        ["equiv", "f.json", "S", "T", "--js"],
+        ["equiv", "f.json", "S", "T", "--bogus"],
+        ["equiv", "f.json", "S", "T", "stray"],
+        ["equiv", "f.json", "S", "T", "--p-max", "-1"],
+        ["equiv", "f.json", "S", "T", "--p-max", "abc"],
+        ["equiv", "f.json", "S", "-h"],
+        ["equiv", "f.json", "S", "T", "--"],
+        ["equiv", "--", "f.json", "S", "T"],
+        ["equiv", "--json", "f.json", "S", "T", "--bogus", "stray"],
+        ["k0", "f.json", "S"],
+        ["invariants", "f.json", "S", "--json"],
+        ["verify", "f.json", "C"],
+        ["sum", "f.json", "S", "T"],
+        ["enlarge", "f.json", "S", "-p", "2", "--out", "o.json"],
+        ["orbit-oracle", "--field", "5"],
+        ["canon"],
+        [],
+        ["bogus"],
+        ["-h"],
+        ["--help"],
+        ["--json", "equiv", "f.json", "S", "T"],
+        ["--", "equiv", "f.json", "S", "T"],
+    ]
+
+    def test_dispatch_equals_parse_args(self):
+        corpus = self.CORPUS + [[name, "--help"] for name in build_parser().subcommands]
+        outcomes = {}
+        for argv in corpus:
+            outcomes[tuple(argv)] = _outcome(_parse, argv)
+            assert outcomes[tuple(argv)] == _outcome(build_parser().parse_args, argv), argv
+        args = outcomes[("equiv", "f.json", "S", "T")][0]
+        assert (args.mode, args.p_max, args.json) == ("feedback", 4, False)
+        _, code, out, err = outcomes[("equiv", "f.json", "S", "T", "--bogus")]
+        assert (code, out) == (2, "") and err.startswith("usage: ringsys [-h]")
+        assert err.splitlines()[-1] == "ringsys: error: unrecognized arguments: --bogus"
 
 
 # The names each command reads: (systems, certificates).

@@ -49,21 +49,36 @@ class TestFromPair:
         assert s == gamma(Q, 1)
 
     def test_duplicate_columns_collapse(self):
-        b1 = mat(Q, [[1, 1], [0, 0]])
-        b2 = mat(Q, [[1], [0]])
-        a = RingMatrix.zeros(Q, 2, 2)
-        assert from_pair(a, b1) == from_pair(a, b2)
+        # systems compare by input module: equal, with equal hashes, and
+        # the canonical generators of either matrix; each keeps its own
+        for ring in (Q, F3, Z):
+            b1 = mat(ring, [[1, 1], [0, 0]])
+            b2 = mat(ring, [[1], [0]])
+            a = RingMatrix.zeros(ring, 2, 2)
+            s1, s2 = from_pair(a, b1), from_pair(a, b2)
+            assert s1 == s2 and hash(s1) == hash(s2)
+            assert s1.input_gens == column_canonical(b1) == column_canonical(b2) == s2.input_gens
+            assert (s1.generators, s2.generators) == (b1, b2)
 
     def test_quotient_ring_generators_kept_verbatim(self):
         vars_ = ("x", "y", "z")
         ring = PolyQuotient(vars_, parse_polynomial("x^2+y^2+z^2-1", vars_))
         b = RingMatrix.from_rows(ring, [["x", "x"], ["y", "y"]])
-        s = from_pair(RingMatrix.zeros(ring, 2, 2), b)
+        a = RingMatrix.zeros(ring, 2, 2)
+        s = from_pair(a, b)
         assert s.input_gens == b
+        assert s == from_pair(a, RingMatrix.from_rows(ring, [["x", "x"], ["y", "y"]]))
+        assert hash(s) == hash(from_pair(a, b))
+        # the same span from other generators is a different system here
+        assert s != from_pair(a, RingMatrix.from_rows(ring, [["x"], ["y"]]))
 
     def test_many_to_one_scaling(self):
-        a = RingMatrix.zeros(Q, 1, 1)
-        assert from_pair(a, mat(Q, [[2]])) == from_pair(a, mat(Q, [[1]]))
+        # a unit multiple of a generator spans the same module
+        for ring, unit in ((Q, 2), (F3, 2), (Z, -1)):
+            a = RingMatrix.zeros(ring, 1, 1)
+            s1, s2 = from_pair(a, mat(ring, [[unit]])), from_pair(a, mat(ring, [[1]]))
+            assert s1 == s2 and hash(s1) == hash(s2)
+            assert s1.input_gens == column_canonical(mat(ring, [[unit]])) == s2.input_gens
 
 
 class TestDirectSum:
