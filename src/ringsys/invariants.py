@@ -27,11 +27,11 @@ from .linalg import (
     AbelianGroupStructure,
     RingMatrix,
     _back_substitute,
+    _cokernel_of_rows,
     _hermite_reduce,
     _hnf_int,
     _saturated,
     _smith_cokernel,
-    cokernel_structure,
     invert,
 )
 from .rings import Integers, PolyQuotient, Rationals, RingDescriptor, _cleared_fractions
@@ -308,7 +308,7 @@ def _report_over_integers(sigma: LinearSystem, chain: list[_Level]) -> Invariant
     i_structs = tuple(
         AbelianGroupStructure(dims[i] - dims[i - 1], ())
         if free[i - 1]
-        else cokernel_structure(RingMatrix._of_columns(ring, rel[i], dims[i]), dims[i])
+        else _cokernel_of_rows(rel[i], dims[i])
         for i in range(1, s + 1)
     )
     # layers[i] is I_i for 1 <= i <= s + 1, with I_{s+1} = 0.
@@ -340,7 +340,7 @@ def _report_over_integers(sigma: LinearSystem, chain: list[_Level]) -> Invariant
         keep = [k for k, p in enumerate(pivots) if p >= r]
         preimage = ([h[k][r:] for k in keep], [pivots[k] - r for k in keep])
         y = _coordinates(preimage, rel[i], "relations escaped their preimage lattice")
-        z_structs.append(cokernel_structure(RingMatrix._of_columns(ring, y, len(keep)), len(keep)))
+        z_structs.append(_cokernel_of_rows(y, len(keep)))
     reachable = dims[s] == n and free[s]
     return InvariantReport(
         ring=ring,

@@ -673,10 +673,16 @@ def cokernel_structure(g: RingMatrix, ambient_rank: int) -> AbelianGroupStructur
     _require_integers(g, "cokernel_structure")
     if g.rows != ambient_rank:
         raise ShapeError("generators do not live in the stated ambient module")
-    columns = [g.entries[j :: g.cols] for j in range(g.cols)]
-    if _saturated(columns, ambient_rank):
-        return AbelianGroupStructure(ambient_rank - g.cols, ())
-    return _smith_cokernel(columns, ambient_rank)
+    return _cokernel_of_rows([g.entries[j :: g.cols] for j in range(g.cols)], ambient_rank)
+
+
+def _cokernel_of_rows(rows: Sequence[Sequence[int]], n: int) -> AbelianGroupStructure:
+    """Structure of Z^n / span(rows), for integer rows of length n: free
+    of rank n - len(rows) when the saturation test says so, and otherwise
+    read from a Smith form."""
+    if _saturated(rows, n):
+        return AbelianGroupStructure(n - len(rows), ())
+    return _smith_cokernel(rows, n)
 
 
 def _smith_cokernel(rows: Sequence[Sequence[int]], n: int) -> AbelianGroupStructure:

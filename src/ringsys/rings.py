@@ -7,7 +7,10 @@ and kept canonical, so equality of elements is equality of payloads:
 fractions are reduced with positive denominator, residues lie in
 [0, p), and quotient-ring polynomials carry no monomial divisible by
 the relation's leading monomial, with each coefficient an int when
-integral and a Fraction otherwise.
+integral and a Fraction otherwise.  A polynomial stores each monomial
+packed into one int, under the one _Packing of its variable count, so
+parsing, products and reduction never convert a monomial; its tuple
+terms are a view.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ def grlex_key(monomial: Monomial) -> tuple:
     Monomials compare by total degree first; ties are broken
     lexicographically with later-declared variables taking precedence.
     Under this order z^2 is the leading monomial of x^2+y^2+z^2-1 over
-    variables (x, y, z).
+    variables (x, y, z).  Packed codes (_Packing) sort the same way.
     """
     return (sum(monomial), monomial[::-1])
 
@@ -48,27 +51,77 @@ def _coeff(c) -> Coeff:
     return c.numerator if c.denominator == 1 else c
 
 
-@dataclass(frozen=True)
+# Bits of each field of a packed monomial, and the largest total degree
+# a field holds with its guard bit clear (see _Packing).
+_WIDTH = 16
+DEGREE_CAP = (1 << (_WIDTH - 1)) - 1
+
+
+class _Packing:
+    """Monomials in nvars variables, of total degree at most DEGREE_CAP,
+    each packed into one int: the one packing of every Poly in nvars
+    variables.
+
+    Every exponent and the total degree get a field of _WIDTH bits; the
+    total degree is the top field and the last variable the next one
+    down, so integer order is graded-lex order and a product of
+    monomials is a sum.  Values stay below 2^(_WIDTH-1), so the top bit
+    of every field (the guard) is clear: d divides m exactly when
+    m - d borrows into no guard bit, that is (m - d) & guard == 0.  A
+    sum of two codes keeps every field apart, and its total degree is
+    past DEGREE_CAP exactly when the sum reaches `limit`.
+    """
+
+    __slots__ = ("nvars", "top", "guard", "limit", "weights")
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.top = nvars * _WIDTH
+        self.guard = sum(1 << (i * _WIDTH + _WIDTH - 1) for i in range(nvars + 1))
+        self.limit = (DEGREE_CAP + 1) << self.top
+        # the total degree is the sum of the exponents, so each exponent
+        # adds into its own field and into the top one
+        self.weights = tuple((1 << (i * _WIDTH)) | (1 << self.top) for i in range(nvars))
+
+    def code(self, monomial: Monomial) -> int:
+        if len(monomial) != self.nvars or not all(isinstance(e, int) and e >= 0 for e in monomial):
+            raise ValueError(f"monomial {monomial!r} is not {self.nvars} nonnegative integer exponents")
+        if sum(monomial) > DEGREE_CAP:
+            raise ValueError(f"monomial of total degree over DEGREE_CAP = {DEGREE_CAP}")
+        return sum(map(operator.mul, monomial, self.weights))
+
+    def monomial(self, code: int) -> Monomial:
+        mask = (1 << _WIDTH) - 1
+        return tuple([(code >> s) & mask for s in range(0, self.top, _WIDTH)])
+
+
+@functools.cache
+def _packing(nvars: int) -> _Packing:
+    """The packing of monomials in nvars variables, built on first use."""
+    return _Packing(nvars)
+
+
+@dataclass(frozen=True, repr=False, slots=True)
 class Poly:
     """Multivariate polynomial with rational coefficients.
 
-    Terms are stored sorted in descending graded-lex order with zero
-    coefficients dropped, and each coefficient is an int when integral
-    and a Fraction otherwise, which makes structural equality semantic
-    equality.
+    Stored packed: `packed` holds (code, coefficient) pairs, each
+    monomial one int under the _Packing of nvars variables, sorted by
+    descending code (descending graded-lex order) with zero coefficients
+    dropped.  Each coefficient is an int when integral and a Fraction
+    otherwise, which makes structural equality semantic equality.
+    `terms` is the same list with exponent tuples, computed on demand.
+    Build a Poly with from_dict, zero, const or variable; a total degree
+    above DEGREE_CAP raises ValueError.
     """
 
     nvars: int
-    terms: tuple[tuple[Monomial, Coeff], ...]
+    packed: tuple[tuple[int, Coeff], ...]
 
     @staticmethod
     def from_dict(nvars: int, coeffs: dict[Monomial, Coeff]) -> "Poly":
-        terms = []
-        for m in sorted(coeffs, key=grlex_key, reverse=True):
-            c = coeffs[m]
-            if c:
-                terms.append((m, _coeff(c)))
-        return Poly(nvars, tuple(terms))
+        code = _packing(nvars).code
+        return Poly(nvars, tuple(sorted(((code(m), _coeff(c)) for m, c in coeffs.items() if c), reverse=True)))
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
@@ -77,7 +130,7 @@ class Poly:
     @staticmethod
     def const(nvars: int, c) -> "Poly":
         c = _coeff(c)
-        return Poly(nvars, (((0,) * nvars, c),) if c else ())
+        return Poly(nvars, ((0, c),) if c else ())
 
     @staticmethod
     def variable(index: int, nvars: int) -> "Poly":
@@ -85,122 +138,89 @@ class Poly:
         return Poly.from_dict(nvars, {mono: Fraction(1)})
 
     @property
+    def terms(self) -> tuple[tuple[Monomial, Coeff], ...]:
+        """The terms with exponent tuples as monomials, in stored order."""
+        monomial = _packing(self.nvars).monomial
+        return tuple([(monomial(k), c) for k, c in self.packed])
+
+    def __repr__(self) -> str:
+        return f"Poly(nvars={self.nvars!r}, terms={self.terms!r})"
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     @property
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m, _ in self.terms)
+        # the constant monomial has the smallest code, 0
+        return not self.packed or self.packed[0][0] == 0
 
-    @functools.cached_property
+    @property
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        return max((sum(m) for m, _ in self.terms), default=0)
+        return self.packed[0][0] >> (self.nvars * _WIDTH) if self.packed else 0
 
     def constant_value(self) -> Coeff:
         if self.is_zero:
             return 0
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
-        return self.terms[0][1]
+        return self.packed[0][1]
 
     def leading(self) -> tuple[Monomial, Coeff]:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
-        return self.terms[0]
+        k, c = self.packed[0]
+        return _packing(self.nvars).monomial(k), c
 
     def __add__(self, other: "Poly") -> "Poly":
-        coeffs = dict(self.terms)
-        for m, c in other.terms:
-            old = coeffs.get(m)
-            coeffs[m] = c if old is None else old + c
-        return Poly.from_dict(self.nvars, coeffs)
+        coeffs = dict(self.packed)
+        get = coeffs.get
+        for k, c in other.packed:
+            coeffs[k] = get(k, 0) + c
+        return Poly(self.nvars, _packed_terms(coeffs))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, tuple((m, -c) for m, c in self.terms))
+        return Poly(self.nvars, tuple([(k, -c) for k, c in self.packed]))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        pk = _Packing(self.nvars, self.degree + other.degree)
-        (x,), xd = _cleared((self,), pk.codes)
-        (y,), yd = _cleared((other,), pk.codes)
-        return _unpacked(self.nvars, _product_terms([(x, y)]), pk, xd * yd)
+        if not self.packed or not other.packed:
+            return Poly.zero(self.nvars)
+        (x,), xd = _cleared((self,))
+        (y,), yd = _cleared((other,))
+        return Poly(self.nvars, _packed_terms(_product_terms([(x, y)], _packing(self.nvars).limit), xd * yd))
 
     def scale(self, c) -> "Poly":
         c = _coeff(c)
         if c == 0:
             return Poly.zero(self.nvars)
-        return Poly(self.nvars, tuple((m, _coeff(coef * c)) for m, coef in self.terms))
+        return Poly(self.nvars, tuple([(k, _coeff(coef * c)) for k, coef in self.packed]))
 
 
-class _Packing:
-    """Monomials in nvars variables, of total degree up to the `degree`
-    given and at most `self.degree`, each packed into one int.
-
-    Every exponent and the total degree get a field of `width` bits; the
-    total degree is the top field and the last variable the next one
-    down, so integer order is graded-lex order and a product of
-    monomials is a sum.  Values stay below 2^(width-1), so the top bit
-    of every field (the guard) is clear: d divides m exactly when
-    m - d borrows into no guard bit, that is (m - d) & guard == 0.
-    `codes` packs a monomial and `monos` unpacks one, each computed once
-    and then looked up.
-    """
-
-    __slots__ = ("degree", "guard", "codes", "monos")
-
-    def __init__(self, nvars: int, degree: int):
-        width = degree.bit_length() + 1
-        self.degree = (1 << (width - 1)) - 1
-        self.guard = sum(1 << (i * width + width - 1) for i in range(nvars + 1))
-        shifts = tuple(i * width for i in range(nvars))
-        mask = (1 << width) - 1
-        # the total degree is the sum of the exponents, so each exponent
-        # adds into its own field and into the top one
-        weights = tuple((1 << s) | (1 << (nvars * width)) for s in shifts)
-        self.codes = _Memo(lambda m: sum(map(operator.mul, m, weights)))
-        self.monos = _Memo(lambda k: tuple([(k >> s) & mask for s in shifts]))
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with fn(key); cleared once it
-    holds _MEMO_MAX entries, so a long run keeps it small."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        if len(self) >= _MEMO_MAX:
-            self.clear()
-        value = self[key] = self.fn(key)
-        return value
-
-
-_MEMO_MAX = 1 << 12
-
-
-def _cleared(polys, codes) -> tuple[list[list[tuple[int, int]]], int]:
-    """The polynomials as integer term lists with packed monomials (codes
-    of a _Packing), over one denominator: the lcm of all their
-    coefficients' denominators."""
-    den = math.lcm(*[c.denominator for p in polys for _, c in p.terms])
+def _cleared(polys) -> tuple[list, int]:
+    """The polynomials' packed terms over one denominator, the lcm of all
+    their coefficients' denominators: for each, its (code, integer
+    numerator) pairs in stored order; and that lcm."""
+    den = math.lcm(*[c.denominator for p in polys for _, c in p.packed])
     if den == 1:  # every coefficient is an int
-        return [[(codes[m], c) for m, c in p.terms] for p in polys], 1
-    return [[(codes[m], c.numerator * (den // c.denominator)) for m, c in p.terms] for p in polys], den
+        return [p.packed for p in polys], 1
+    return [[(k, c.numerator * (den // c.denominator)) for k, c in p.packed] for p in polys], den
 
 
-def _product_terms(pairs) -> dict[int, int]:
+def _product_terms(pairs, limit: int) -> dict[int, int]:
     """Coefficients of the sum of the products of paired integer term
-    lists with packed monomials, unsorted and unreduced; cancelled
-    monomials keep a zero."""
+    lists with packed monomials, each nonempty and sorted as in Poly,
+    unsorted and unreduced; cancelled monomials keep a zero.  A pair
+    whose leading codes add up to limit or more (_Packing.limit: a total
+    degree past DEGREE_CAP) raises ValueError before anything wraps."""
     coeffs: dict[int, int] = {}
     get = coeffs.get
     for x, y in pairs:
+        if x[0][0] + y[0][0] >= limit:
+            raise ValueError(f"product of total degree over DEGREE_CAP = {DEGREE_CAP}")
         for m1, c1 in x:
             for m2, c2 in y:
                 m = m1 + m2
@@ -247,10 +267,10 @@ def _reduce_packed(coeffs: dict, lead: int, rule, guard: int, max_cost: int | No
                     heappush(heap, -mm)
 
 
-def _unpacked(nvars: int, coeffs: dict, pk: _Packing, den: int = 1) -> Poly:
-    """The Poly of a packed coefficient map (zeros allowed) with every
-    coefficient divided by the positive integer den."""
-    monos = pk.monos
+def _packed_terms(coeffs: dict, den: int = 1) -> tuple[tuple[int, Coeff], ...]:
+    """The stored terms of a coefficient map keyed by packed codes (zeros
+    allowed): sorted by descending code, every coefficient divided by the
+    positive integer den and normalised as in Poly."""
     terms = []
     for k in sorted(coeffs, reverse=True):
         c = coeffs[k]
@@ -260,8 +280,8 @@ def _unpacked(nvars: int, coeffs: dict, pk: _Packing, den: int = 1) -> Poly:
             c = Fraction(c, den) if type(c) is int else Fraction(c.numerator, c.denominator * den)
         if type(c) is not int and c.denominator == 1:
             c = c.numerator
-        terms.append((monos[k], c))
-    return Poly(nvars, tuple(terms))
+        terms.append((k, c))
+    return tuple(terms)
 
 
 def _cleared_fractions(xs) -> tuple[list[int], int]:
@@ -569,11 +589,12 @@ MAX_COEFF_BITS = 32_768
 # counted after reduction, so that whatever a file holds re-parses when
 # written back.  A product multiplies every term of one operand by every
 # term of the other, so its work grows with the square of the terms: two
-# random sphere literals of 600 terms multiply in at most 0.3 s on a
+# random sphere literals of 600 terms multiply in at most 0.2 s on a
 # 2-vCPU Xeon with integer coefficients of up to 30 digits or 2-digit
-# fractions, two of 1 681 terms in 0.5 s.  It is no lower because z^64
-# over the sphere is 561 terms in normal form.  Wide fractional
-# coefficients still cost more.
+# fractions, two of 1 681 terms in 0.4 s, with monomials packed in 64
+# bits (160 bits over nine variables).  It is no lower because z^64 over
+# the sphere is 561 terms in normal form.  Wide fractional coefficients
+# still cost more.
 MAX_TERMS = 600
 
 
@@ -605,29 +626,14 @@ class PolyQuotient(RingDescriptor):
         if self.relation.is_zero or self.relation.is_constant:
             raise ValueError("relation must be nonzero and non-constant")
         # The leading coefficient is a nonzero rational, hence invertible:
-        # lead -> sum of rule terms is the rewrite that reduce applies.
-        # An integral rule is kept as ints, so reducing an integer
-        # coefficient map stays in integer arithmetic.
-        (lead_m, lead_c), *tail = self.relation.terms
-        rule = tuple((m, _coeff(Fraction(-c) / lead_c)) for m, c in tail)
+        # lead -> sum of rule terms is the rewrite that reduce applies,
+        # packed once, under the ring's one packing.  An integral rule is
+        # kept as ints, so reducing an integer coefficient map stays in
+        # integer arithmetic.
+        (lead, lead_c), *tail = self.relation.packed
+        rule = tuple((k, _coeff(Fraction(-c) / lead_c)) for k, c in tail)
         rule_bits = max((c.numerator.bit_length() + c.denominator.bit_length() for _, c in rule), default=0)
-        object.__setattr__(self, "_rewrite", (lead_m, rule, rule_bits))
-        object.__setattr__(self, "_packed_rewrites", {})
-
-    def _packed_rewrite(self, degree: int) -> tuple[_Packing, int, tuple]:
-        """A packing that holds monomials of total degree `degree` and
-        the relation's, with the leading monomial and the rule packed in
-        it.  Reduction never raises the total degree, so the packing
-        holds every monomial a reduction of such input meets."""
-        lead_m, rule, _ = self._rewrite
-        degree = max(degree, sum(lead_m))
-        # packings are cached by field width, which the bit length fixes
-        packed = self._packed_rewrites.get(degree.bit_length())
-        if packed is None:
-            pk = _Packing(len(self.variables), degree)
-            packed = (pk, pk.codes[lead_m], tuple((pk.codes[m], c) for m, c in rule))
-            self._packed_rewrites[degree.bit_length()] = packed
-        return packed
+        object.__setattr__(self, "_rewrite", (_packing(len(self.variables)), lead, rule, rule_bits))
 
     def zero(self):
         return Poly.zero(len(self.variables))
@@ -648,26 +654,20 @@ class PolyQuotient(RingDescriptor):
         # is Q-linear and a ring homomorphism, so the normal form is the
         # same) and divided once.  Only pairs of nonzero operands are
         # multiplied (Gustavson's sparse product): an entry with no such
-        # pair is zero and is not reduced.  Monomials are packed for the
-        # largest degree of a term product seen so far; a row of larger
-        # degree packs the columns again, wider.
-        cols = list(cols)
-        col_degree = max((x.degree for c in cols for x in c), default=0)
-        nvars, zero, reduce = len(self.variables), self.zero(), _reduce_packed
-        pk = None
+        # pair is zero and is not reduced.  Monomials stay packed as the
+        # payloads store them, from the operands to the result.
+        cols = [_cleared(c) for c in cols]
+        pk, lead, rule, _ = self._rewrite
+        nvars, zero = len(self.variables), self.zero()
         for row in rows:
-            degree = col_degree + max((x.degree for x in row), default=0)
-            if pk is None or degree > pk.degree:
-                pk, lead, rule = self._packed_rewrite(degree)
-                packed_cols = [_cleared(c, pk.codes) for c in cols]
-            rn, rd = _cleared(row, pk.codes)
+            rn, rd = _cleared(row)
             nonzero = [(k, x) for k, x in enumerate(rn) if x]
-            for cn, cd in packed_cols:
+            for cn, cd in cols:
                 pairs = [(x, cn[k]) for k, x in nonzero if cn[k]]
                 if pairs:
-                    coeffs = _product_terms(pairs)
-                    reduce(coeffs, lead, rule, pk.guard)
-                    yield _unpacked(nvars, coeffs, pk, rd * cd)
+                    coeffs = _product_terms(pairs, pk.limit)
+                    _reduce_packed(coeffs, lead, rule, pk.guard)
+                    yield Poly(nvars, _packed_terms(coeffs, rd * cd))
                 else:
                     yield zero
 
@@ -677,10 +677,11 @@ class PolyQuotient(RingDescriptor):
     def is_zero(self, a) -> bool:
         return a.is_zero
 
-    def reduce(self, p: Poly | dict[Monomial, Coeff], max_cost: int | None = None) -> Poly:
-        """Normal form modulo the relation of p, a polynomial or a map
-        from monomials to rational or integer coefficients (in any
-        order, zeros allowed).
+    def reduce(self, p: Poly | dict, max_cost: int | None = None) -> Poly:
+        """Normal form modulo the relation of p: a polynomial, or a map
+        to rational or integer coefficients (in any order, zeros allowed)
+        from monomials, given as exponent tuples or as the packed codes
+        of _parse_terms.
         With max_cost, a reduction that would cost more (counted as for
         MAX_REDUCE_COST) raises ElementSyntaxError instead.
 
@@ -688,17 +689,17 @@ class PolyQuotient(RingDescriptor):
         does not depend on the reduction strategy; reduce is idempotent
         and a ring homomorphism.  The work is _reduce_packed's.
         """
+        pk, lead, rule, rule_bits = self._rewrite
         if isinstance(p, Poly):
-            if p.nvars != len(self.variables):
+            if p.nvars != pk.nvars:
                 raise ValueError("polynomial arity does not match the ring")
-            items = p.terms
+            coeffs = dict(p.packed)
         else:
-            items = p.items()
-        pk, lead, rule = self._packed_rewrite(max((sum(m) for m, _ in items), default=0))
-        codes = pk.codes
-        coeffs = {codes[m]: c for m, c in items}
-        _reduce_packed(coeffs, lead, rule, pk.guard, max_cost, self._rewrite[2])
-        return _unpacked(len(self.variables), coeffs, pk)
+            coeffs = dict(p)
+            if coeffs and type(next(iter(coeffs))) is not int:
+                coeffs = {pk.code(m): c for m, c in coeffs.items()}
+        _reduce_packed(coeffs, lead, rule, pk.guard, max_cost, rule_bits)
+        return Poly(pk.nvars, _packed_terms(coeffs))
 
     def try_invert_payload(self, a):
         if a.is_zero:
@@ -714,7 +715,7 @@ class PolyQuotient(RingDescriptor):
 
     def parse_payload(self, text: str):
         value = self.reduce(_parse_terms(text, self.variables), MAX_REDUCE_COST)
-        if len(value.terms) > MAX_TERMS:
+        if len(value.packed) > MAX_TERMS:
             raise ElementSyntaxError(f"literal of more than MAX_TERMS = {MAX_TERMS} terms in normal form")
         return value
 
@@ -781,14 +782,19 @@ def parse_polynomial(text: str, variables: tuple[str, ...]) -> Poly:
     of total degree above MAX_DEGREE are rejected.  No parentheses:
     input must already be a sum of terms.
     """
-    return Poly.from_dict(len(variables), _parse_terms(text, variables))
+    return Poly(len(variables), _packed_terms(_parse_terms(text, variables)))
 
 
-def _parse_terms(text: str, variables: tuple[str, ...]) -> dict[Monomial, Coeff]:
-    """Coefficient map of a polynomial literal, unsorted, zeros allowed,
+def _parse_terms(text: str, variables: tuple[str, ...]) -> dict[int, Coeff]:
+    """Coefficient map of a polynomial literal, keyed by the packed codes
+    of its monomials (_packing(len(variables))), unsorted, zeros allowed,
     with coefficients normalised as in Poly."""
-    nvars = len(variables)
-    index = {name: i for i, name in enumerate(variables)}
+    pk = _packing(len(variables))
+    weights = dict(zip(variables, pk.weights))
+    # The top field reads the total degree while every exponent fits its
+    # field; an exponent that does not carries into the top field too, so
+    # a code is over MAX_DEGREE exactly when it reaches this bound.
+    past_max_degree = (MAX_DEGREE + 1) << pk.top
     tokens = _TOKEN.findall(text)
     if any(map(_STRAY, tokens)):
         at = next(m.start() for m in _TOKEN.finditer(text) if m.group(4))
@@ -798,7 +804,7 @@ def _parse_terms(text: str, variables: tuple[str, ...]) -> dict[Monomial, Coeff]
     end = len(tokens)
     tokens.append(("", "", "", ""))
 
-    coeffs: dict[Monomial, Coeff] = {}
+    coeffs: dict[int, Coeff] = {}
     i = 0
     while i < end:
         num, den = 1, 1
@@ -810,7 +816,7 @@ def _parse_terms(text: str, variables: tuple[str, ...]) -> dict[Monomial, Coeff]
             op = tokens[i][2]
         if i == end:
             raise ElementSyntaxError("dangling sign")
-        expo = [0] * nvars
+        code = 0
         while True:
             digits, name, op, _ = tokens[i]
             i += 1
@@ -824,16 +830,16 @@ def _parse_terms(text: str, variables: tuple[str, ...]) -> dict[Monomial, Coeff]
                     i += 2
                 _check_coeff_bits(num, den)
             elif name:
-                v = index.get(name)
-                if v is None:
+                w = weights.get(name)
+                if w is None:
                     raise ElementSyntaxError(f"unknown variable {name!r}")
                 if tokens[i][2] == "^":
                     if not tokens[i + 1][0]:
                         raise ElementSyntaxError("malformed exponent")
-                    expo[v] += _int_literal(tokens[i + 1][0])
+                    code += w * _int_literal(tokens[i + 1][0])
                     i += 2
                 else:
-                    expo[v] += 1
+                    code += w
             else:
                 raise ElementSyntaxError(f"unexpected operator {op!r}")
             if tokens[i][2] != "*":
@@ -844,15 +850,14 @@ def _parse_terms(text: str, variables: tuple[str, ...]) -> dict[Monomial, Coeff]
         op = tokens[i][2]
         if i != end and op != "+" and op != "-":
             raise ElementSyntaxError(f"expected '+', '-' or end, found {''.join(tokens[i])!r}")
-        if sum(expo) > MAX_DEGREE:
+        if code >= past_max_degree:
             raise ElementSyntaxError(f"monomial of total degree over MAX_DEGREE = {MAX_DEGREE}")
-        mono = tuple(expo)
         coeff = num if den == 1 else _coeff(Fraction(num, den))
-        old = coeffs.get(mono)
+        old = coeffs.get(code)
         if old is not None:
             coeff = _coeff(old + coeff)
             _check_coeff_bits(coeff.numerator, coeff.denominator)
-        coeffs[mono] = coeff
+        coeffs[code] = coeff
     return coeffs
 
 

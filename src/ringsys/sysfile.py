@@ -96,27 +96,47 @@ def _reject_duplicates(pairs):
     return seen
 
 
-def _parse_matrix(ring: RingDescriptor, data, where: str, memo: dict, rows=None, cols=None) -> RingMatrix:
+class _Literals(dict):
+    """Payloads by literal text for one file read.  A text is parsed when
+    it is first looked up and stored; payloads are immutable, so each
+    distinct text is parsed once per read.  A literal that fails is not
+    stored, and an entry that is not a string raises TypeError."""
+
+    __slots__ = ("parse",)
+
+    def __init__(self, ring: RingDescriptor):
+        super().__init__()
+        self.parse = ring.parse_payload
+
+    def __missing__(self, literal):
+        if not isinstance(literal, str):
+            raise TypeError("entries must be strings")
+        payload = self[literal] = self.parse(literal)
+        return payload
+
+
+def _parse_matrix(ring: RingDescriptor, data, where: str, memo: _Literals, rows=None, cols=None) -> RingMatrix:
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise SystemFileError(f"{where}: expected a list of rows")
     entries = []
     width = None
+    lookup = memo.__getitem__
     for i, row in enumerate(data):
         if width is None:
             width = len(row)
         elif len(row) != width:
             raise SystemFileError(f"{where}[{i}]: ragged row (expected {width} entries)")
-        for j, literal in enumerate(row):
-            if not isinstance(literal, str):
-                raise SystemFileError(f"{where}[{i}][{j}]: entries must be strings")
-            # Payloads are immutable, so each distinct text is parsed once per file
-            payload = memo.get(literal)
-            if payload is None:
-                try:
-                    payload = memo[literal] = ring.parse_payload(literal)
-                except ElementSyntaxError as exc:
-                    raise SystemFileError(f"{where}[{i}][{j}]: {exc}") from exc
-            entries.append(payload)
+        try:
+            entries.extend(map(lookup, row))
+        except (ElementSyntaxError, TypeError) as exc:
+            # Every literal before the failing one was found or stored,
+            # so the first entry that is not a stored string failed.
+            j = next(j for j, x in enumerate(row) if not isinstance(x, str) or x not in memo)
+            if not isinstance(row[j], str):
+                raise SystemFileError(f"{where}[{i}][{j}]: entries must be strings") from None
+            if not isinstance(exc, ElementSyntaxError):
+                raise
+            raise SystemFileError(f"{where}[{i}][{j}]: {exc}") from exc
     if rows is not None and len(data) != rows:
         raise SystemFileError(f"{where}: expected {rows} rows, found {len(data)}")
     if cols is not None and (width if width is not None else cols) != cols:
@@ -151,7 +171,7 @@ def _decode(text: str) -> tuple[RingDescriptor, dict, dict]:
     return ring, _named_map(data, "systems"), _named_map(data, "certificates")
 
 
-def _system_entry(ring: RingDescriptor, name: str, spec, memo: dict) -> PairEntry:
+def _system_entry(ring: RingDescriptor, name: str, spec, memo: _Literals) -> PairEntry:
     where = f"systems.{name}"
     if not isinstance(spec, dict):
         raise SystemFileError(f"{where}: expected an object")
@@ -163,7 +183,7 @@ def _system_entry(ring: RingDescriptor, name: str, spec, memo: dict) -> PairEntr
     return PairEntry(n, endo, gens)
 
 
-def _cert_entry(ring: RingDescriptor, name: str, spec, memo: dict, system_names) -> CertEntry:
+def _cert_entry(ring: RingDescriptor, name: str, spec, memo: _Literals, system_names) -> CertEntry:
     where = f"certificates.{name}"
     if not isinstance(spec, dict):
         raise SystemFileError(f"{where}: expected an object")
@@ -217,7 +237,7 @@ def _build(text: str, systems, certificates) -> SystemFile:
         spec = cert_specs[name]
         if isinstance(spec, dict):
             wanted.update(spec.get(key) for key in ("source", "target") if isinstance(spec.get(key), str))
-    memo: dict = {}
+    memo = _Literals(ring)
     built = {name: _system_entry(ring, name, spec, memo) for name, spec in system_specs.items() if name in wanted}
     certs = {name: _cert_entry(ring, name, cert_specs[name], memo, system_specs) for name in named_certs}
     for name in systems:

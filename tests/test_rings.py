@@ -25,13 +25,16 @@ from ringsys import (
     try_invert,
 )
 from ringsys.rings import (
+    DEGREE_CAP,
     MAX_COEFF_BITS,
     MAX_DEGREE,
     MAX_REDUCE_COST,
     MAX_TERMS,
+    _packing,
     _parse_terms,
     descriptor_from_dict,
     descriptor_to_dict,
+    grlex_key,
 )
 from util import fold_dot, reference_parse_terms, reference_product, reference_reduce
 
@@ -440,10 +443,27 @@ REFERENCE_RINGS = [
 # divisibility by it is decided in two exponent fields of the packing.
 XY_RING = PolyQuotient(VARS, parse_polynomial("x*y - z - 1", VARS))
 
+# One variable, and nine (monomials of 160 bits), whose leading monomial
+# a*e*z spans the lowest, a middle and the highest exponent field; both
+# rules have a fractional coefficient.
+NINE = tuple("abcdefghz")
+WIDTH_RINGS = [
+    PolyQuotient(("t",), parse_polynomial("2*t^3 - t + 1/3", ("t",))),
+    PolyQuotient(NINE, parse_polynomial("a*e*z - 3*b^2 + c - 1/2", NINE)),
+]
+
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-polys = st.dictionaries(
-    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)), fractions, max_size=6
-).map(lambda coeffs: Poly.from_dict(3, coeffs))
+
+
+def polys_in(nvars):
+    """Polynomials in nvars variables of up to six terms; exponents up to
+    12 in one variable, 4 in three and 2 in nine."""
+    top = {1: 12, 3: 4}.get(nvars, 2)
+    monomials = st.tuples(*[st.integers(0, top)] * nvars)
+    return st.dictionaries(monomials, fractions, max_size=6).map(lambda coeffs: Poly.from_dict(nvars, coeffs))
+
+
+polys = polys_in(3)
 
 
 def assert_coefficient_rule(p):
@@ -485,18 +505,26 @@ def test_coefficients_are_ints_when_integral(ring):
         assert (type(inv) is int) == ((1 / Fraction(c)).denominator == 1)
 
 
-@pytest.mark.parametrize("ring", REFERENCE_RINGS + [XY_RING], ids=str)
-@settings(max_examples=150, deadline=None)
-@given(p=polys)
-# past the relation's degree, so the packing is wider than the rule's own
-@example(p=Poly.from_dict(3, {(3, 30, 9): Fraction(2, 3), (20, 1, 0): Fraction(-1), (0, 0, 0): Fraction(5)}))
-def test_reduce_matches_reference(ring, p):
+def assert_reduce_matches_reference(ring, p):
     expected = reference_reduce(ring, p)
     assert ring.reduce(p) == expected
     # a coefficient map in any order, with zeros, has the same normal form
     coeffs = dict(reversed(p.terms))
-    coeffs.setdefault((0, 0, 5), Fraction(0))
+    coeffs.setdefault((0,) * (p.nvars - 1) + (5,), Fraction(0))
     assert ring.reduce(coeffs) == expected
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS + [XY_RING] + WIDTH_RINGS, ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reduce_matches_reference(ring, data):
+    assert_reduce_matches_reference(ring, data.draw(polys_in(len(ring.variables))))
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS + [XY_RING], ids=str)
+def test_reduce_matches_reference_past_the_relation_degree(ring):
+    p = Poly.from_dict(3, {(3, 30, 9): Fraction(2, 3), (20, 1, 0): Fraction(-1), (0, 0, 0): Fraction(5)})
+    assert_reduce_matches_reference(ring, p)
 
 
 # Every ring subtracts by adding the negation, add(a, neg(b)).
@@ -540,8 +568,10 @@ def test_quotient_dot_matches_fold(ring, pairs):
 # and GF(p) (the smallest modulus too), the cleared-denominator kernels
 # over Q and over quotient rings, whose rewrite rule is integral
 # (sphere) or not (the non-monic relation).  XY_RING's leading monomial
-# has two variables.
-PRODUCT_RINGS = [Rationals(), Integers(), PrimeField(2), PrimeField(101), sphere_ring(), REFERENCE_RINGS[2], XY_RING]
+# has two variables; WIDTH_RINGS have one variable and nine.
+PRODUCT_RINGS = [
+    Rationals(), Integers(), PrimeField(2), PrimeField(101), sphere_ring(), REFERENCE_RINGS[2], XY_RING, *WIDTH_RINGS
+]
 
 
 def product_elements(ring):
@@ -552,7 +582,7 @@ def product_elements(ring):
     elif isinstance(ring, PrimeField):
         elems = st.integers(0, ring.p - 1)
     else:
-        elems = polys.map(ring.reduce)
+        elems = polys_in(len(ring.variables)).map(ring.reduce)
     return st.one_of(st.just(ring.zero()), elems)
 
 
@@ -567,7 +597,7 @@ def assert_products_match_fold(a, b):
             v = got.entry(i, j)
             if isinstance(ring, PolyQuotient):
                 # independent of the integer kernels: Fraction products, long division
-                total = Poly.zero(ring.relation.nvars)
+                total = Poly.zero(len(ring.variables))
                 for x, y in zip(a.row_list(i), c):
                     total = total + reference_product(x, y)
                 assert v == reference_reduce(ring, total)
@@ -589,32 +619,95 @@ def test_products_match_fold(ring, data):
     assert_products_match_fold(RingMatrix(ring, rows, inner, tuple(a)), RingMatrix(ring, inner, cols, tuple(b)))
 
 
-@pytest.mark.parametrize("ring", [sphere_ring(), REFERENCE_RINGS[2], XY_RING], ids=str)
-def test_products_match_fold_when_the_packing_grows(ring, monkeypatch):
-    """Monomials are packed for the degree of the rows seen so far: a
-    last row of much larger degree packs the columns again, wider, and
-    its entries still match the fold."""
-    low = [ring.reduce(Poly.from_dict(3, {(1, 0, 0): Fraction(1, 2), (0, 0, 1): 3})), ring.one()]
-    high = [
-        ring.reduce(Poly.from_dict(3, {(0, 17, 1): 2, (5, 0, 0): Fraction(-4, 3)})),
-        ring.reduce(Poly.from_dict(3, {(9, 9, 9): 1})),
-    ]
-    cols = [ring.reduce(Poly.from_dict(3, {(0, 1, 1): -1, (0, 0, 0): Fraction(2, 5)})), ring.zero(), low[0], ring.one()]
-    a, b = RingMatrix(ring, 3, 2, tuple(low + low + high)), RingMatrix(ring, 2, 2, tuple(cols))
+def test_poly_public_behaviour():
+    """A Poly is stored packed, but reads as it always has: terms in
+    descending graded-lex order with exponent tuples as monomials, the
+    same repr, and equality, hash, degree and leading term independent
+    of the order a dict lists its terms in."""
+    p = Poly.from_dict(3, {(0, 0, 1): 2, (1, 0, 0): Fraction(1, 2), (0, 0, 0): Fraction(-6, 3), (2, 1, 0): 0})
+    assert p.terms == (((0, 0, 1), 2), ((1, 0, 0), Fraction(1, 2)), ((0, 0, 0), -2))
+    assert repr(p) == "Poly(nvars=3, terms=(((0, 0, 1), 2), ((1, 0, 0), Fraction(1, 2)), ((0, 0, 0), -2)))"
+    assert repr(Poly.zero(2)) == "Poly(nvars=2, terms=())"
+    assert (p.degree, p.leading(), p.is_constant) == (1, ((0, 0, 1), 2), False)
+    assert Poly.const(3, Fraction(4, 2)).is_constant and Poly.zero(3).is_constant and Poly.zero(3).degree == 0
+    rng = random.Random(47)
+    for nvars in (1, 3, 9):
+        for _ in range(30):
+            monos = {tuple(rng.randint(0, 5) for _ in range(nvars)) for _ in range(rng.randint(0, 8))}
+            coeffs = {m: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for m in monos}
+            items = list(coeffs.items())
+            rng.shuffle(items)
+            p, q = Poly.from_dict(nvars, coeffs), Poly.from_dict(nvars, dict(items))
+            assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+            nonzero = sorted((m for m, c in coeffs.items() if c), key=grlex_key, reverse=True)
+            assert [m for m, _ in p.terms] == nonzero
+            assert all(c == coeffs[m] for m, c in p.terms)
+            assert_coefficient_rule(p)
+            assert p.degree == max(map(sum, nonzero), default=0)
+            assert p.is_constant == all(sum(m) == 0 for m in nonzero)
+            if nonzero:
+                assert p.leading() == (nonzero[0], coeffs[nonzero[0]])
+            # the packed codes decode back to the terms, in the same order
+            monomial = _packing(nvars).monomial
+            assert tuple((monomial(k), c) for k, c in p.packed) == p.terms
+            assert [k for k, _ in p.packed] == sorted((k for k, _ in p.packed), reverse=True)
 
-    packings = []
-    packed_rewrite = PolyQuotient._packed_rewrite
 
-    def spy(self, degree):
-        got = packed_rewrite(self, degree)
-        packings.append(got[0].degree)
-        return got
+CAP_MESSAGE = f"over DEGREE_CAP = {DEGREE_CAP}"
 
-    monkeypatch.setattr(PolyQuotient, "_packed_rewrite", spy)
-    a @ b
-    monkeypatch.undo()
-    assert len(packings) == 2 and packings[0] < packings[1]
-    assert_products_match_fold(a, b)
+
+def power(nvars, e, c=1):
+    """c times the e-th power of the first of nvars variables."""
+    return Poly.from_dict(nvars, {(e,) + (0,) * (nvars - 1): c})
+
+
+@pytest.mark.parametrize("nvars", [1, 3, 9])
+def test_degree_cap_is_refused(nvars):
+    """Monomials are packed in fields that hold a total degree up to
+    DEGREE_CAP: a Poly past it, or a product that would be, raises
+    ValueError naming the cap instead of wrapping into another monomial."""
+    at_cap = power(nvars, DEGREE_CAP, 3) + Poly.const(nvars, 1)
+    assert at_cap.degree == DEGREE_CAP and at_cap.leading() == ((DEGREE_CAP,) + (0,) * (nvars - 1), 3)
+    bad = [{(DEGREE_CAP + 1,) + (0,) * (nvars - 1): 1}]
+    if nvars > 1:  # no exponent past the cap, but their sum
+        bad.append({(DEGREE_CAP, 1) + (0,) * (nvars - 2): 1})
+    for coeffs in bad:
+        with pytest.raises(ValueError, match=CAP_MESSAGE):
+            Poly.from_dict(nvars, coeffs)
+    for coeffs in ({(-1,) + (0,) * (nvars - 1): 1}, {(0,) * (nvars + 1): 1}):
+        with pytest.raises(ValueError, match="nonnegative integer exponents"):
+            Poly.from_dict(nvars, coeffs)
+    low, high = power(nvars, 16383), power(nvars, 16384) - power(nvars, 1)
+    # up to the cap the product is exact, term by term
+    assert low * high == power(nvars, DEGREE_CAP) - power(nvars, 16384) == reference_product(low, high)
+    assert at_cap * Poly.const(nvars, 5) == at_cap.scale(5)
+    for x, y in ((high, high), (at_cap, power(nvars, 1)), (at_cap, at_cap)):
+        with pytest.raises(ValueError, match=CAP_MESSAGE):
+            x * y
+
+
+@pytest.mark.parametrize("ring", [XY_RING] + WIDTH_RINGS, ids=str)
+def test_products_refuse_a_degree_past_the_cap(ring):
+    """PolyQuotient.products and mul refuse an entry whose term products
+    would pass DEGREE_CAP before anything is reduced; below the cap they
+    match the reference."""
+    nvars = len(ring.variables)
+    one, zero = ring.one(), ring.zero()
+    high = power(nvars, 16384)
+    for x, y in ((high, high), (power(nvars, DEGREE_CAP), power(nvars, 1))):
+        with pytest.raises(ValueError, match=CAP_MESSAGE):
+            ring.mul(x, y)
+        with pytest.raises(ValueError, match=CAP_MESSAGE):
+            next(ring.products([[one, x]], [[zero, y]]))
+        with pytest.raises(ValueError, match=CAP_MESSAGE):
+            RingMatrix(ring, 2, 2, (x, one, one, one)) @ RingMatrix(ring, 2, 2, (y, one, one, one))
+    if nvars > 1:
+        # the first variable is not a multiple of the leading monomial,
+        # so its powers up to the cap are normal forms
+        low = power(nvars, 16383)
+        assert ring.mul(low, high) == power(nvars, DEGREE_CAP) == reference_reduce(ring, reference_product(low, high))
+        a = RingMatrix(ring, 2, 2, (low, one, one, one))
+        assert_products_match_fold(a, RingMatrix(ring, 2, 2, (high, one, zero, one)))
 
 
 @pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=str)
@@ -625,8 +718,9 @@ def test_products_edge_cases(ring):
         if isinstance(ring, Rationals):
             return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12)))
         if isinstance(ring, PolyQuotient):
-            coeffs = {tuple(rng.randint(0, 2) for _ in VARS): Fraction(rng.randint(-4, 4), rng.randint(1, 6))}
-            return ring.reduce(Poly.from_dict(3, coeffs))
+            nvars = len(ring.variables)
+            coeffs = {tuple(rng.randint(0, 2) for _ in range(nvars)): Fraction(rng.randint(-4, 4), rng.randint(1, 6))}
+            return ring.reduce(Poly.from_dict(nvars, coeffs))
         return ring.canonical_payload(rng.randint(-9, 9))
 
     def matrix(rows, cols, zero_rows=()):
@@ -653,11 +747,11 @@ def test_products_edge_cases(ring):
 SPARSE_RINGS = [sphere_ring(), REFERENCE_RINGS[2]]
 
 
-@pytest.mark.parametrize("ring", SPARSE_RINGS, ids=str)
+@pytest.mark.parametrize("ring", SPARSE_RINGS + WIDTH_RINGS, ids=str)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_sparse_products_match_fold(ring, data):
-    nonzero_elems = polys.map(ring.reduce).filter(lambda p: not p.is_zero)
+    nonzero_elems = polys_in(len(ring.variables)).map(ring.reduce).filter(lambda p: not p.is_zero)
 
     def sparse(rows, cols):
         # up to 30% nonzero entries, so most entries have at most one
@@ -792,4 +886,10 @@ def tokenizer_outcome(parse, text):
 @example("7" * 5000 + "*x")
 @example("x\n٣ $²")
 def test_tokenizer_matches_reference(text):
-    assert tokenizer_outcome(_parse_terms, text) == tokenizer_outcome(reference_parse_terms, text)
+    assert tokenizer_outcome(decoded_parse_terms, text) == tokenizer_outcome(reference_parse_terms, text)
+
+
+def decoded_parse_terms(text, variables):
+    """_parse_terms with its packed codes decoded to exponent tuples."""
+    monomial = _packing(len(variables)).monomial
+    return {monomial(k): c for k, c in _parse_terms(text, variables).items()}
