@@ -17,15 +17,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ringsys import (
     IsoCertificate,
+    LinearSystem,
     PolyQuotient,
     RingMatrix,
     det,
+    dynamic_enlarge,
+    from_pair,
     parse_polynomial,
     verify_certificate,
 )
 from ringsys.fixtures import sphere_fixture_path
-from ringsys.sysfile import CertEntry, PairEntry, SystemFile, write
-from ringsys.systems import enlarged_pair
+from ringsys.sysfile import CertEntry, SystemFile, write
 
 VARS = ("x", "y", "z")
 
@@ -46,12 +48,11 @@ def build() -> SystemFile:
     # non-free module.
     b_lb = mat([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]])
 
-    systems: dict[str, PairEntry] = {}
+    systems: dict[str, LinearSystem] = {}
 
     def add_pair(name: str, endo: RingMatrix, gens: RingMatrix) -> None:
-        systems[name] = PairEntry(endo.rows, endo, gens)
-        ea, eb = enlarged_pair(endo, gens, 1)
-        systems[f"G1+{name}"] = PairEntry(ea.rows, ea, eb)
+        sigma = systems[name] = from_pair(endo, gens)
+        systems[f"G1+{name}"] = dynamic_enlarge(sigma, 1)
 
     add_pair("Sigma", f, b_cert)
     add_pair("SigmaPrime", f_prime, b_cert)

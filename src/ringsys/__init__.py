@@ -10,7 +10,6 @@ ring, polynomial quotient rings included.
 
 from .equivalence import (
     IsoCertificate,
-    K0Class,
     VerifyResult,
     certificate_from_action,
     direct_sum_certificate,
@@ -85,7 +84,6 @@ from .systems import (
     biproduct_witnesses,
     direct_sum,
     dynamic_enlarge,
-    enlarged_pair,
     from_pair,
     gamma,
     identity_morphism,
@@ -93,6 +91,6 @@ from .systems import (
     swap_matrix,
     zero_system,
 )
-from .sysfile import PairEntry, SystemFile, emit, parse, parse_text, write
+from .sysfile import SystemFile, emit, parse, parse_text, write
 
 __version__ = "0.1.0"

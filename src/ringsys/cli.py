@@ -3,8 +3,8 @@
 Exit codes: 0 for success / Accept / true, 1 for false / Reject, 2 for
 errors.  Human-readable output goes to stdout; ``--json`` switches to
 a single machine-readable document with stable key order, and a command
-formats only the form it prints.  Diagnostics go to stderr.  A command reads from its system file only the entries it
-names.
+formats only the form it prints.  Diagnostics go to stderr.  A command
+reads from its system file only the entries it names.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .equivalence import (
 from .errors import RingsysError
 from .invariants import canonical_certificate, compute_chain, signature_from_report, z_signature
 from .linalg import AbelianGroupStructure
-from .sysfile import PairEntry, SystemFile, parse, write
-from .systems import enlarged_pair
+from .sysfile import SystemFile, parse, write
+from .systems import direct_sum, dynamic_enlarge
 
 
 def _structure_doc(structure):
@@ -80,8 +80,8 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_canon(args) -> int:
     sf = parse(args.file, systems=(args.system,))
-    a, b = sf.raw_pair(args.system)
-    cert = canonical_certificate(a, b)
+    sigma = sf.system(args.system)
+    cert = canonical_certificate(sigma.endo, sigma.generators)
     if args.json:
         _print_json(
             {
@@ -160,12 +160,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sum(args) -> int:
     sf = parse(args.file, systems=(args.left, args.right))
-    a1, b1 = sf.raw_pair(args.left)
-    a2, b2 = sf.raw_pair(args.right)
     name = f"{args.left}+{args.right}"
-    entry = PairEntry(a1.rows + a2.rows, a1.block_diag(a2), b1.block_diag(b2))
-    out = SystemFile(sf.ring, {name: entry})
-    write(out, args.out)
+    total = direct_sum(sf.system(args.left), sf.system(args.right))
+    write(SystemFile(sf.ring, {name: total}), args.out)
     if args.json:
         _print_json({"command": "sum", "written": str(args.out), "system": name})
     else:
@@ -175,11 +172,9 @@ def _cmd_sum(args) -> int:
 
 def _cmd_enlarge(args) -> int:
     sf = parse(args.file, systems=(args.system,))
-    a, b = sf.raw_pair(args.system)
-    ea, eb = enlarged_pair(a, b, args.p)
     name = f"G{args.p}+{args.system}"
-    out = SystemFile(sf.ring, {name: PairEntry(ea.rows, ea, eb)})
-    write(out, args.out)
+    enlarged = dynamic_enlarge(sf.system(args.system), args.p)
+    write(SystemFile(sf.ring, {name: enlarged}), args.out)
     if args.json:
         _print_json({"command": "enlarge", "written": str(args.out), "system": name, "p": args.p})
     else:

@@ -25,9 +25,6 @@ from .rings import Integers, PrimeField, RingDescriptor
 from .systems import LinearSystem, from_pair, gamma
 
 
-# The class of a system in the group completion is its signature.
-K0Class = ZSignature
-
 MODES = ("feedback", "dynamic", "stable")
 
 
@@ -179,9 +176,9 @@ def stabilize_certificate(cert: IsoCertificate, common: LinearSystem) -> IsoCert
     return direct_sum_certificate(cert, identity_certificate(common))
 
 
-def k0_class(sigma: LinearSystem) -> K0Class:
-    """Class of the system in the group completion: the rank sequence
-    of its Z-layers."""
+def k0_class(sigma: LinearSystem) -> ZSignature:
+    """Class of the system in the group completion: its signature, the
+    rank sequence of its Z-layers."""
     return z_signature(sigma)
 
 

@@ -654,15 +654,21 @@ class PolyQuotient(RingDescriptor):
         # is Q-linear and a ring homomorphism, so the normal form is the
         # same) and divided once.  Only pairs of nonzero operands are
         # multiplied (Gustavson's sparse product): an entry with no such
-        # pair is zero and is not reduced.  Monomials stay packed as the
-        # payloads store them, from the operands to the result.
-        cols = [_cleared(c) for c in cols]
+        # pair is zero and is not reduced; a row or a column with no
+        # nonzero entry gives zeros without looking for pairs.  Monomials
+        # stay packed as the payloads store them, from the operands to
+        # the result.
+        cols = [c if any(c[0]) else None for c in map(_cleared, cols)]
         pk, lead, rule, _ = self._rewrite
         nvars, zero = len(self.variables), self.zero()
         for row in rows:
             rn, rd = _cleared(row)
             nonzero = [(k, x) for k, x in enumerate(rn) if x]
-            for cn, cd in cols:
+            for col in cols:
+                if col is None or not nonzero:
+                    yield zero
+                    continue
+                cn, cd = col
                 pairs = [(x, cn[k]) for k, x in nonzero if cn[k]]
                 if pairs:
                     coeffs = _product_terms(pairs, pk.limit)

@@ -4,8 +4,10 @@ A system file is a JSON document: one ring declaration, a map of named
 systems in pair form, and an optional map of named certificates whose
 matrices are written over the declared ring.  Element literals follow
 the scalar grammar of the ring (``5/6``, ``3``, ``x^2*y - 3/2*z + 1``).
-Emission is deterministic, so parse and emit are mutually inverse down
-to the byte level.  ``parse`` builds and validates every entry, or
+A parsed file holds each system as a ``LinearSystem``.  Emission is
+deterministic and writes each system's generator matrix as given, never
+the canonical one, so parse and emit are mutually inverse down to the
+byte level.  ``parse`` builds and validates every entry, or
 only the entries a caller names, for commands that read no more.
 """
 
@@ -31,23 +33,6 @@ def _normalize_empty(m: RingMatrix) -> RingMatrix:
 
 
 @dataclass(frozen=True)
-class PairEntry:
-    """A named system as written: state rank plus the raw matrix pair."""
-
-    n: int
-    endo: RingMatrix
-    input_gens: RingMatrix
-
-    def __post_init__(self):
-        if self.endo.rows != self.n or self.endo.cols != self.n:
-            raise SystemFileError(f"endo must be {self.n}x{self.n}")
-        if self.input_gens.rows != self.n:
-            raise SystemFileError(f"input_gens must have {self.n} rows")
-        object.__setattr__(self, "endo", _normalize_empty(self.endo))
-        object.__setattr__(self, "input_gens", _normalize_empty(self.input_gens))
-
-
-@dataclass(frozen=True)
 class CertEntry:
     source: str
     target: str
@@ -61,18 +46,10 @@ class CertEntry:
 @dataclass(frozen=True)
 class SystemFile:
     ring: RingDescriptor
-    systems: dict[str, PairEntry] = field(default_factory=dict)
+    systems: dict[str, LinearSystem] = field(default_factory=dict)
     certificates: dict[str, CertEntry] = field(default_factory=dict)
 
     def system(self, name: str) -> LinearSystem:
-        entry = self._entry(name)
-        return from_pair(entry.endo, entry.input_gens)
-
-    def raw_pair(self, name: str) -> tuple[RingMatrix, RingMatrix]:
-        entry = self._entry(name)
-        return entry.endo, entry.input_gens
-
-    def _entry(self, name: str) -> PairEntry:
         _check_known(self.systems, "system", name)
         return self.systems[name]
 
@@ -171,7 +148,7 @@ def _decode(text: str) -> tuple[RingDescriptor, dict, dict]:
     return ring, _named_map(data, "systems"), _named_map(data, "certificates")
 
 
-def _system_entry(ring: RingDescriptor, name: str, spec, memo: _Literals) -> PairEntry:
+def _system_entry(ring: RingDescriptor, name: str, spec, memo: _Literals) -> LinearSystem:
     where = f"systems.{name}"
     if not isinstance(spec, dict):
         raise SystemFileError(f"{where}: expected an object")
@@ -180,7 +157,7 @@ def _system_entry(ring: RingDescriptor, name: str, spec, memo: _Literals) -> Pai
         raise SystemFileError(f"{where}.n: missing or not a nonnegative integer")
     endo = _parse_matrix(ring, spec.get("endo"), f"{where}.endo", memo, rows=n, cols=n)
     gens = _parse_matrix(ring, spec.get("input_gens"), f"{where}.input_gens", memo, rows=n)
-    return PairEntry(n, endo, gens)
+    return from_pair(endo, gens)
 
 
 def _cert_entry(ring: RingDescriptor, name: str, spec, memo: _Literals, system_names) -> CertEntry:
@@ -253,11 +230,11 @@ def emit(sf: SystemFile) -> str:
         "ring": descriptor_to_dict(sf.ring),
         "systems": {
             name: {
-                "n": entry.n,
-                "endo": entry.endo.to_str_rows(),
-                "input_gens": entry.input_gens.to_str_rows(),
+                "n": sigma.state_rank,
+                "endo": sigma.endo.to_str_rows(),
+                "input_gens": sigma.generators.to_str_rows(),
             }
-            for name, entry in sf.systems.items()
+            for name, sigma in sf.systems.items()
         },
     }
     if sf.certificates:

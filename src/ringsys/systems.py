@@ -71,14 +71,9 @@ def from_pair(a: RingMatrix, b: RingMatrix) -> LinearSystem:
     """System of a matrix pair: state R^n, endomorphism a, inputs col(b).
 
     The correspondence is many-to-one: pairs whose input matrices span
-    the same submodule give equal systems.
+    the same submodule give equal systems.  The shapes and rings are
+    checked as for any LinearSystem.
     """
-    if a.rows != a.cols:
-        raise ShapeError("state matrix must be square")
-    if b.rows != a.rows:
-        raise ShapeError("input matrix must have as many rows as the state matrix")
-    if a.ring != b.ring:
-        raise DescriptorMismatch("pair matrices live in different rings")
     return LinearSystem(a.ring, a.rows, a, b)
 
 
@@ -109,20 +104,11 @@ def direct_sum(s1: LinearSystem, s2: LinearSystem) -> LinearSystem:
 def dynamic_enlarge(sigma: LinearSystem, p: int) -> LinearSystem:
     """Adjoin p free ancillary state variables in front of sigma.
 
-    The ancillary block comes first, matching the leading identity
-    block of the enlarged pair form; this ordering is a file-format
-    convention as well.
+    The ancillary block comes first, so the enlarged input matrix
+    starts with an identity block; ``enlarge`` writes systems in this
+    order.
     """
     return direct_sum(gamma(sigma.ring, p), sigma)
-
-
-def enlarged_pair(a: RingMatrix, b: RingMatrix, p: int) -> tuple[RingMatrix, RingMatrix]:
-    """Pair form of dynamic enlargement: (0_p + a, I_p + b) block-diagonally."""
-    ring = a.ring
-    return (
-        RingMatrix.zeros(ring, p, p).block_diag(a),
-        RingMatrix.identity(ring, p).block_diag(b),
-    )
 
 
 def is_morphism(phi: RingMatrix, source: LinearSystem, target: LinearSystem) -> bool:

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringsys import PrimeField, Rationals, RingMatrix, SystemFileError
+from ringsys import PrimeField, Rationals, RingMatrix, SystemFileError, from_pair
 from ringsys.cli import _parse, build_parser, main
 from ringsys.fixtures import sphere_fixture_path
 from ringsys.equivalence import MODES
-from ringsys.sysfile import PairEntry, SystemFile, _parse_matrix, parse, parse_text, write
+from ringsys.sysfile import SystemFile, _parse_matrix, emit, parse, parse_text, write
 from util import SPHERE_RING, fuzz_base_documents, mutated_document
 
 Q = Rationals()
@@ -31,10 +31,10 @@ def fixture_file(tmp_path):
     sf = SystemFile(
         Q,
         {
-            "S1": PairEntry(2, m([[0, 0], [1, 0]]), m([[1], [0]])),
-            "S2": PairEntry(2, m([[0, 0], [0, 0]]), m([[1, 0], [0, 1]])),
-            "G1": PairEntry(1, m([[0]]), m([[1]])),
-            "NR": PairEntry(2, m([[0, 0], [0, 0]]), m([[1], [0]])),
+            "S1": from_pair(m([[0, 0], [1, 0]]), m([[1], [0]])),
+            "S2": from_pair(m([[0, 0], [0, 0]]), m([[1, 0], [0, 1]])),
+            "G1": from_pair(m([[0]]), m([[1]])),
+            "NR": from_pair(m([[0, 0], [0, 0]]), m([[1], [0]])),
         },
     )
     path = tmp_path / "systems.json"
@@ -366,7 +366,7 @@ class TestReports:
     def test_canon_json_pinned(self, tmp_path, capsys):
         a, b = (RingMatrix.from_rows(Q, rows) for rows in CANON_PAIR)
         path = tmp_path / "canon.json"
-        write(SystemFile(Q, {"T": PairEntry(4, a, b)}), path)
+        write(SystemFile(Q, {"T": from_pair(a, b)}), path)
         assert main(["canon", str(path), "T", "--json"]) == 0
         assert capsys.readouterr().out == json.dumps(CANON_DOC, indent=2, sort_keys=True) + "\n"
 
@@ -379,7 +379,7 @@ class TestReports:
 
         a, b = (RingMatrix.from_rows(ring, [[residue(t) for t in row] for row in rows]) for rows in CANON_PAIR)
         path = tmp_path / "canon.json"
-        write(SystemFile(ring, {"T": PairEntry(4, a, b)}), path)
+        write(SystemFile(ring, {"T": from_pair(a, b)}), path)
         assert main(["canon", str(path), "T", "--json"]) == 0
         assert capsys.readouterr().out == json.dumps(CANON_DOC_GF101, indent=2, sort_keys=True) + "\n"
 
@@ -392,7 +392,7 @@ class TestReports:
         n, m = 36, 2
         a, b = (RingMatrix.from_rows(Q, [[rng.randint(-3, 3) for _ in range(w)] for _ in range(n)]) for w in (n, m))
         path = tmp_path / "n36.json"
-        write(SystemFile(Q, {"S": PairEntry(n, a, b)}), path)
+        write(SystemFile(Q, {"S": from_pair(a, b)}), path)
         assert main(["canon", str(path), "S", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         p, k, q, a_c, b_c = (
@@ -435,7 +435,7 @@ class TestFileProducingCommands:
         assert main(["sum", fixture_file, "S1", "G1", "--out", str(out)]) == 0
         sf = parse(out)
         assert "S1+G1" in sf.systems
-        assert sf.systems["S1+G1"].n == 3
+        assert sf.systems["S1+G1"].state_rank == 3
 
     def test_outputs_read_back_with_reduced_literals(self, tmp_path, capsys):
         # z^64 is written back as its 561-term normal form, which parses
@@ -453,11 +453,11 @@ class TestFileProducingCommands:
         out = tmp_path / "enl.json"
         assert main(["enlarge", fixture_file, "S1", "-p", "2", "--out", str(out)]) == 0
         sf = parse(out)
-        entry = sf.systems["G2+S1"]
-        assert entry.n == 4
+        sigma = sf.systems["G2+S1"]
+        assert sigma.state_rank == 4
         # leading 2x2 identity block in the input matrix
-        assert entry.input_gens.entry(0, 0) == Q.one()
-        assert entry.input_gens.entry(1, 1) == Q.one()
+        assert sigma.generators.entry(0, 0) == Q.one()
+        assert sigma.generators.entry(1, 1) == Q.one()
         capsys.readouterr()
         assert main(["k0", str(out), "G2+S1"]) == 0
         assert capsys.readouterr().out.strip() == "(2, 1)"
@@ -481,6 +481,38 @@ class TestFileProducingCommands:
         assert "-p: must be a nonnegative integer, got '1.5'" in captured.err
         assert "_nonnegative_int" not in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, name, n, endo, gens",
+        [
+            (["sum", "S", "E"], "S+E", 2, [["0", "-2"], ["1", "3"]], [["1", "1"], ["0", "0"]]),
+            (
+                ["enlarge", "S", "-p", "1"],
+                "G1+S",
+                3,
+                [["0", "0", "0"], ["0", "0", "-2"], ["0", "1", "3"]],
+                [["1", "0", "0"], ["0", "1", "1"], ["0", "0", "0"]],
+            ),
+            (["enlarge", "E", "-p", "1"], "G1+E", 1, [["0"]], [["1"]]),
+        ],
+        ids=["sum", "enlarge", "enlarge-empty"],
+    )
+    def test_written_bytes_pinned(self, argv, name, n, endo, gens, tmp_path, capsys):
+        # S's generators span what the one column (1, 0) spans, and are
+        # written back as given, never in canonical form; E has no state
+        source = {
+            "ring": {"kind": "Z"},
+            "systems": {
+                "S": {"n": 2, "endo": [["0", "-2"], ["1", "3"]], "input_gens": [["1", "1"], ["0", "0"]]},
+                "E": {"n": 0, "endo": [], "input_gens": []},
+            },
+        }
+        path, out = tmp_path / "f.json", tmp_path / "out.json"
+        path.write_text(json.dumps(source), encoding="utf-8")
+        assert main([argv[0], str(path), *argv[1:], "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {name} to {out}\n"
+        doc = {"ring": {"kind": "Z"}, "systems": {name: {"endo": endo, "input_gens": gens, "n": n}}}
+        assert out.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
 
 
 class TestVerifyCommand:
@@ -911,7 +943,9 @@ def test_named_parse_matches_parse_text_on_the_named_entries(data):
                 assert str(exc) == message, (systems, certificates)
                 continue
             assert message is None, (systems, certificates)
-            assert got == expected
+            # systems compare by span; emit also compares the matrices as written
+            assert got == expected and emit(got) == emit(expected)
             if whole is not None:
-                assert all(whole.systems[k] == v for k, v in got.systems.items())
+                for k, v in got.systems.items():
+                    assert whole.systems[k] == v and whole.systems[k].generators == v.generators
                 assert all(whole.certificates[k] == v for k, v in got.certificates.items())

@@ -13,7 +13,6 @@ from ringsys import (
     DescriptorMismatch,
     Integers,
     IsoCertificate,
-    K0Class,
     NotLocallyBrunovsky,
     OrbitSizeError,
     Poly,
@@ -23,6 +22,7 @@ from ringsys import (
     RingMatrix,
     ShapeError,
     UnsupportedRing,
+    ZSignature,
     canonical_pair,
     certificate_from_action,
     direct_sum,
@@ -165,10 +165,10 @@ class TestK0Class:
             assert k0_class(direct_sum(s1, s2)) == k0_class(s1) + k0_class(s2)
 
     def test_zero_system_is_neutral(self):
-        assert k0_class(zero_system(Q)) == K0Class(())
+        assert k0_class(zero_system(Q)) == ZSignature(())
         rng = random.Random(36)
         s = lb_system(Q, rng, 2)
-        assert k0_class(s) + K0Class(()) == k0_class(s)
+        assert k0_class(s) + ZSignature(()) == k0_class(s)
 
 
 def random_matrices(ring, rng, nonzero=False):

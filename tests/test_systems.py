@@ -14,6 +14,7 @@ from ringsys import (
     PrimeField,
     Rationals,
     RingMatrix,
+    ShapeError,
     SystemMorphism,
     UnsupportedRing,
     biproduct_witnesses,
@@ -21,7 +22,6 @@ from ringsys import (
     column_canonical,
     direct_sum,
     dynamic_enlarge,
-    enlarged_pair,
     from_pair,
     gamma,
     identity_morphism,
@@ -47,6 +47,14 @@ class TestFromPair:
     def test_trivial_pair_gives_gamma(self):
         s = from_pair(mat(Q, [[0]]), mat(Q, [[1]]))
         assert s == gamma(Q, 1)
+
+    def test_bad_pairs_raise(self):
+        with pytest.raises(ShapeError):
+            from_pair(mat(Q, [[0, 1]]), mat(Q, [[1]]))
+        with pytest.raises(ShapeError):
+            from_pair(mat(Q, [[0]]), mat(Q, [[1], [0]]))
+        with pytest.raises(DescriptorMismatch):
+            from_pair(mat(Q, [[0]]), mat(Z, [[1]]))
 
     def test_duplicate_columns_collapse(self):
         # systems compare by input module: equal, with equal hashes, and
@@ -123,10 +131,9 @@ class TestGammaAndEnlarge:
     def test_enlarge_pair_block_structure(self):
         a = mat(Q, [[1, 2], [3, 4]])
         b = mat(Q, [[1], [0]])
-        ea, eb = enlarged_pair(a, b, 2)
-        assert ea == RingMatrix.zeros(Q, 2, 2).block_diag(a)
-        assert eb == RingMatrix.identity(Q, 2).block_diag(b)
-        assert from_pair(ea, eb) == dynamic_enlarge(from_pair(a, b), 2)
+        e = dynamic_enlarge(from_pair(a, b), 2)
+        assert e.endo == RingMatrix.zeros(Q, 2, 2).block_diag(a)
+        assert e.generators == RingMatrix.identity(Q, 2).block_diag(b)
 
     def test_enlarging_gamma(self):
         assert dynamic_enlarge(gamma(Q, 2), 3) == gamma(Q, 5)

@@ -41,7 +41,7 @@ from ringsys import (
 )
 from ringsys.linalg import _snf_int
 from ringsys.rings import MAX_COEFF_BITS, MAX_DEGREE, descriptor_from_dict, grlex_key
-from ringsys.sysfile import CertEntry, PairEntry, SystemFile, emit
+from ringsys.sysfile import CertEntry, SystemFile, emit
 
 
 def rand_matrix(ring, rows, cols, rng, span=3):
@@ -749,9 +749,9 @@ def fuzz_base_documents():
         else:
             s, t, cert = certificate_from_action(a, b, m([[1, 1], [0, 1]]), m([[1, 0]]), m([[-1]]))
         systems = {
-            "S": PairEntry(2, a, b),
-            "T": PairEntry(2, t.endo, t.input_gens),
-            "U": PairEntry(2, m([[0, 0], [0, 0]]), m([[1], [0]])),
+            "S": from_pair(a, b),
+            "T": from_pair(t.endo, t.input_gens),
+            "U": from_pair(m([[0, 0], [0, 0]]), m([[1], [0]])),
         }
         sf = SystemFile(ring, systems, {"C": CertEntry("S", "T", cert)})
         docs.append(json.loads(emit(sf)))
