@@ -11,7 +11,6 @@ ring, polynomial quotient rings included.
 from .equivalence import (
     IsoCertificate,
     VerifyResult,
-    certificate_from_action,
     direct_sum_certificate,
     dynamic_equivalent,
     enlarge_certificate,
@@ -20,7 +19,6 @@ from .equivalence import (
     identity_certificate,
     k0_class,
     orbit_crosscheck,
-    signatures_equivalent,
     stabilize_certificate,
     stable_equivalent,
     verify_certificate,
@@ -55,10 +53,7 @@ from .linalg import (
     SmithDecomposition,
     cokernel_structure,
     column_canonical,
-    column_rank,
-    column_space_sum,
     det,
-    hnf,
     invert,
     kernel_basis,
     membership,

@@ -4,9 +4,9 @@ verification of feedback-isomorphism certificates.
 
 Over the rationals, prime fields, and the integers the three
 equivalences all collapse to equality of Z-layer signatures, for the
-reasons given in ``signatures_equivalent``; the test suite checks the
-collapse against enlargements, direct sums and the orbit oracle rather
-than assuming it.  Certificate verification
+reasons given in ``dynamic_equivalent`` and ``stable_equivalent``; the
+test suite checks the collapse against enlargements, direct sums and
+the orbit oracle rather than assuming it.  Certificate verification
 needs nothing but ring arithmetic, so it also works over polynomial
 quotient rings where membership is undecidable here.
 """
@@ -20,11 +20,13 @@ from typing import Optional
 
 from .errors import DescriptorMismatch, OrbitSizeError, ShapeError, UnsupportedRing
 from .invariants import ZSignature, canonical_pair, z_signature
-from .linalg import RingMatrix, invert, solve_right
-from .rings import Integers, PrimeField, RingDescriptor
+from .linalg import RingMatrix
+from .rings import PrimeField, RingDescriptor
 from .systems import LinearSystem, from_pair, gamma
 
 
+# The relations ``equiv --mode`` names; each is decided by signature
+# equality, as feedback_equivalent decides it.
 MODES = ("feedback", "dynamic", "stable")
 
 
@@ -116,35 +118,6 @@ def verify_certificate(s1: LinearSystem, s2: LinearSystem, cert: IsoCertificate)
     return VerifyResult(True)
 
 
-def _inverse(m: RingMatrix) -> Optional[RingMatrix]:
-    if isinstance(m.ring, Integers):
-        return solve_right(m, RingMatrix.identity(m.ring, m.rows))
-    return invert(m)
-
-
-def certificate_from_action(
-    a1: RingMatrix, b1: RingMatrix, p: RingMatrix, k: RingMatrix, q: RingMatrix
-) -> tuple[LinearSystem, LinearSystem, IsoCertificate]:
-    """Apply the feedback action (P, K, Q) to a pair and package the
-    isomorphism it induces as a checkable certificate."""
-    p_inv = _inverse(p)
-    if p_inv is None:
-        raise ValueError("P is not invertible over the ring")
-    if _inverse(q) is None:
-        raise ValueError("Q is not invertible over the ring")
-    a2 = p @ (a1 + b1 @ k) @ p_inv
-    b2 = p @ b1 @ q
-    s1 = from_pair(a1, b1)
-    s2 = from_pair(a2, b2)
-    g1, g2 = s1.input_gens, s2.input_gens
-    u = solve_right(g2, p @ g1)
-    v = solve_right(p @ g1, g2)
-    kw = solve_right(g2, s2.endo @ p - p @ s1.endo)
-    if u is None or v is None or kw is None:
-        raise RuntimeError("action certificate witnesses failed to solve")
-    return s1, s2, IsoCertificate(p, p_inv, u, v, kw)
-
-
 def identity_certificate(sigma: LinearSystem) -> IsoCertificate:
     """The trivial certificate of sigma against itself."""
     ring = sigma.ring
@@ -182,46 +155,28 @@ def k0_class(sigma: LinearSystem) -> ZSignature:
     return z_signature(sigma)
 
 
-def signatures_equivalent(mode: str, sig1: ZSignature, sig2: ZSignature, p_max: int = 4) -> bool:
-    """Verdict of ``mode`` equivalence between two locally Brunovsky
-    systems with signatures sig1 and sig2.
-
-    Over Q, GF(p), and Z all three collapse to signature equality.
-    Feedback: the signature is complete, as projective modules are
-    determined by rank.  Dynamic: by additivity,
-    sig(Gamma_p + sigma) = sig(sigma) + (p), so enlarging both systems by
-    any p <= p_max shifts both signatures alike.  Stable: the signature
-    is the class in the group completion, and the rank map is injective.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown equivalence mode {mode!r}")
-    if p_max < 0:
-        raise ValueError("p_max must be nonnegative")
-    return sig1 == sig2
-
-
-def _equivalent(mode: str, s1: LinearSystem, s2: LinearSystem, p_max: int = 4) -> bool:
-    if s1.ring != s2.ring:
-        raise DescriptorMismatch("cannot compare systems over different rings")
-    return signatures_equivalent(mode, z_signature(s1), z_signature(s2), p_max)
-
-
 def feedback_equivalent(s1: LinearSystem, s2: LinearSystem) -> bool:
     """Signature test: complete for locally Brunovsky systems over Q,
     GF(p), and Z, where projective modules are determined by rank."""
-    return _equivalent("feedback", s1, s2)
+    if s1.ring != s2.ring:
+        raise DescriptorMismatch("cannot compare systems over different rings")
+    return z_signature(s1) == z_signature(s2)
 
 
-def dynamic_equivalent(s1: LinearSystem, s2: LinearSystem, p_max: int = 4) -> bool:
-    """Whether some enlargement by p <= p_max ancillary variables makes
-    the systems feedback equivalent; p_max must be nonnegative."""
-    return _equivalent("dynamic", s1, s2, p_max)
+def dynamic_equivalent(s1: LinearSystem, s2: LinearSystem) -> bool:
+    """Whether some enlargement by p ancillary variables makes the
+    systems feedback equivalent.  By additivity,
+    sig(Gamma_p + sigma) = sig(sigma) + (p), so enlarging both systems by
+    the same p shifts both signatures alike, and every p >= 0 gives the
+    verdict of p = 0."""
+    return feedback_equivalent(s1, s2)
 
 
 def stable_equivalent(s1: LinearSystem, s2: LinearSystem) -> bool:
-    """Equality in the group completion; over the supported rings the
-    rank map is injective, so this collapses to feedback equivalence."""
-    return _equivalent("stable", s1, s2)
+    """Equality in the group completion.  The signature is that class,
+    and over the supported rings the rank map is injective, so this
+    collapses to feedback equivalence."""
+    return feedback_equivalent(s1, s2)
 
 
 # ---------------------------------------------------------------------------

@@ -376,9 +376,9 @@ def z_signature(sigma: LinearSystem) -> ZSignature:
     (``_saturated``) decides each level's quotient, and with d = n it is
     the reachability test, so no Smith form is ever taken, and the I_i
     and Z_i structures are never built.  Over Q and GF(p) every module
-    is free, so the system is locally Brunovsky exactly when it is
-    reachable, and the ranks come from ``_rank_staircase`` on integer or
-    residue data.
+    is free, and the signature is read from ``_report_over_field``, whose
+    ranks come from ``_rank_staircase`` on integer or residue data, so
+    "locally Brunovsky" over a field is decided in that one place.
     A quotient ring is refused, as ``compute_chain`` refuses it.
     """
     ring, n = sigma.ring, sigma.state_rank
@@ -387,13 +387,10 @@ def z_signature(sigma: LinearSystem) -> ZSignature:
         dims = [len(pivots) for _, pivots in chain]
         if dims[-1] != n or not all(_saturated(rows, n) for rows, _ in chain[1:]):
             raise NotLocallyBrunovsky(_NOT_LOCALLY_BRUNOVSKY)
-    elif ring.is_field:
-        dims = _field_staircase(sigma.endo, sigma.generators)[0]
-        if dims[-1] != n:
-            raise NotLocallyBrunovsky(_NOT_LOCALLY_BRUNOVSKY)
-    else:
-        raise UnsupportedRing("invariant chains need decidable submodule arithmetic")
-    return ZSignature(_layer_ranks(dims)[1])
+        return ZSignature(_layer_ranks(dims)[1])
+    if ring.is_field:
+        return signature_from_report(_report_over_field(sigma))
+    raise UnsupportedRing("invariant chains need decidable submodule arithmetic")
 
 
 def conjugate_partition(parts: tuple[int, ...]) -> tuple[int, ...]:

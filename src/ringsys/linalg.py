@@ -224,18 +224,6 @@ class AbelianGroupStructure:
     def is_free(self) -> bool:
         return not self.torsion
 
-    def direct_sum(self, other: "AbelianGroupStructure") -> "AbelianGroupStructure":
-        merged = list(self.torsion) + list(other.torsion)
-        if not merged:
-            return AbelianGroupStructure(self.free_rank + other.free_rank, ())
-        # Canonicalise the combined torsion through the Smith form of a
-        # diagonal relations matrix.
-        k = len(merged)
-        diag = [[merged[i] if i == j else 0 for j in range(k)] for i in range(k)]
-        d = _snf_int(diag, k, k)
-        factors = tuple(d[i][i] for i in range(k) if d[i][i] > 1)
-        return AbelianGroupStructure(self.free_rank + other.free_rank, factors)
-
     def __str__(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
         return " + ".join(parts) if parts else "0"
@@ -388,17 +376,6 @@ def _hnf_int(mat: list[list[int]], ncols: int):
     return h, pivots
 
 
-def hnf(m: RingMatrix) -> tuple[RingMatrix, RingMatrix]:
-    """Hermite normal form (H, U) of an integer matrix with U @ m = H."""
-    _require_integers(m, "hnf")
-    ring = m.ring
-    h, _ = _hnf_int(m.hstack(RingMatrix.identity(ring, m.rows)).to_lists(), m.cols)
-    return (
-        RingMatrix._of_rows(ring, [row[: m.cols] for row in h], m.cols),
-        RingMatrix._of_rows(ring, [row[m.cols :] for row in h], m.rows),
-    )
-
-
 def _snf_int(mat: list[list[int]], nrows: int, ncols: int) -> list[list[int]]:
     """Smith form of the first ``nrows`` rows and ``ncols`` columns of
     ``mat``: returns the reduced rows, whose leading block is diagonal
@@ -498,19 +475,6 @@ def column_canonical(m: RingMatrix) -> RingMatrix:
         _require_field(m, "column_canonical")
         pivots = _gauss_jordan(m.ring, rows, m.rows)
     return RingMatrix._of_columns(m.ring, rows[: len(pivots)], m.rows)
-
-
-def column_space_sum(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    """Canonical generators of col(a) + col(b)."""
-    a._check_ring(b)
-    if a.rows != b.rows:
-        raise ShapeError("summed column spaces need equal ambient rank")
-    return column_canonical(a.hstack(b))
-
-
-def column_rank(m: RingMatrix) -> int:
-    """Rank of the column span (lattice rank over the integers)."""
-    return column_canonical(m).cols
 
 
 def membership(v: RingMatrix, g: RingMatrix) -> bool:

@@ -228,17 +228,22 @@ def _product_terms(pairs, limit: int) -> dict[int, int]:
     return coeffs
 
 
-def _reduce_packed(coeffs: dict, lead: int, rule, guard: int, max_cost: int | None = None, rule_bits: int = 0) -> None:
+def _reduce_packed(coeffs: dict, rewrite: tuple, max_cost: int | None = None) -> None:
     """Rewrite the packed coefficient map in place to its normal form
-    modulo lead -> rule (packed monomials and coefficients, guard as in
-    _Packing), the one reduction core behind PolyQuotient.reduce and
-    PolyQuotient.products.  Zeros may be left in the map.
+    modulo a quotient ring's ``_rewrite`` (packing, lead, rule,
+    rule_bits): the rule lead -> rule in packed monomials and
+    coefficients, under the packing's guard bits.  It is the one
+    reduction core behind PolyQuotient.reduce and PolyQuotient.products.
+    Zeros may be left in the map.
 
     The pending multiples of the leading monomial are rewritten largest
     first, so each is rewritten once: a rewrite only produces smaller
     monomials.  With max_cost, a reduction that would cost more (counted
-    as for MAX_REDUCE_COST) raises ElementSyntaxError instead.
+    as for MAX_REDUCE_COST, with rule_bits the size of the rule's widest
+    coefficient) raises ElementSyntaxError instead.
     """
+    pk, lead, rule, rule_bits = rewrite
+    guard = pk.guard
     heap = [-m for m in coeffs if not (m - lead) & guard]
     if not heap:
         return
@@ -659,7 +664,8 @@ class PolyQuotient(RingDescriptor):
         # stay packed as the payloads store them, from the operands to
         # the result.
         cols = [c if any(c[0]) else None for c in map(_cleared, cols)]
-        pk, lead, rule, _ = self._rewrite
+        rewrite = self._rewrite
+        pk = rewrite[0]
         nvars, zero = len(self.variables), self.zero()
         for row in rows:
             rn, rd = _cleared(row)
@@ -672,7 +678,7 @@ class PolyQuotient(RingDescriptor):
                 pairs = [(x, cn[k]) for k, x in nonzero if cn[k]]
                 if pairs:
                     coeffs = _product_terms(pairs, pk.limit)
-                    _reduce_packed(coeffs, lead, rule, pk.guard)
+                    _reduce_packed(coeffs, rewrite)
                     yield Poly(nvars, _packed_terms(coeffs, rd * cd))
                 else:
                     yield zero
@@ -695,7 +701,7 @@ class PolyQuotient(RingDescriptor):
         does not depend on the reduction strategy; reduce is idempotent
         and a ring homomorphism.  The work is _reduce_packed's.
         """
-        pk, lead, rule, rule_bits = self._rewrite
+        pk = self._rewrite[0]
         if isinstance(p, Poly):
             if p.nvars != pk.nvars:
                 raise ValueError("polynomial arity does not match the ring")
@@ -704,7 +710,7 @@ class PolyQuotient(RingDescriptor):
             coeffs = dict(p)
             if coeffs and type(next(iter(coeffs))) is not int:
                 coeffs = {pk.code(m): c for m, c in coeffs.items()}
-        _reduce_packed(coeffs, lead, rule, pk.guard, max_cost, rule_bits)
+        _reduce_packed(coeffs, self._rewrite, max_cost)
         return Poly(pk.nvars, _packed_terms(coeffs))
 
     def try_invert_payload(self, a):

@@ -20,7 +20,6 @@ from ringsys import (
     brunovsky,
     canonical_certificate,
     canonical_pair,
-    certificate_from_action,
     cokernel_structure,
     compute_chain,
     det,
@@ -31,7 +30,6 @@ from ringsys import (
     feedback_equivalent,
     from_pair,
     gamma,
-    hnf,
     invert,
     orbit_crosscheck,
     snf,
@@ -43,7 +41,9 @@ from ringsys import (
 from ringsys.fixtures import sphere_fixture_path
 from ringsys.sysfile import parse
 from util import (
+    certificate_from_action,
     combine_structures,
+    hnf,
     pad_family,
     rand_invertible,
     rand_locally_brunovsky_pair,
@@ -104,18 +104,22 @@ def test_criterion_3_equivalence_collapse_over_field():
     for _ in range(100):
         _, a, b = rand_locally_brunovsky_pair(Q, rng, rng.randint(1, 5))
         systems.append(from_pair(a, b))
+    # Each relation read from its definition: dynamic as the enlargements
+    # by p = 1, 2, 3, stable as the sums with a common random system.
+    common_rng = random.Random(106)
     mismatches = 0
     for _ in range(100):
         s1, s2 = rng.choice(systems), rng.choice(systems)
+        c = common_rng.choice(systems)
         f = feedback_equivalent(s1, s2)
-        d = dynamic_equivalent(s1, s2, p_max=3)
-        st = stable_equivalent(s1, s2)
-        if not (f == d == st):
+        d = [feedback_equivalent(dynamic_enlarge(s1, p), dynamic_enlarge(s2, p)) for p in (1, 2, 3)]
+        st = feedback_equivalent(direct_sum(s1, c), direct_sum(s2, c))
+        if d != [f] * 3 or st != f or dynamic_equivalent(s1, s2) != f or stable_equivalent(s1, s2) != f:
             mismatches += 1
     assert mismatches == 0
     for s in systems:
         assert not stable_equivalent(s, direct_sum(s, gamma(Q, 1)))
-    _report(3, "100 verdict triples identical; no system matches its own enlargement")
+    _report(3, "100 pairs: enlargements by p = 1-3 and sums with a common system keep the feedback verdict; no system matches its own enlargement")
 
 
 def test_criterion_4_certificate_chain_over_gf3():

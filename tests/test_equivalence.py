@@ -24,7 +24,6 @@ from ringsys import (
     UnsupportedRing,
     ZSignature,
     canonical_pair,
-    certificate_from_action,
     direct_sum,
     direct_sum_certificate,
     dynamic_enlarge,
@@ -46,7 +45,14 @@ from ringsys import (
     zero_system,
 )
 from ringsys import rings
-from util import rand_invertible, rand_locally_brunovsky_pair, rand_matrix, rand_system, reference_verify
+from util import (
+    certificate_from_action,
+    rand_invertible,
+    rand_locally_brunovsky_pair,
+    rand_matrix,
+    rand_system,
+    reference_verify,
+)
 
 Q = Rationals()
 Z = Integers()
@@ -96,15 +102,29 @@ class TestFeedbackEquivalent:
             feedback_equivalent(gamma(Q, 1), gamma(F2, 1))
 
 
+def relation_verdicts(s1, s2, common):
+    """Feedback, dynamic and stable equivalence of s1 and s2 read from
+    their definitions, each through feedback_equivalent alone: the
+    dynamic verdicts compare the enlargements by p = 1, 2, 3, and the
+    stable one the sums with the common system."""
+    f = feedback_equivalent(s1, s2)
+    d = [feedback_equivalent(dynamic_enlarge(s1, p), dynamic_enlarge(s2, p)) for p in (1, 2, 3)]
+    st = feedback_equivalent(direct_sum(s1, common), direct_sum(s2, common))
+    return f, d, st
+
+
 class TestDynamicAndStable:
     def test_collapse_over_field(self):
         rng = random.Random(31)
+        verdicts = Counter()
         for _ in range(30):
             s1 = lb_system(Q, rng, rng.randint(1, 4))
             s2 = lb_system(Q, rng, rng.randint(1, 4))
-            f = feedback_equivalent(s1, s2)
-            assert dynamic_equivalent(s1, s2, p_max=3) == f
-            assert stable_equivalent(s1, s2) == f
+            f, d, st = relation_verdicts(s1, s2, lb_system(Q, rng, rng.randint(1, 3)))
+            assert d == [f] * 3 and st == f
+            assert dynamic_equivalent(s1, s2) == f and stable_equivalent(s1, s2) == f
+            verdicts[f] += 1
+        assert verdicts[True] and verdicts[False]
 
     def test_enlargement_is_never_stably_equivalent_to_original(self):
         rng = random.Random(32)
@@ -113,10 +133,16 @@ class TestDynamicAndStable:
             assert not stable_equivalent(s, direct_sum(s, gamma(Q, 1)))
 
     def test_equal_enlargements(self):
+        # the enlargements of a system and of its image under a random
+        # feedback action are related in all three senses
         rng = random.Random(33)
         s = lb_system(Q, rng, 3)
-        e = dynamic_enlarge(s, 2)
-        assert feedback_equivalent(e, e) and dynamic_equivalent(e, e) and stable_equivalent(e, e)
+        m = s.generators.cols
+        _, t, _ = certificate_from_action(
+            s.endo, s.generators, rand_invertible(Q, 3, rng), rand_matrix(Q, m, 3, rng), rand_invertible(Q, m, rng)
+        )
+        e, e2 = dynamic_enlarge(s, 2), dynamic_enlarge(t, 2)
+        assert relation_verdicts(e, e2, lb_system(Q, rng, 2)) == (True, [True] * 3, True)
 
     def test_cancellation_of_signatures(self):
         # signature of the enlargement determines the original's
@@ -128,16 +154,12 @@ class TestDynamicAndStable:
             e_equal = feedback_equivalent(dynamic_enlarge(s1, p), dynamic_enlarge(s2, p))
             assert e_equal == feedback_equivalent(s1, s2)
 
-    def test_negative_p_max_rejected(self):
-        s = from_pair(*canonical_pair(Q, (2, 1)))
-        assert dynamic_equivalent(s, s, p_max=0)
-        with pytest.raises(ValueError):
-            dynamic_equivalent(s, s, p_max=-1)
-
     def test_over_integers(self):
+        rng = random.Random(37)
         s21 = from_pair(*canonical_pair(Z, (2, 1)))
         s3 = from_pair(*canonical_pair(Z, (3,)))
-        assert not feedback_equivalent(s21, s3)
+        assert relation_verdicts(s21, s3, lb_system(Z, rng, 3)) == (False, [False] * 3, False)
+        assert relation_verdicts(s21, s21, lb_system(Z, rng, 3)) == (True, [True] * 3, True)
         assert not dynamic_equivalent(s21, s3)
         assert not stable_equivalent(s21, s3)
         assert stable_equivalent(s21, s21)
@@ -276,6 +298,20 @@ class TestVerifyCertificate:
         s_f = from_pair(mat(F2, [[0]]), mat(F2, [[1]]))
         with pytest.raises(DescriptorMismatch):
             verify_certificate(s_q, s_f, identity_certificate(s_q))
+
+    @pytest.mark.parametrize(
+        "inputs, u, message",
+        [(1, RingMatrix.zeros(Q, 0, 0), "U must be 1x1, got 0x0"), (0, RingMatrix.identity(Q, 1), "U must be 0x0, got 1x1")],
+        ids=["entryless-where-1x1-is-due", "1x1-on-a-0-input-system"],
+    )
+    def test_witness_shape_is_checked(self, inputs, u, message):
+        # only an entryless witness against an entryless expectation is
+        # the zero map; an entryless one where entries are due, or the
+        # reverse, is a shape error
+        s = from_pair(mat(Q, [[0]]), RingMatrix.identity(Q, 1) if inputs else RingMatrix.zeros(Q, 1, 0))
+        good = identity_certificate(s)
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            verify_certificate(s, s, IsoCertificate(good.phi, good.psi, u, good.V, good.Kw))
 
     def test_one_product_matches_reference(self):
         """verify_certificate decides the inverse identity from phi psi

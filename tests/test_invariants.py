@@ -20,12 +20,12 @@ from ringsys import (
     PrimeField,
     Rationals,
     RingMatrix,
+    ShapeError,
     UnsupportedRing,
     ZSignature,
     brunovsky,
     canonical_certificate,
     canonical_pair,
-    certificate_from_action,
     cokernel_structure,
     column_canonical,
     compute_chain,
@@ -44,6 +44,7 @@ from ringsys import (
 from ringsys import linalg
 from ringsys.invariants import _field_staircase, _hermite_chain
 from util import (
+    certificate_from_action,
     combine_structures,
     pad_family,
     rand_invertible,
@@ -636,6 +637,15 @@ class TestCanonicalCertificate:
     def test_needs_field(self):
         with pytest.raises(UnsupportedRing):
             canonical_certificate(mat(Z, [[0]]), mat(Z, [[1]]))
+
+    @pytest.mark.parametrize(
+        "a_shape, b_rows", [((2, 3), 2), ((2, 2), 3)], ids=["non-square-endo", "input-rows-differ"]
+    )
+    def test_shape_is_checked(self, a_shape, b_rows):
+        a = RingMatrix.zeros(Q, *a_shape)
+        b = RingMatrix.identity(Q, b_rows)
+        with pytest.raises(ShapeError, match="expected an n x n endomorphism and an n-row input matrix"):
+            canonical_certificate(a, b)
 
     @pytest.mark.parametrize("ring", [Q, F2, F3, F101], ids=str)
     def test_matches_reference_construction(self, ring):

@@ -18,7 +18,6 @@ from ringsys import (
     SystemMorphism,
     UnsupportedRing,
     biproduct_witnesses,
-    certificate_from_action,
     column_canonical,
     direct_sum,
     dynamic_enlarge,
@@ -31,7 +30,7 @@ from ringsys import (
     swap_matrix,
     zero_system,
 )
-from util import rand_invertible, rand_matrix, rand_system
+from util import certificate_from_action, rand_invertible, rand_matrix, rand_system
 
 Q = Rationals()
 Z = Integers()

@@ -28,9 +28,7 @@ from ringsys import (
     UnsupportedRing,
     VerifyResult,
     canonical_pair,
-    certificate_from_action,
     column_canonical,
-    column_space_sum,
     from_pair,
     identity_certificate,
     invert,
@@ -39,7 +37,7 @@ from ringsys import (
     rref,
     solve_right,
 )
-from ringsys.linalg import _snf_int
+from ringsys.linalg import _hnf_int, _snf_int
 from ringsys.rings import MAX_COEFF_BITS, MAX_DEGREE, descriptor_from_dict, grlex_key
 from ringsys.sysfile import CertEntry, SystemFile, emit
 
@@ -96,10 +94,59 @@ def rand_locally_brunovsky_pair(ring, rng, n, extra_cols=0):
     p = rand_invertible(ring, n, rng)
     k = rand_matrix(ring, m, n, rng, span=2)
     q = rand_invertible(ring, m, rng)
-    p_inv = solve_right(p, RingMatrix.identity(ring, n)) if isinstance(ring, Integers) else invert(p)
-    a = p @ (a_c + b_full @ k) @ p_inv
+    a = p @ (a_c + b_full @ k) @ _inverse(p)
     b = p @ b_full @ q
     return parts, a, b
+
+
+def _inverse(m):
+    # Two-sided inverse over a field or over Z, or None.
+    if isinstance(m.ring, Integers):
+        return solve_right(m, RingMatrix.identity(m.ring, m.rows))
+    return invert(m)
+
+
+def certificate_from_action(a1, b1, p, k, q):
+    """Apply the feedback action (P, K, Q) to a pair and package the
+    isomorphism it induces as a checkable certificate: the systems
+    (A1, B1) and (P(A1 + B1 K)P^-1, P B1 Q) with their IsoCertificate."""
+    p_inv = _inverse(p)
+    if p_inv is None:
+        raise ValueError("P is not invertible over the ring")
+    if _inverse(q) is None:
+        raise ValueError("Q is not invertible over the ring")
+    a2 = p @ (a1 + b1 @ k) @ p_inv
+    b2 = p @ b1 @ q
+    s1 = from_pair(a1, b1)
+    s2 = from_pair(a2, b2)
+    g1, g2 = s1.input_gens, s2.input_gens
+    u = solve_right(g2, p @ g1)
+    v = solve_right(p @ g1, g2)
+    kw = solve_right(g2, s2.endo @ p - p @ s1.endo)
+    if u is None or v is None or kw is None:
+        raise RuntimeError("action certificate witnesses failed to solve")
+    return s1, s2, IsoCertificate(p, p_inv, u, v, kw)
+
+
+def hnf(m):
+    """Row Hermite normal form (H, U) of an integer matrix, U @ m = H
+    with U unimodular: ``_hnf_int`` with an identity riding along."""
+    assert isinstance(m.ring, Integers)
+    h, _ = _hnf_int(m.hstack(RingMatrix.identity(m.ring, m.rows)).to_lists(), m.cols)
+    return (
+        RingMatrix.from_rows(m.ring, [row[: m.cols] for row in h], cols=m.cols),
+        RingMatrix.from_rows(m.ring, [row[m.cols :] for row in h], cols=m.rows),
+    )
+
+
+def column_space_sum(a, b):
+    """Canonical generators of col(a) + col(b)."""
+    return column_canonical(a.hstack(b))
+
+
+def column_rank(m):
+    """Rank of the column span (lattice rank over the integers)."""
+    return column_canonical(m).cols
 
 
 def reference_snf_int(mat, nrows, ncols):
@@ -306,9 +353,15 @@ def pad_family(report, kind, i):
 
 
 def combine_structures(a, b):
-    if isinstance(a, AbelianGroupStructure):
-        return a.direct_sum(b)
-    return a + b
+    """Direct sum of two module structures: dimensions add, and two
+    abelian groups add free ranks and merge their torsion into canonical
+    form through the Smith form of a diagonal relations matrix."""
+    if not isinstance(a, AbelianGroupStructure):
+        return a + b
+    merged = a.torsion + b.torsion
+    k = len(merged)
+    d = _snf_int([[merged[i] if i == j else 0 for j in range(k)] for i in range(k)], k, k)
+    return AbelianGroupStructure(a.free_rank + b.free_rank, tuple(d[i][i] for i in range(k) if d[i][i] > 1))
 
 
 def minors_gcd_invariants(mat):
