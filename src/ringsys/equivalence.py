@@ -13,7 +13,9 @@ quotient rings where membership is undecidable here.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -181,69 +183,35 @@ def stable_equivalent(s1: LinearSystem, s2: LinearSystem) -> bool:
 
 # ---------------------------------------------------------------------------
 # Exhaustive orbit search over small prime fields: the independent test
-# oracle for the signature classifier.
-
-_GL_CACHE: dict[tuple[int, int], list[tuple[tuple[int, ...], ...]]] = {}
-
-
-def _det_mod(mat, n: int, p: int) -> int:
-    a = [list(row) for row in mat]
-    det = 1
-    for k in range(n):
-        sel = next((i for i in range(k, n) if a[i][k] % p), None)
-        if sel is None:
-            return 0
-        if sel != k:
-            a[k], a[sel] = a[sel], a[k]
-            det = -det
-        piv = a[k][k] % p
-        det = det * piv % p
-        inv = pow(piv, p - 2, p)
-        for i in range(k + 1, n):
-            f = a[i][k] * inv % p
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
-    return det % p
+# oracle for the signature classifier.  It shares no algorithm with
+# linalg: GL_n(p) comes from Leibniz determinants, and the orbit
+# relation is checked in a form that needs no inverse.
 
 
-def _gl(n: int, p: int) -> list[tuple[tuple[int, ...], ...]]:
-    key = (n, p)
-    if key not in _GL_CACHE:
-        mats = []
-        for flat in itertools.product(range(p), repeat=n * n):
-            mat = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-            if _det_mod(mat, n, p):
-                mats.append(mat)
-        _GL_CACHE[key] = mats
-    return _GL_CACHE[key]
+def _rows(flat, rows: int, cols: int):
+    return tuple(flat[i * cols : (i + 1) * cols] for i in range(rows))
 
 
-def _mat_mul(x, y, p: int):
-    rows = len(x)
-    inner = len(y)
-    cols = len(y[0]) if inner else 0
+@functools.cache
+def _gl(n: int, p: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every n x n matrix over GF(p) whose Leibniz determinant is nonzero."""
+    signed = [
+        (perm, (-1) ** sum(i > j for i, j in itertools.combinations(perm, 2)))
+        for perm in itertools.permutations(range(n))
+    ]
+    mats = (_rows(flat, n, n) for flat in itertools.product(range(p), repeat=n * n))
     return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(inner)) % p for j in range(cols))
-        for i in range(rows)
+        mat
+        for mat in mats
+        if sum(sign * math.prod(row[j] for row, j in zip(mat, perm)) for perm, sign in signed) % p
     )
 
 
-def _mat_add(x, y, p: int):
-    return tuple(tuple((a + b) % p for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
-
-
-def _mat_inv(x, n: int, p: int):
-    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(x)]
-    for k in range(n):
-        sel = next(i for i in range(k, n) if a[i][k] % p)
-        a[k], a[sel] = a[sel], a[k]
-        inv = pow(a[k][k] % p, p - 2, p)
-        a[k] = [v * inv % p for v in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] % p:
-                f = a[i][k]
-                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[k])]
-    return tuple(tuple(row[n:]) for row in a)
+def _mat_mul(x, y, cols: int, p: int):
+    """x y mod p with cols columns, so a row-less y still gives len(x) rows."""
+    return tuple(
+        tuple(sum(a * row[j] for a, row in zip(rx, y)) % p for j in range(cols)) for rx in x
+    )
 
 
 def _as_int_rows(m: RingMatrix):
@@ -257,8 +225,8 @@ def feedback_equivalent_pairs_bruteforce(
     b2: RingMatrix,
     bound: int = 1_000_000,
 ) -> bool:
-    """Exhaustive search for (P, K, Q) with A2 = P(A1+B1K)P^-1 and
-    B2 = P B1 Q over a small prime field.
+    """Exhaustive search for (P, K, Q) with P invertible,
+    A2 P = P (A1 + B1 K) and B2 = P B1 Q over a small prime field.
 
     This deliberately stays a dumb orbit scan: it is the independent
     oracle the signature-based classifier is validated against.
@@ -269,7 +237,7 @@ def feedback_equivalent_pairs_bruteforce(
     if ring != b1.ring or ring != a2.ring or ring != b2.ring:
         raise DescriptorMismatch("mixed rings in orbit search")
     n, m = a1.rows, b1.cols
-    if a2.rows != n or b2.rows != n or b2.cols != m:
+    if (a1.cols, a2.rows, a2.cols, b1.rows, b2.rows, b2.cols) != (n, n, n, n, n, m):
         raise ShapeError("orbit search compares pairs of identical shape")
     p = ring.p
     if n > 3 or m > 2 or p not in (2, 3):
@@ -278,31 +246,25 @@ def feedback_equivalent_pairs_bruteforce(
     if size > bound:
         raise OrbitSizeError(f"search space {size} exceeds bound {bound}")
     ia1, ib1, ia2, ib2 = map(_as_int_rows, (a1, b1, a2, b2))
-    if n == 0:
-        return True
-    k_shapes = [
-        tuple(flat[i * n : (i + 1) * n] for i in range(m))
+    closed_loops = {
+        tuple(
+            tuple((a + b) % p for a, b in zip(ra, rb))
+            for ra, rb in zip(ia1, _mat_mul(ib1, _rows(flat, m, n), n, p))
+        )
         for flat in itertools.product(range(p), repeat=m * n)
-    ]
+    }
     for pm in _gl(n, p):
-        pb = _mat_mul(pm, ib1, p)
-        if m and not any(_mat_mul(pb, qm, p) == ib2 for qm in _gl(m, p)):
+        pb = _mat_mul(pm, ib1, m, p)
+        if not any(_mat_mul(pb, qm, m, p) == ib2 for qm in _gl(m, p)):
             continue
-        if m == 0 and ib2 != pb:
-            continue
-        p_inv = _mat_inv(pm, n, p)
-        for km in k_shapes or [tuple()]:
-            if m:
-                closed = _mat_add(ia1, _mat_mul(ib1, km, p), p)
-            else:
-                closed = ia1
-            if _mat_mul(_mat_mul(pm, closed, p), p_inv, p) == ia2:
-                return True
+        a2p = _mat_mul(ia2, pm, n, p)
+        if any(_mat_mul(pm, c, n, p) == a2p for c in closed_loops):
+            return True
     return False
 
 
 def _partitions(n: int, max_parts: int, largest: Optional[int] = None):
-    if n == 0:
+    if not n:
         yield ()
         return
     if max_parts == 0:

@@ -936,6 +936,8 @@ def descriptor_from_dict(data: dict) -> RingDescriptor:
         variables, relation = data.get("vars"), data.get("relation")
         if not isinstance(variables, list) or not isinstance(relation, str):
             raise ElementSyntaxError("poly_quotient needs a list 'vars' and a string 'relation'")
+        if not all(isinstance(name, str) for name in variables):
+            raise ElementSyntaxError("poly_quotient 'vars' must be strings")
         variables = tuple(variables)
         return PolyQuotient(variables, parse_polynomial(relation, variables))
     raise ElementSyntaxError(f"unknown ring kind {kind!r}")

@@ -462,6 +462,20 @@ class TestFileProducingCommands:
         assert main(["k0", str(out), "G2+S1"]) == 0
         assert capsys.readouterr().out.strip() == "(2, 1)"
 
+    @pytest.mark.parametrize(
+        "argv, report",
+        [
+            (["sum", "S1", "G1"], {"command": "sum", "system": "S1+G1"}),
+            (["enlarge", "S1", "-p", "2"], {"command": "enlarge", "system": "G2+S1", "p": 2}),
+        ],
+        ids=["sum", "enlarge"],
+    )
+    def test_json_report(self, argv, report, fixture_file, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main([argv[0], fixture_file, *argv[1:], "--out", str(out), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {**report, "written": str(out)}
+        assert report["system"] in parse(out).systems
+
     def test_enlarge_negative_p_is_usage_error(self, fixture_file, tmp_path, capsys):
         out = tmp_path / "enl.json"
         with pytest.raises(SystemExit) as exc:

@@ -461,15 +461,17 @@ class TestBruteForce:
         a2, b2 = canonical_pair(F2, (1, 1))
         assert not feedback_equivalent_pairs_bruteforce(a1, b1, a2, b2)
 
-    def test_transformed_pair_found(self):
+    # n <= 2 over GF(3), where GL_3(3) would trip the size guard
+    @pytest.mark.parametrize("field, max_n", [(F2, 3), (F3, 2)], ids=["GF2", "GF3"])
+    def test_transformed_pair_found(self, field, max_n):
         rng = random.Random(42)
         for _ in range(5):
-            n, m = rng.randint(1, 3), rng.randint(1, 2)
-            a = rand_matrix(F2, n, n, rng)
-            b = rand_matrix(F2, n, m, rng)
-            p = rand_invertible(F2, n, rng)
-            k = rand_matrix(F2, m, n, rng)
-            q = rand_invertible(F2, m, rng)
+            n, m = rng.randint(1, max_n), rng.randint(1, 2)
+            a = rand_matrix(field, n, n, rng)
+            b = rand_matrix(field, n, m, rng)
+            p = rand_invertible(field, n, rng)
+            k = rand_matrix(field, m, n, rng)
+            q = rand_invertible(field, m, rng)
             _, s2, _ = certificate_from_action(a, b, p, k, q)
             from ringsys import invert
 
@@ -503,6 +505,8 @@ class TestBruteForce:
             feedback_equivalent_pairs_bruteforce(a, b, *canonical_pair(F3, (1,)))
         with pytest.raises(ShapeError):
             feedback_equivalent_pairs_bruteforce(a, b, *canonical_pair(F2, (2,)))
+        with pytest.raises(ShapeError):
+            feedback_equivalent_pairs_bruteforce(mat(F2, [[0, 1]]), b, a, b)
         big = canonical_pair(F2, (4,))
         with pytest.raises(OrbitSizeError, match="n <= 3"):
             feedback_equivalent_pairs_bruteforce(*big, *big)

@@ -18,6 +18,8 @@ from ringsys import (
     RingMatrix,
     SystemFileError,
     from_pair,
+    identity_certificate,
+    verify_certificate,
 )
 from ringsys.equivalence import IsoCertificate
 from ringsys.rings import MAX_REDUCE_COST, _parse_terms, descriptor_from_dict, parse_polynomial
@@ -70,6 +72,17 @@ class TestRoundTrip:
             systems[f"S{idx}"] = from_pair(rand_matrix(ring, n, n, rng), rand_matrix(ring, n, rng.randint(0, 3), rng))
         sf = SystemFile(ring, systems)
         assert_same_file(parse_text(emit(sf)), sf)
+
+    def test_entryless_witness_round_trip(self):
+        # with no inputs the identity certificate's Kw is 0x2, which the
+        # row-list format cannot spell: CertEntry stores it as 0x0
+        s = from_pair(RingMatrix.from_rows(Q, [[0, 1], [0, 0]]), RingMatrix.zeros(Q, 2, 0))
+        entry = CertEntry("S", "S", identity_certificate(s))
+        assert (entry.certificate.Kw.rows, entry.certificate.Kw.cols) == (0, 0)
+        sf = SystemFile(Q, {"S": s}, {"c": entry})
+        back = parse_text(emit(sf))
+        assert_same_file(back, sf)
+        assert verify_certificate(back.system("S"), back.system("S"), back.certificate("c").certificate)
 
     def test_reduced_literals_round_trip(self):
         # emit writes normal forms: z^64 comes back as 561 terms, which
@@ -195,9 +208,21 @@ class TestValidation:
             ({"ring": {"kind": "Z"}, "systems": {"S": {"n": 1.5, "endo": [["0"]], "input_gens": []}}}, "systems.S.n"),
             ({"ring": {"kind": "Z"}, "systems": {"S": {"n": True, "endo": [["0"]], "input_gens": []}}}, "systems.S.n"),
             ({"ring": {"kind": "Z"}, "systems": {"S": {"n": -1, "endo": [], "input_gens": []}}}, "systems.S.n"),
+            (
+                {"ring": {"kind": "Z"}, "systems": {"S": {"n": 2, "endo": [["0", "0", "0"]] * 2, "input_gens": [["1"], ["0"]]}}},
+                "systems.S.endo: expected 2 columns, found 3",
+            ),
             ({"ring": {"kind": "GF", "p": 10**30 + 57}}, "ring: GF(p) needs p below"),
             ({"ring": {"kind": "GF", "p": 561}}, "ring: 561 is not prime"),
             ({"ring": {"kind": "GF", "p": 7.5}}, "ring: GF needs an integer p"),
+            ({"ring": {"kind": "poly_quotient", "vars": [3], "relation": "2"}}, "ring: poly_quotient 'vars' must be strings"),
+            (
+                {"ring": {"kind": "poly_quotient", "vars": [["x"]], "relation": "x^2+1"}},
+                "ring: poly_quotient 'vars' must be strings",
+            ),
+            ({"ring": {"kind": "poly_quotient", "vars": [], "relation": "2"}}, "ring: quotient ring needs at least one variable"),
+            ({"ring": {"kind": "poly_quotient", "vars": ["x", "x"], "relation": "x^2+1"}}, "ring: duplicate variable names"),
+            ({"ring": {"kind": "poly_quotient", "vars": ["1x"], "relation": "2"}}, "ring: bad variable name '1x'"),
             ({"ring": {"kind": "poly_quotient", "vars": "xyz", "relation": "x^2+y^2+z^2-1"}}, "list 'vars'"),
             (
                 {
@@ -235,9 +260,15 @@ class TestValidation:
             "float-rank",
             "bool-rank",
             "negative-rank",
+            "wide-endo",
             "huge-modulus",
             "carmichael",
             "float-modulus",
+            "int-var",
+            "list-var",
+            "no-vars",
+            "duplicate-vars",
+            "bad-var-name",
             "string-vars",
             "source-list",
             "huge-exponent",
