@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import zip_longest
 from math import gcd
 from operator import mul
@@ -28,7 +29,9 @@ from .linalg import (
     RingMatrix,
     _back_substitute,
     _cokernel_of_rows,
+    _hermite_insert,
     _hermite_reduce,
+    _hermite_reduce_above,
     _hnf_int,
     _saturated,
     _smith_cokernel,
@@ -123,27 +126,42 @@ def compute_chain(sigma: LinearSystem) -> InvariantReport:
 def _hermite_chain(sigma: LinearSystem) -> list[_Level]:
     """Row Hermite bases of N_0 < N_1 < ... < N_s over the integers,
     each as its rows and their pivot columns, the form ``_hnf_int``
-    returns.
+    returns, built by insertion into one running basis.
 
     N_{i+1} = N_i + A^i B, and the offer A^i b may be replaced by
     anything congruent to it modulo N_i: if w = A^i b - x with x in N_i,
     then A w differs from A^{i+1} b by A x, which lies in N_{i+1}.  Each
-    step therefore reduces the offers modulo the basis, stops when every
-    remainder vanishes (the remainder of a lattice member is zero), and
-    otherwise inserts the remainders and offers A times them next.
+    offer is reduced (``_hermite_reduce``) modulo the running basis,
+    which is N_i plus the offers of this step already kept.  A zero
+    remainder is dropped: the offer lies in N_i plus the kept offers,
+    A N_i lies in N_{i+1}, and A times each kept offer is offered next
+    step.  Any other remainder
+    is merged in by ``_hermite_insert``, and the step ends with one
+    ``_hermite_reduce_above`` pass from the first row it changed, which
+    makes the basis the unique Hermite form of N_{i+1}.  The next step
+    offers A times the kept remainders; the chain stops when none is
+    kept.  Each level is a snapshot of the basis: levels share rows,
+    which is safe because rows are replaced, never changed in place.
     """
-    n = sigma.state_rank
     a = sigma.endo.to_lists()
     b = sigma.generators
+    basis: list[list[int]] = []
+    pivots: list[int] = []
     chain: list[_Level] = [([], [])]
     offers = [list(b.entries[j :: b.cols]) for j in range(b.cols)]
     while True:
-        offers = [w for w in (_hermite_reduce(*chain[-1], w)[1] for w in offers) if any(w)]
-        if not offers:
+        kept = []
+        start = len(basis)
+        for w in offers:
+            w = _hermite_reduce(basis, pivots, w)[1]
+            if any(w):
+                start = min(start, _hermite_insert(basis, pivots, w))
+                kept.append(w)
+        if not kept:
             return chain
-        h, pivots = _hnf_int(chain[-1][0] + offers, n)
-        chain.append((h[: len(pivots)], pivots))
-        offers = [[sum(map(mul, row, w)) for row in a] for w in offers]
+        _hermite_reduce_above(basis, pivots, start)
+        chain.append((list(basis), list(pivots)))
+        offers = [[sum(map(mul, row, w)) for row in a] for w in kept]
 
 
 def _rank_staircase(
@@ -267,7 +285,10 @@ def _report_over_integers(sigma: LinearSystem, chain: list[_Level]) -> Invariant
 
     Every chain level is a row Hermite basis, so coordinates over it
     come from back-substitution.  rel[i] writes N_{i-1} in the basis of
-    N_i and presents I_i.  The exact saturation test (``_saturated``)
+    N_i and presents I_i.  Only the torsion rules read it (an I_i whose
+    M_{i-1} is not free, and the general Z_i path), so rel[i] is built
+    on demand, at most once, and a report whose quotients are all free
+    back-substitutes nothing.  The exact saturation test (``_saturated``)
     decides once per level whether M_i = Z^n/N_i is free, and four exact
     rules give most of the rest:
 
@@ -298,17 +319,19 @@ def _report_over_integers(sigma: LinearSystem, chain: list[_Level]) -> Invariant
     n = sigma.state_rank
     s = len(chain) - 1
     dims = [len(pivots) for _, pivots in chain]
-    # rel[i][k]: row k of chain[i - 1] in the basis of chain[i].
-    rel = [None] + [
-        _coordinates(chain[i], chain[i - 1][0], "chain is not increasing") for i in range(1, s + 1)
-    ]
+
+    @cache
+    def relations(i: int) -> list[list[int]]:
+        # rel[i]: row k is row k of chain[i - 1] in the basis of chain[i].
+        return _coordinates(chain[i], chain[i - 1][0], "chain is not increasing")
+
     # free[i]: whether M_i is free.  Chain levels are independent rows,
     # so the test always decides.
     free = [_saturated(rows, n) for rows, _ in chain]
     i_structs = tuple(
         AbelianGroupStructure(dims[i] - dims[i - 1], ())
         if free[i - 1]
-        else _cokernel_of_rows(rel[i], dims[i])
+        else _cokernel_of_rows(relations(i), dims[i])
         for i in range(1, s + 1)
     )
     # layers[i] is I_i for 1 <= i <= s + 1, with I_{s+1} = 0.
@@ -335,11 +358,11 @@ def _report_over_integers(sigma: LinearSystem, chain: list[_Level]) -> Invariant
             "chain construction violated f(N_i) <= N_{i+1}",
         )
         rows = [f + [1 if k == j else 0 for k in range(d)] for j, f in enumerate(f_cols)]
-        rows += [g + [0] * d for g in rel[i + 1]]
+        rows += [g + [0] * d for g in relations(i + 1)]
         h, pivots = _hnf_int(rows, r + d)
         keep = [k for k, p in enumerate(pivots) if p >= r]
         preimage = ([h[k][r:] for k in keep], [pivots[k] - r for k in keep])
-        y = _coordinates(preimage, rel[i], "relations escaped their preimage lattice")
+        y = _coordinates(preimage, relations(i), "relations escaped their preimage lattice")
         z_structs.append(_cokernel_of_rows(y, len(keep)))
     reachable = dims[s] == n and free[s]
     return InvariantReport(

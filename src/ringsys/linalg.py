@@ -531,6 +531,52 @@ def _hermite_reduce(basis: list[list[int]], pivots: list[int], target: Sequence[
     return y, target
 
 
+def _hermite_insert(basis: list[list[int]], pivots: list[int], w: Sequence[int]) -> int:
+    """Add the row w to the lattice of a row echelon basis with positive
+    pivots, in place; returns the index of the first row it changed.
+
+    Walking the nonzero entries of w: at a pivot column, one extended-gcd
+    step merges w with that row, which keeps the gcd as its pivot and
+    leaves w zero there; at a column without a pivot, w becomes a new
+    row.  Rows are replaced, never changed in place.  The entries above
+    the pivots are left for ``_hermite_reduce_above``.
+    """
+    first = len(basis)
+    r = 0
+    for c in range(len(w)):
+        x = w[c]
+        if not x:
+            continue
+        while r < len(pivots) and pivots[r] < c:
+            r += 1
+        if r < len(pivots) and pivots[r] == c:
+            row = basis[r]
+            g, s, t = _xgcd(row[c], x)
+            p_, q_ = row[c] // g, x // g
+            if (s, t) != (1, 0):
+                basis[r] = [s * y + t * z for y, z in zip(row, w)]
+                first = min(first, r)
+            w = [p_ * z - q_ * y for y, z in zip(row, w)]
+            continue
+        basis.insert(r, list(w) if x > 0 else [-z for z in w])
+        pivots.insert(r, c)
+        return min(first, r)
+    return first
+
+
+def _hermite_reduce_above(basis: list[list[int]], pivots: list[int], start: int) -> None:
+    """Reduce the entries above the pivots of rows start, start + 1, ...
+    into [0, pivot), in place, which makes an echelon basis with positive
+    pivots whose rows before ``start`` are already reduced the unique
+    row Hermite form.  Rows are replaced, never changed in place."""
+    for k in range(start, len(basis)):
+        row, p = basis[k], pivots[k]
+        for j in range(k):
+            q = basis[j][p] // row[p]
+            if q:
+                basis[j] = [x - q * y for x, y in zip(basis[j], row)]
+
+
 def _back_substitute(basis: list[list[int]], pivots: list[int], target: Sequence[int]) -> Optional[list[int]]:
     """Coordinates of target over a row Hermite basis, or None when it
     is not in the lattice."""

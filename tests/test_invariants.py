@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from collections import Counter
@@ -41,8 +42,8 @@ from ringsys import (
     solve_right,
     z_signature,
 )
-from ringsys import linalg
-from ringsys.invariants import _field_staircase, _hermite_chain
+from ringsys import invariants, linalg
+from ringsys.invariants import _field_staircase, _hermite_chain, _report_over_integers
 from util import (
     certificate_from_action,
     combine_structures,
@@ -100,6 +101,37 @@ def _rand_integer_pair(rng, k):
     if kind == 3:
         return rand_matrix(Z, n, n, rng), rand_matrix(Z, n, rng.randint(1, 3), rng)
     return rand_matrix(Z, n, n, rng), RingMatrix.zeros(Z, n, rng.randint(0, 2))
+
+
+def _partition_into(rng, n, m):
+    # A random partition of n into exactly m parts, non-increasing.
+    cuts = sorted(rng.sample(range(1, n), m - 1))
+    return tuple(sorted((y - x for x, y in zip([0] + cuts, cuts + [n])), reverse=True))
+
+
+def _unimodular_action(a, b, rng):
+    """(P (A + B K) P^-1, P B Q) for random unimodular P and Q and a
+    random K, all with entries in [-1, 1] before the products, as the
+    benchmark builds its integer systems."""
+    n, m = b.rows, b.cols
+    p = rand_invertible(Z, n, rng, span=1)
+    p_inv = solve_right(p, RingMatrix.identity(Z, n))
+    k = rand_matrix(Z, m, n, rng, span=1)
+    return p @ (a + b @ k) @ p_inv, p @ b @ rand_invertible(Z, m, rng, span=1)
+
+
+def _merged_or_dropped(b, rng):
+    """b over Z with one column scaled by 2-6 or, when b has other
+    columns, replaced by an integer combination of them: offers that
+    the Hermite staircase merges into a pivot row or drops."""
+    j = rng.randrange(b.cols)
+    if b.cols == 1 or rng.random() < 0.5:
+        return _scaled_input(b, j, rng.randint(2, 6))
+    others = [col.entries for t, col in enumerate(b.columns()) if t != j]
+    coeffs = [rng.randint(-2, 2) for _ in others]
+    combined = [sum(c * x for c, x in zip(coeffs, xs)) for xs in zip(*others)]
+    cols = [combined if t == j else col.entries for t, col in enumerate(b.columns())]
+    return RingMatrix.from_columns(Z, cols, rows=b.rows)
 
 
 def _unit_pivots(basis):
@@ -440,6 +472,55 @@ class TestChainProperties:
         kinds |= {"M free, unit pivots", "M free, other pivots", "M split", "M by Smith form"}
         assert set(branches) == kinds, branches
 
+    def test_integer_chain_at_benchmark_sizes(self, monkeypatch):
+        """The running Hermite basis against the reference chain at
+        n = 6-10 and m = 1-3, with one input column scaled or replaced by
+        a combination of the others.  Dense pairs with entries in [-9, 9]
+        check the chain levels; their reports may reach the torsion
+        preimage Hermite form, whose entry growth takes a minute at
+        n = 10.  Pairs built as the benchmark builds them also check the
+        report against the reference, and that it leaves the chain's
+        rows as they were, since levels share row lists."""
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        # Offers reduced, offers kept, and extended-gcd merges, counted
+        # inside the chain only: the report runs _xgcd too.
+        spied = ((invariants, "_hermite_reduce"), (invariants, "_hermite_insert"), (linalg, "_xgcd"))
+
+        def chain_of(sigma):
+            with monkeypatch.context() as mp:
+                for owner, name in spied:
+                    mp.setattr(owner, name, counted(name, getattr(owner, name)))
+                return _hermite_chain(sigma)
+
+        rng = random.Random(66)
+        sizes = set()
+        for k in range(80):
+            n, m = rng.randint(6, 10), rng.randint(1, 3)
+            if k % 2:
+                a, b = rand_matrix(Z, n, n, rng, span=9), rand_matrix(Z, n, m, rng, span=9)
+            else:
+                a, b = _unimodular_action(*canonical_pair(Z, _partition_into(rng, n, m)), rng)
+            sigma = from_pair(a, _merged_or_dropped(b, rng))
+            chain = chain_of(sigma)
+            levels = reference_integer_chain(sigma)
+            assert tuple(RingMatrix.from_columns(Z, rows, rows=n) for rows, _ in chain) == levels
+            if k % 2 == 0:
+                rows = copy.deepcopy(chain)
+                rep = _report_over_integers(sigma, chain)
+                assert chain == rows
+                assert rep == compute_chain(sigma) == reference_integer_report(sigma)
+            sizes.add(n)
+        assert sizes == set(range(6, 11))
+        assert calls["_hermite_reduce"] > calls["_hermite_insert"] > 0 and calls["_xgcd"] > 0, calls
+
     @pytest.mark.parametrize("ring", [Q, F2], ids=str)
     def test_feedback_invariance_of_signature(self, ring):
         rng = random.Random(20)
@@ -532,6 +613,54 @@ class TestSmithFormCount:
                 assert len(smith_calls) <= with_torsion
                 torsion_seen += with_torsion
         assert torsion_seen > 0
+
+
+class TestRelationsOnDemand:
+    """The relations rel_i that present I_i are back-substituted only
+    where a torsion rule reads them: for an I_i whose M_{i-1} is not
+    free, and on the general Z_i path, which needs a torsion I_{i+1}.
+    So ``compute_chain`` calls ``_coordinates`` exactly when some M_i
+    before the last has torsion."""
+
+    @pytest.fixture
+    def coordinate_calls(self, monkeypatch):
+        calls = []
+        coordinates = invariants._coordinates
+
+        def counted(basis, vectors, message):
+            calls.append(message)
+            return coordinates(basis, vectors, message)
+
+        monkeypatch.setattr(invariants, "_coordinates", counted)
+        return calls
+
+    def test_free_quotients_take_no_back_substitution(self, coordinate_calls):
+        rng = random.Random(67)
+        for n in range(1, 9):
+            _, a, b = rand_locally_brunovsky_pair(Z, rng, n, extra_cols=rng.randint(0, 1))
+            assert compute_chain(from_pair(a, b)).locally_brunovsky
+            # A canonical part plus u free-running coordinates.
+            u = rng.randint(1, n)
+            a_c, b_c = canonical_pair(Z, rand_partition(rng, n - u))
+            a, b = _unimodular_action(
+                a_c.block_diag(rand_matrix(Z, u, u, rng)), b_c.vstack(RingMatrix.zeros(Z, u, b_c.cols)), rng
+            )
+            rep = compute_chain(from_pair(a, b))
+            assert not rep.reachable and all(x.is_free for x in rep.M)
+        assert coordinate_calls == []
+
+    def test_torsion_layers_take_relations(self, coordinate_calls):
+        rng = random.Random(68)
+        torsion_layers = 0
+        for _ in range(40):
+            _, a, b = rand_locally_brunovsky_pair(Z, rng, rng.randint(2, 6), extra_cols=rng.randint(0, 1))
+            coordinate_calls.clear()
+            rep = compute_chain(from_pair(a, _scaled_input(b, rng.randrange(b.cols), rng.randint(2, 4))))
+            assert bool(coordinate_calls) == any(not x.is_free for x in rep.M[:-1])
+            if any(not x.is_free for x in rep.I):
+                assert "chain is not increasing" in coordinate_calls
+                torsion_layers += 1
+        assert torsion_layers > 0
 
 
 class TestBrunovsky:

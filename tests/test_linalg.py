@@ -29,7 +29,7 @@ from ringsys import (
     solve_right,
 )
 from ringsys import linalg
-from ringsys.linalg import _hnf_int, _saturated, _snf_int
+from ringsys.linalg import _hermite_insert, _hermite_reduce_above, _hnf_int, _saturated, _snf_int
 from ringsys.rings import PRIME_BOUND
 from util import (
     column_rank,
@@ -352,6 +352,55 @@ class TestTransformFree:
             f_pivots = _gauss_jordan(Q, reduced, c)
             assert _gauss_jordan(Q, with_t, c) == f_pivots
             assert [row[:c] for row in with_t] == reduced
+
+
+class TestHermiteInsert:
+    """Adding a row to a row Hermite basis: ``_hermite_insert`` merges
+    or inserts it and returns the first row it changed, and one
+    ``_hermite_reduce_above`` pass from there gives the Hermite form
+    of the rows plus the new one."""
+
+    @pytest.mark.parametrize(
+        "w, first, merged, reduced",
+        [
+            # 4 at the pivot 2 divides out: the pivot row stays.
+            ([4, 0], 1, [[2, 1], [0, 2]], [[2, 1], [0, 2]]),
+            # gcd(2, 3) = 1 replaces the pivot row.
+            ([3, 0], 0, [[1, -1], [0, 3]], [[1, 2], [0, 3]]),
+            # A lattice member leaves the basis as it was.
+            ([4, 2], 1, [[2, 1]], [[2, 1]]),
+            # A first entry past every pivot becomes the last row.
+            ([0, -5], 1, [[2, 1], [0, 5]], [[2, 1], [0, 5]]),
+        ],
+        ids=["divides", "merges", "member", "appends"],
+    )
+    def test_hand_built(self, w, first, merged, reduced):
+        basis, pivots = [[2, 1]], [0]
+        assert _hermite_insert(basis, pivots, w) == first
+        assert basis == merged
+        _hermite_reduce_above(basis, pivots, first)
+        assert basis == reduced
+        h, expected = _hnf_int([[2, 1], w], 2)
+        assert (basis, pivots) == (h[: len(expected)], expected)
+
+    def test_matches_hnf_and_keeps_earlier_rows(self):
+        rng = random.Random(78)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(0, n))]
+            h, pivots = _hnf_int(rows, n)
+            basis = h[: len(pivots)]
+            w = [rng.randint(-9, 9) * rng.randint(0, 1) for _ in range(n)]
+            before = list(basis)
+            first = _hermite_insert(basis, pivots, w)
+            # Rows before the first changed one are the very same lists.
+            assert all(x is y for x, y in zip(basis[:first], before))
+            _hermite_reduce_above(basis, pivots, first)
+            h, expected = _hnf_int(rows + [w], n)
+            assert (basis, pivots) == (h[: len(expected)], expected)
+            seen.add((first == len(before), first == 0))
+        assert {(True, False), (False, True), (False, False)} <= seen, seen
 
 
 class TestBackSubstitution:
